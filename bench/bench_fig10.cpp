@@ -40,8 +40,9 @@ void RunSystem(const bench::System& system) {
   SystemResult result;
   result.system = system.name;
 
-  // --- DeepEverest: per-layer incremental builds, front to back, with
-  // force-synced persistence (the paper force-writes when timing).
+  // --- DeepEverest: per-layer incremental builds, front to back. Each
+  // build's persist time is its snapshot commit, fsynced like every commit
+  // (the paper force-writes when timing).
   {
     bench::ScratchDir scratch("fig10-de");
     auto store = storage::FileStore::Open(scratch.path());
@@ -49,7 +50,6 @@ void RunSystem(const bench::System& system) {
     core::DeepEverestOptions options;
     options.batch_size = system.batch_size;
     options.storage_budget_fraction = 0.2;
-    options.force_sync = true;
     auto de = core::DeepEverest::Create(system.model.get(),
                                         system.dataset.get(), &store.value(),
                                         options);

@@ -105,7 +105,8 @@ class BinaryReader {
       return Status::IOError("truncated buffer: need " + std::to_string(n) +
                              " bytes, have " + std::to_string(size_ - pos_));
     }
-    std::memcpy(out, data_ + pos_, n);
+    // An empty vector's data() may be null, which memcpy must not get.
+    if (n > 0) std::memcpy(out, data_ + pos_, n);
     pos_ += n;
     return Status::OK();
   }

@@ -20,13 +20,11 @@ DeepEverest::DeepEverest(const nn::Model* model, const data::Dataset* dataset,
       config_(config),
       inference_(model, dataset, options.batch_size),
       index_manager_(&inference_, store,
-                     IndexManagerOptions{config.ToLayerConfig(),
-                                         options.persist_indexes,
-                                         options.force_sync}) {
+                     IndexManagerOptions{config.ToLayerConfig()}) {
   if (options_.enable_iqa) {
     iqa_cache_ = std::make_unique<IqaCache>(options_.iqa_capacity_bytes,
                                             options_.iqa_shards);
-    // When a persisted index fails validation and is rebuilt, drop the
+    // When a committed index fails validation and is rebuilt, drop the
     // layer's cached activation rows too: they are recomputable and cheap to
     // lose, and this keeps "discard corrupt derived state" a single switch.
     index_manager_.set_index_invalidation_hook(

@@ -45,10 +45,6 @@ struct DeepEverestOptions {
   /// Lock stripes for the IQA cache. 1 reproduces the paper's single cache;
   /// the concurrent query service uses more to avoid contention.
   int iqa_shards = 1;
-
-  /// Persist indexes to the FileStore (incremental indexing, §4.6).
-  bool persist_indexes = true;
-  bool force_sync = false;
 };
 
 class DeepEverest;
@@ -114,6 +110,11 @@ class QueryExecution {
 ///   NeuronGroup g{.layer = 7, .neurons = {12, 55, 203}};
 ///   auto top = (*de)->TopKMostSimilar(/*target_id=*/42, g, /*k=*/20);
 /// \endcode
+///
+/// Indexes build on first use (§4.6) and every build commits the model's
+/// persist/ snapshot in `store`, the one durable index format; a later
+/// engine over the same store loads the committed segments instead of
+/// rebuilding.
 ///
 /// The system has ONE execution mechanism: every query is a core::QuerySpec
 /// run through the resumable QueryExecution phase machine (BeginSpec). The
@@ -190,7 +191,7 @@ class DeepEverest {
   /// baseline all budgets are fractions of).
   uint64_t FullMaterializationBytes() const;
 
-  /// Bytes of index data currently persisted.
+  /// Bytes of the index segments in the committed snapshot.
   Result<uint64_t> PersistedIndexBytes() const {
     return index_manager_.PersistedBytes();
   }

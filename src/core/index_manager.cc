@@ -1,22 +1,33 @@
 #include "core/index_manager.h"
 
+#include <ctime>
 #include <numeric>
 #include <utility>
 
+#include "common/logging.h"
 #include "common/stopwatch.h"
-#include "persist/format.h"
 
 namespace deepeverest {
 namespace core {
 
-std::string IndexManager::KeyFor(const std::string& model_name, int layer) {
-  return "index/" + model_name + "/layer_" + std::to_string(layer) + ".npi";
+namespace {
+
+const persist::SegmentInfo* IndexSegment(
+    const persist::SnapshotManifest& manifest, int layer) {
+  for (const persist::SegmentInfo& seg : manifest.segments) {
+    if (seg.layer == layer && seg.kind == persist::SegmentKind::kIndex) {
+      return &seg;
+    }
+  }
+  return nullptr;
 }
 
+}  // namespace
+
 bool IndexManager::IsIndexed(int layer) const {
-  if (Peek(layer) != nullptr) return true;
-  return options_.persist &&
-         store_->Exists(KeyFor(inference_->model().name(), layer));
+  if (IsLoaded(layer)) return true;
+  Result<persist::SnapshotManifest> manifest = CommittedManifest();
+  return manifest.ok() && IndexSegment(*manifest, layer) != nullptr;
 }
 
 LayerIndexPtr IndexManager::Peek(int layer) const {
@@ -40,21 +51,6 @@ LayerIndexPtr IndexManager::Publish(int layer, LayerIndex index) {
   return shared;
 }
 
-Status IndexManager::InstallIndex(int layer, LayerIndex index) {
-  if (layer < 0 || layer >= inference_->model().num_layers()) {
-    return Status::OutOfRange("layer " + std::to_string(layer) +
-                              " out of range");
-  }
-  const int64_t neurons = inference_->model().NeuronCount(layer);
-  if (index.num_neurons() != neurons) {
-    return Status::InvalidArgument(
-        "index neuron count " + std::to_string(index.num_neurons()) +
-        " does not match layer " + std::to_string(layer));
-  }
-  Publish(layer, std::move(index));
-  return Status::OK();
-}
-
 common::Mutex* IndexManager::BuildMutexFor(int layer) {
   common::MutexLock lock(&build_map_mu_);
   auto& slot = build_mu_[layer];
@@ -62,22 +58,121 @@ common::Mutex* IndexManager::BuildMutexFor(int layer) {
   return slot.get();
 }
 
-Status IndexManager::PersistIndex(int layer, const LayerIndex& index,
-                                  double* persist_seconds) {
-  Stopwatch watch;
-  if (options_.persist) {
-    BinaryWriter writer;
-    index.Serialize(&writer);
-    // Checksum envelope + write-temp/fsync/rename: a crash mid-persist
-    // leaves the previous file (or a stray .tmp), never a truncated index
-    // that a later session would deserialize.
-    DE_RETURN_NOT_OK(
-        store_->WriteAtomic(KeyFor(inference_->model().name(), layer),
-                            persist::WrapChecksum(writer.buffer()),
-                            options_.force_sync));
+Result<persist::SnapshotManifest> IndexManager::CommittedManifest() const {
+  DE_ASSIGN_OR_RETURN(
+      persist::SnapshotManifest manifest,
+      persist::ReadManifest(store_, inference_->model().name()));
+  if (manifest.dataset != inference_->dataset().name()) {
+    return Status::IOError("snapshot was committed for dataset '" +
+                           manifest.dataset + "', not '" +
+                           inference_->dataset().name() + "'");
   }
-  if (persist_seconds != nullptr) *persist_seconds = watch.ElapsedSeconds();
+  return manifest;
+}
+
+void IndexManager::Discard(int layer, const Status& why) {
+  DE_LOG_WARNING << "discarding committed index for layer " << layer
+                 << " and rebuilding: " << why.ToString();
+  if (on_index_invalidated_) on_index_invalidated_(layer);
+}
+
+Result<LayerIndex> IndexManager::ReadCommitted(
+    const persist::SnapshotManifest& manifest, int layer) {
+  const persist::SegmentInfo* seg = IndexSegment(manifest, layer);
+  if (seg == nullptr) return Status::NotFound("layer is not committed");
+  auto load = [&]() -> Result<LayerIndex> {
+    DE_ASSIGN_OR_RETURN(LayerIndex index,
+                        persist::LoadIndexSegment(store_, *seg));
+    if (layer < 0 || layer >= inference_->model().num_layers() ||
+        index.num_neurons() != inference_->model().NeuronCount(layer)) {
+      return Status::IOError("segment shape does not match the layer");
+    }
+    // A snapshot ahead of the dataset (its ingest log lost) would index
+    // inputs that no longer exist.
+    if (index.num_inputs() > inference_->dataset().size()) {
+      return Status::IOError(
+          "watermark " + std::to_string(index.num_inputs()) +
+          " is past the dataset (" +
+          std::to_string(inference_->dataset().size()) + " inputs)");
+    }
+    return index;
+  };
+  Result<LayerIndex> index = load();
+  if (index.ok()) return index;
+  Discard(layer, index.status());
+  return Status::NotFound("layer has no valid committed segment");
+}
+
+uint32_t IndexManager::LoadCommitted(
+    const persist::SnapshotManifest& manifest) {
+  uint32_t loaded = 0;
+  for (const persist::SegmentInfo& seg : manifest.segments) {
+    if (seg.kind != persist::SegmentKind::kIndex) continue;
+    if (!IsLoaded(seg.layer)) {
+      Result<LayerIndex> index = ReadCommitted(manifest, seg.layer);
+      if (!index.ok()) continue;
+      common::WriterMutexLock lock(&mu_);
+      loaded_.emplace(seg.layer,
+                      std::make_shared<const LayerIndex>(std::move(*index)));
+    }
+    ++loaded;
+  }
+  return loaded;
+}
+
+Result<SnapshotInfo> IndexManager::CommitSnapshot() {
+  common::MutexLock commit_lock(&commit_mu_);
+  // The new generation replaces the committed one whole.
+  Result<persist::SnapshotManifest> committed = CommittedManifest();
+  if (committed.ok()) LoadCommitted(*committed);
+
+  std::vector<LayerIndexPtr> pins;
+  std::vector<std::pair<int, const LayerIndex*>> indexes;
+  for (int layer : LoadedLayers()) {
+    pins.push_back(Peek(layer));
+    indexes.emplace_back(layer, pins.back().get());
+  }
+  SnapshotInfo info;
+  // Read after pinning, so it is >= every pinned watermark.
+  info.dataset_size = inference_->dataset().size();
+  info.created_unix_seconds = static_cast<uint64_t>(std::time(nullptr));
+  info.layers = static_cast<uint32_t>(indexes.size());
+  DE_ASSIGN_OR_RETURN(
+      info.bytes,
+      persist::WriteSnapshot(store_, inference_->model().name(),
+                             inference_->dataset().name(), info.dataset_size,
+                             indexes, info.created_unix_seconds));
+  common::WriterMutexLock lock(&mu_);
+  last_snapshot_ = info;
+  return info;
+}
+
+Status IndexManager::CommitTimed(PreprocessTimings* timings) {
+  Stopwatch watch;
+  DE_RETURN_NOT_OK(CommitSnapshot().status());
+  if (timings != nullptr) timings->persist_seconds += watch.ElapsedSeconds();
   return Status::OK();
+}
+
+Result<SnapshotInfo> IndexManager::RestoreSnapshot() {
+  common::MutexLock commit_lock(&commit_mu_);
+  DE_ASSIGN_OR_RETURN(persist::SnapshotManifest manifest, CommittedManifest());
+  // Crash leftovers: segments a commit wrote but never referenced.
+  DE_RETURN_NOT_OK(
+      persist::CollectGarbage(store_, inference_->model().name()));
+  SnapshotInfo info;
+  info.dataset_size = manifest.dataset_size;
+  info.created_unix_seconds = manifest.created_unix_seconds;
+  info.layers = LoadCommitted(manifest);
+  DE_ASSIGN_OR_RETURN(
+      info.bytes,
+      store_->SizeOf(persist::ManifestKeyFor(inference_->model().name())));
+  for (const persist::SegmentInfo& seg : manifest.segments) {
+    info.bytes += seg.bytes;
+  }
+  common::WriterMutexLock lock(&mu_);
+  last_snapshot_ = info;
+  return info;
 }
 
 Result<storage::LayerActivationMatrix> IndexManager::ComputeRows(
@@ -99,6 +194,17 @@ Result<storage::LayerActivationMatrix> IndexManager::ComputeRows(
 Result<LayerIndexPtr> IndexManager::EnsureIndex(
     int layer, storage::LayerActivationMatrix* fresh_acts,
     PreprocessTimings* timings, nn::InferenceReceipt* receipt) {
+  bool built = false;
+  DE_ASSIGN_OR_RETURN(LayerIndexPtr index,
+                      Ensure(layer, fresh_acts, timings, receipt, &built));
+  // §4.6: a freshly built index is persisted — as a snapshot commit.
+  if (built) DE_RETURN_NOT_OK(CommitTimed(timings));
+  return index;
+}
+
+Result<LayerIndexPtr> IndexManager::Ensure(
+    int layer, storage::LayerActivationMatrix* fresh_acts,
+    PreprocessTimings* timings, nn::InferenceReceipt* receipt, bool* built) {
   if (layer < 0 || layer >= inference_->model().num_layers()) {
     return Status::OutOfRange("layer " + std::to_string(layer) +
                               " out of range");
@@ -112,26 +218,19 @@ Result<LayerIndexPtr> IndexManager::EnsureIndex(
   common::MutexLock build_lock(BuildMutexFor(layer));
   if (LayerIndexPtr index = Peek(layer)) return index;
 
-  // Try disk. Any validation failure (truncation, bit rot, foreign format)
-  // falls through to a rebuild instead of serving from a corrupt file.
-  const std::string key = KeyFor(inference_->model().name(), layer);
-  if (options_.persist && store_->Exists(key)) {
-    auto load = [&]() -> Result<LayerIndex> {
-      DE_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, store_->Read(key));
-      DE_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
-                          persist::UnwrapChecksum(bytes, "index '" + key + "'"));
-      BinaryReader reader(payload);
-      return LayerIndex::Deserialize(&reader);
-    };
-    Result<LayerIndex> loaded = load();
-    if (loaded.ok()) {
-      return Publish(layer, std::move(*loaded));
+  // Try the committed snapshot. Any validation failure (truncation, bit rot,
+  // foreign dataset) falls through to a rebuild instead of serving it.
+  {
+    common::MutexLock commit_lock(&commit_mu_);
+    Result<persist::SnapshotManifest> manifest = CommittedManifest();
+    if (manifest.ok()) {
+      Result<LayerIndex> committed = ReadCommitted(*manifest, layer);
+      if (committed.ok()) return Publish(layer, std::move(*committed));
+    } else if (!manifest.status().IsNotFound()) {
+      Discard(layer, manifest.status());
     }
-    DE_LOG_WARNING << "discarding corrupt persisted index for layer " << layer
-                   << " and rebuilding: " << loaded.status().ToString();
-    if (on_index_invalidated_) on_index_invalidated_(layer);
   }
-
+  *built = true;
   return BuildIndex(layer, fresh_acts, timings, receipt);
 }
 
@@ -154,14 +253,9 @@ Result<LayerIndexPtr> IndexManager::BuildIndex(
                       LayerIndex::Build(acts, options_.layer_config));
   const double index_seconds = watch.ElapsedSeconds();
 
-  // 3. Persist (checksummed, atomic).
-  double persist_seconds = 0.0;
-  DE_RETURN_NOT_OK(PersistIndex(layer, index, &persist_seconds));
-
   if (timings != nullptr) {
     timings->inference_seconds += inference_seconds;
     timings->index_seconds += index_seconds;
-    timings->persist_seconds += persist_seconds;
   }
   if (fresh_acts != nullptr) *fresh_acts = std::move(acts);
 
@@ -197,30 +291,30 @@ Status IndexManager::CatchUp(int layer, uint32_t target_size,
       merged = LayerIndex::Build(all, options_.layer_config);
       DE_RETURN_NOT_OK(merged.status());
     }
-    DE_RETURN_NOT_OK(PersistIndex(layer, *merged, nullptr));
     current = Publish(layer, std::move(*merged));
   }
   return Status::OK();
 }
 
 Status IndexManager::PreprocessAllLayers(PreprocessTimings* timings) {
+  bool built = false;
   for (int layer = 0; layer < inference_->model().num_layers(); ++layer) {
     if (IsLoaded(layer)) continue;
-    auto result = EnsureIndex(layer, nullptr, timings);
-    DE_RETURN_NOT_OK(result.status());
+    DE_RETURN_NOT_OK(Ensure(layer, nullptr, timings, nullptr, &built).status());
   }
-  return Status::OK();
+  // One commit after the last layer: committing per build would rewrite
+  // every layer built so far once per layer.
+  return built ? CommitTimed(timings) : Status::OK();
 }
 
 Result<uint64_t> IndexManager::PersistedBytes() const {
-  if (!options_.persist) return uint64_t{0};
+  Result<persist::SnapshotManifest> manifest =
+      persist::ReadManifest(store_, inference_->model().name());
+  if (manifest.status().IsNotFound()) return uint64_t{0};
+  DE_RETURN_NOT_OK(manifest.status());
   uint64_t total = 0;
-  DE_ASSIGN_OR_RETURN(std::vector<std::string> keys, store_->ListKeys());
-  for (const std::string& key : keys) {
-    if (key.rfind("index/", 0) == 0) {
-      DE_ASSIGN_OR_RETURN(uint64_t size, store_->SizeOf(key));
-      total += size;
-    }
+  for (const persist::SegmentInfo& seg : manifest->segments) {
+    if (seg.kind == persist::SegmentKind::kIndex) total += seg.bytes;
   }
   return total;
 }

@@ -23,9 +23,9 @@ inline uint32_t Crc32(const std::vector<uint8_t>& data, uint32_t seed = 0) {
 /// \brief Checksum envelope for persisted blobs.
 ///
 /// Layout: u32 magic | u64 payload_size | u32 crc32(payload) | payload.
-/// Every blob the persistence tier writes (legacy index files, snapshot
-/// segments, the snapshot manifest) is wrapped so a load can distinguish
-/// "valid", "truncated", and "corrupt" instead of deserializing garbage.
+/// Every blob the persistence tier writes (snapshot segments, the snapshot
+/// manifest) is wrapped so a load can distinguish "valid", "truncated", and
+/// "corrupt" instead of deserializing garbage.
 constexpr uint32_t kEnvelopeMagic = 0xDE5EA1EDu;
 
 std::vector<uint8_t> WrapChecksum(const std::vector<uint8_t>& payload);

@@ -1,24 +1,14 @@
 #include "persist/ingest.h"
 
+#include <algorithm>
 #include <chrono>
+#include <ctime>
 #include <utility>
 
 #include "common/logging.h"
-#include "persist/snapshot.h"
 
 namespace deepeverest {
 namespace persist {
-
-namespace {
-
-uint64_t NowUnixSeconds() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::seconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
 
 IngestQueue::IngestQueue(core::DeepEverest* engine, data::Dataset* dataset,
                          storage::FileStore* store, IngestQueueOptions options)
@@ -65,48 +55,28 @@ Status IngestQueue::Recover() {
     ++recovered_inputs_;
   }
 
-  // 2. Restore indexes from the last committed snapshot. Anything wrong —
-  // missing, corrupt, or from another dataset — means a cold start, never a
-  // partially trusted snapshot.
-  uint32_t min_watermark = dataset_->size();
-  Result<LoadedSnapshot> snapshot = LoadSnapshot(store_, model_);
-  if (snapshot.ok()) {
-    if (snapshot->manifest.dataset != dataset_->name()) {
-      DE_LOG_WARNING << "ignoring snapshot for model '" << model_
-                     << "': dataset '" << snapshot->manifest.dataset
-                     << "' != '" << dataset_->name() << "'";
-    } else {
-      for (auto& [layer, index] : snapshot->indexes) {
-        if (index.num_inputs() > dataset_->size()) {
-          // The snapshot is ahead of the replayed log (log truncated or
-          // deleted). Installing would index inputs that no longer exist.
-          DE_LOG_WARNING << "ignoring snapshot segment for layer " << layer
-                         << ": watermark " << index.num_inputs()
-                         << " is past the dataset (" << dataset_->size()
-                         << " inputs)";
-          continue;
-        }
-        min_watermark = std::min(min_watermark, index.num_inputs());
-        DE_RETURN_NOT_OK(
-            engine_->index_manager()->InstallIndex(layer, std::move(index)));
-        ++recovered_layers_;
-      }
-      common::MutexLock lock(&mu_);
-      snapshot_bytes_ = static_cast<int64_t>(snapshot->total_bytes);
-      snapshot_created_unix_ = snapshot->manifest.created_unix_seconds;
-      snapshot_dataset_size_ = snapshot->manifest.dataset_size;
-    }
-    DE_RETURN_NOT_OK(CollectGarbage(store_, model_));
-  } else if (snapshot.status().code() != StatusCode::kNotFound) {
+  // 2. Restore indexes from the last committed snapshot, through the same
+  // validated segment load a lazy EnsureIndex uses. Anything wrong —
+  // missing, corrupt, from another dataset, or past the replayed log — is
+  // rebuilt on first use, never partially trusted.
+  core::IndexManager* indexes = engine_->index_manager();
+  Result<core::SnapshotInfo> restored = indexes->RestoreSnapshot();
+  if (restored.ok()) {
+    recovered_layers_ = restored->layers;
+  } else if (!restored.status().IsNotFound()) {
     DE_LOG_WARNING << "snapshot for model '" << model_
                    << "' failed to load; cold start: "
-                   << snapshot.status().ToString();
+                   << restored.status().ToString();
   }
 
-  // Anything between the lowest installed watermark and the dataset size is
+  // Anything between the lowest loaded watermark and the dataset size is
   // merged by the applier's first pass.
+  uint32_t min_watermark = dataset_->size();
+  for (int layer : indexes->LoadedLayers()) {
+    min_watermark = std::min(min_watermark, indexes->Peek(layer)->num_inputs());
+  }
   common::MutexLock lock(&mu_);
-  applied_size_ = recovered_layers_ > 0 ? min_watermark : dataset_->size();
+  applied_size_ = min_watermark;
   return Status::OK();
 }
 
@@ -195,7 +165,7 @@ void IngestQueue::ApplierLoop() {
       cv_.NotifyAll();
     }
     if (want_snapshot) {
-      const Status saved = SnapshotNow();
+      const Status saved = SaveSnapshot();
       if (!saved.ok()) {
         DE_LOG_WARNING << "auto-snapshot for model '" << model_
                        << "' failed: " << saved.ToString();
@@ -230,22 +200,13 @@ Status IngestQueue::ApplyTo(uint32_t target) {
   return status;
 }
 
-Status IngestQueue::SnapshotNow() {
+Status IngestQueue::SaveSnapshot() {
   common::MutexLock lock(&apply_mu_);
   const uint32_t target = dataset_->size();
-  std::vector<core::LayerIndexPtr> pins;
-  std::vector<std::pair<int, const core::LayerIndex*>> indexes;
   for (int layer : engine_->index_manager()->LoadedLayers()) {
     DE_RETURN_NOT_OK(engine_->index_manager()->CatchUp(layer, target));
-    core::LayerIndexPtr index = engine_->index_manager()->Peek(layer);
-    if (index == nullptr) continue;
-    pins.push_back(index);
-    indexes.emplace_back(layer, pins.back().get());
   }
-  const uint64_t now = NowUnixSeconds();
-  DE_ASSIGN_OR_RETURN(
-      uint64_t bytes,
-      WriteSnapshot(store_, model_, dataset_->name(), target, indexes, now));
+  DE_RETURN_NOT_OK(engine_->index_manager()->CommitSnapshot().status());
 
   common::MutexLock state_lock(&mu_);
   // The snapshot catch-up may have raced ahead of the applier's bookkeeping.
@@ -254,14 +215,9 @@ Status IngestQueue::SnapshotNow() {
     cv_.NotifyAll();
   }
   ++snapshots_written_;
-  snapshot_bytes_ = static_cast<int64_t>(bytes);
-  snapshot_created_unix_ = now;
-  snapshot_dataset_size_ = target;
   applied_since_snapshot_ = 0;
   return Status::OK();
 }
-
-Status IngestQueue::SaveSnapshot() { return SnapshotNow(); }
 
 service::IngestStats IngestQueue::Stats() const {
   service::IngestStats stats;
@@ -275,17 +231,20 @@ service::IngestStats IngestQueue::Stats() const {
                               : std::min(stats.min_watermark,
                                          index->num_inputs());
   }
+  const core::SnapshotInfo snapshot =
+      engine_->index_manager()->last_snapshot();
+  stats.snapshot_bytes = static_cast<int64_t>(snapshot.bytes);
+  stats.snapshot_dataset_size = snapshot.dataset_size;
+  stats.snapshot_age_seconds =
+      snapshot.created_unix_seconds > 0
+          ? static_cast<double>(static_cast<uint64_t>(std::time(nullptr)) -
+                                snapshot.created_unix_seconds)
+          : -1.0;
   common::MutexLock lock(&mu_);
   stats.ingested_total = ingested_total_;
   stats.rejected_total = rejected_total_;
   stats.applies_total = applies_total_;
   stats.snapshots_written = snapshots_written_;
-  stats.snapshot_bytes = snapshot_bytes_;
-  stats.snapshot_dataset_size = snapshot_dataset_size_;
-  stats.snapshot_age_seconds =
-      snapshot_created_unix_ > 0
-          ? static_cast<double>(NowUnixSeconds() - snapshot_created_unix_)
-          : -1.0;
   return stats;
 }
 

@@ -37,13 +37,14 @@ struct IngestQueueOptions {
 
 /// \brief The durable ingest pipeline for one model: accepts inputs while
 /// queries run, applies them to every built LayerIndex incrementally, and
-/// owns snapshot recovery + commit.
+/// drives snapshot recovery and periodic commits (both through the engine's
+/// IndexManager, the one snapshot writer and reader).
 ///
 /// Exactly-once index maintenance (pg_incremental style): an input becomes
 /// visible only after its log record is durable; each layer's high-watermark
 /// is its index's own num_inputs(), persisted atomically *with* the merged
 /// index by the snapshot manifest rename. Recovery replays the log (dropping
-/// the never-acknowledged torn tail), installs the snapshot's indexes, and
+/// the never-acknowledged torn tail), loads the snapshot's indexes, and
 /// re-merges exactly the inputs past each watermark — deterministic
 /// inference makes the re-merge idempotent, so no input is ever indexed
 /// twice or skipped. Queries pin the index version they start with, so every
@@ -53,7 +54,10 @@ class IngestQueue : public service::IngestSink {
   /// Recovers state from `store` (ingest-log replay into `dataset`, snapshot
   /// load into the engine's IndexManager) and starts the background applier.
   /// `dataset` must be the engine's dataset, already holding the
-  /// deterministic base inputs; all pointers must outlive the queue.
+  /// deterministic base inputs; all pointers must outlive the queue. Over a
+  /// store that may hold an ingest log, build or query nothing before
+  /// Create: until the log is replayed, a committed segment past the base
+  /// dataset is rebuilt instead of loaded.
   static Result<std::unique_ptr<IngestQueue>> Create(
       core::DeepEverest* engine, data::Dataset* dataset,
       storage::FileStore* store, IngestQueueOptions options);
@@ -75,7 +79,7 @@ class IngestQueue : public service::IngestSink {
 
   /// Inputs replayed from the ingest log at startup.
   uint32_t recovered_inputs() const { return recovered_inputs_; }
-  /// Layer indexes installed from the snapshot at startup.
+  /// Layer indexes loaded from the snapshot at startup.
   uint32_t recovered_layers() const { return recovered_layers_; }
 
  private:
@@ -86,8 +90,6 @@ class IngestQueue : public service::IngestSink {
   void ApplierLoop();
   /// One apply pass: merge every built layer up to `target`. Holds apply_mu_.
   Status ApplyTo(uint32_t target);
-  /// Catch up + committed snapshot. Holds apply_mu_.
-  Status SnapshotNow();
 
   core::DeepEverest* engine_;
   data::Dataset* dataset_;
@@ -113,9 +115,6 @@ class IngestQueue : public service::IngestSink {
   int64_t rejected_total_ GUARDED_BY(mu_) = 0;
   int64_t applies_total_ GUARDED_BY(mu_) = 0;
   int64_t snapshots_written_ GUARDED_BY(mu_) = 0;
-  int64_t snapshot_bytes_ GUARDED_BY(mu_) = 0;
-  uint64_t snapshot_created_unix_ GUARDED_BY(mu_) = 0;
-  uint32_t snapshot_dataset_size_ GUARDED_BY(mu_) = 0;
 
   std::thread applier_;
 };

@@ -38,11 +38,29 @@ uint32_t GenerationOf(const std::string& key) {
   return gen;
 }
 
+/// The raw segment file, checked against its manifest entry.
+Result<std::vector<uint8_t>> ReadSegment(storage::FileStore* store,
+                                         const SegmentInfo& seg) {
+  DE_ASSIGN_OR_RETURN(std::vector<uint8_t> blob, store->Read(seg.key));
+  if (blob.size() != seg.bytes || Crc32(blob) != seg.crc) {
+    return Status::IOError("snapshot segment '" + seg.key +
+                           "' does not match its manifest entry "
+                           "(truncated or corrupt)");
+  }
+  return blob;
+}
+
 Status Hit(const Failpoint& failpoint, const std::string& point) {
   if (failpoint && failpoint(point)) {
     return Status::Cancelled("failpoint: " + point);
   }
   return Status::OK();
+}
+
+}  // namespace
+
+std::string ManifestKeyFor(const std::string& model) {
+  return PrefixFor(model) + "MANIFEST";
 }
 
 Result<SnapshotManifest> ReadManifest(storage::FileStore* store,
@@ -98,12 +116,6 @@ Result<SnapshotManifest> ReadManifest(storage::FileStore* store,
     manifest.segments.push_back(std::move(seg));
   }
   return manifest;
-}
-
-}  // namespace
-
-std::string ManifestKeyFor(const std::string& model) {
-  return PrefixFor(model) + "MANIFEST";
 }
 
 Result<uint64_t> WriteSnapshot(
@@ -194,6 +206,22 @@ Result<uint64_t> WriteSnapshot(
   return total_bytes;
 }
 
+Result<core::LayerIndex> LoadIndexSegment(storage::FileStore* store,
+                                          const SegmentInfo& seg) {
+  DE_ASSIGN_OR_RETURN(std::vector<uint8_t> blob, ReadSegment(store, seg));
+  DE_ASSIGN_OR_RETURN(
+      std::vector<uint8_t> payload,
+      UnwrapChecksum(blob, "snapshot segment '" + seg.key + "'"));
+  BinaryReader reader(payload);
+  DE_ASSIGN_OR_RETURN(core::LayerIndex index,
+                      core::LayerIndex::Deserialize(&reader));
+  if (index.num_inputs() != seg.watermark) {
+    return Status::IOError("snapshot segment '" + seg.key +
+                           "' watermark mismatch");
+  }
+  return index;
+}
+
 Result<LoadedSnapshot> LoadSnapshot(storage::FileStore* store,
                                     const std::string& model) {
   LoadedSnapshot snapshot;
@@ -202,29 +230,14 @@ Result<LoadedSnapshot> LoadSnapshot(storage::FileStore* store,
                       store->SizeOf(ManifestKeyFor(model)));
   snapshot.total_bytes = manifest_bytes;
   for (const SegmentInfo& seg : snapshot.manifest.segments) {
-    DE_ASSIGN_OR_RETURN(std::vector<uint8_t> blob, store->Read(seg.key));
-    if (blob.size() != seg.bytes || Crc32(blob) != seg.crc) {
-      return Status::IOError("snapshot segment '" + seg.key +
-                             "' does not match its manifest entry "
-                             "(truncated or corrupt)");
-    }
     if (seg.kind != SegmentKind::kIndex) {
-      // Forward-compatible kinds are ignored, not fatal.
-      snapshot.total_bytes += blob.size();
-      continue;
+      // Forward-compatible kinds are checked and ignored, not fatal.
+      DE_RETURN_NOT_OK(ReadSegment(store, seg).status());
+    } else {
+      DE_ASSIGN_OR_RETURN(core::LayerIndex index, LoadIndexSegment(store, seg));
+      snapshot.indexes.emplace_back(seg.layer, std::move(index));
     }
-    DE_ASSIGN_OR_RETURN(
-        std::vector<uint8_t> payload,
-        UnwrapChecksum(blob, "snapshot segment '" + seg.key + "'"));
-    BinaryReader reader(payload);
-    DE_ASSIGN_OR_RETURN(core::LayerIndex index,
-                        core::LayerIndex::Deserialize(&reader));
-    if (index.num_inputs() != seg.watermark) {
-      return Status::IOError("snapshot segment '" + seg.key +
-                             "' watermark mismatch");
-    }
-    snapshot.total_bytes += blob.size();
-    snapshot.indexes.emplace_back(seg.layer, std::move(index));
+    snapshot.total_bytes += seg.bytes;
   }
   return snapshot;
 }

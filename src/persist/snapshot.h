@@ -80,6 +80,18 @@ Result<uint64_t> WriteSnapshot(
     const std::vector<std::pair<int, const core::LayerIndex*>>& indexes,
     uint64_t created_unix_seconds, const Failpoint& failpoint = nullptr);
 
+/// Reads and validates the model's committed manifest (envelope, magic,
+/// version, model name). Returns NotFound when no snapshot has ever been
+/// committed.
+Result<SnapshotManifest> ReadManifest(storage::FileStore* store,
+                                      const std::string& model);
+
+/// Loads one index segment the manifest references and validates it against
+/// its manifest entry: size + crc, envelope, deserialization, watermark.
+/// Any failure is an error; the segment is never partially trusted.
+Result<core::LayerIndex> LoadIndexSegment(storage::FileStore* store,
+                                          const SegmentInfo& seg);
+
 /// Loads and fully validates the model's snapshot: manifest envelope +
 /// per-segment size/crc + index deserialization. Any failure — including a
 /// single flipped bit in any file — returns an error and the caller falls

@@ -67,13 +67,6 @@ Status FileStore::Write(const std::string& key,
   return Status::OK();
 }
 
-Status FileStore::WriteAtomic(const std::string& key,
-                              const std::vector<uint8_t>& data, bool sync) {
-  const std::string tmp_key = key + ".tmp";
-  DE_RETURN_NOT_OK(Write(tmp_key, data, sync));
-  return Rename(tmp_key, key);
-}
-
 Status FileStore::Append(const std::string& key,
                          const std::vector<uint8_t>& data, bool sync) {
   const std::string path = PathFor(key);

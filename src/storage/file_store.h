@@ -49,14 +49,6 @@ class FileStore {
   Status Write(const std::string& key, const std::vector<uint8_t>& data,
                bool sync = false);
 
-  /// Crash-safe replacement of `key`: writes `<key>.tmp`, fsyncs it, renames
-  /// it over `key`, then fsyncs the parent directory. After a crash at any
-  /// point the reader sees either the old bytes or the new bytes, never a
-  /// truncated mix (a stray `<key>.tmp` may remain and is ignored/overwritten
-  /// by the next writer).
-  Status WriteAtomic(const std::string& key, const std::vector<uint8_t>& data,
-                     bool sync = true);
-
   /// Appends `data` to `key`, creating it if absent. When `sync` is true the
   /// appended bytes are flushed to the device before returning. A crash mid-
   /// append can leave a torn tail; readers of append-only logs must frame and

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "core/nta.h"
+#include "nn/layers.h"
 #include "testing/test_util.h"
 
 namespace deepeverest {
@@ -237,6 +239,41 @@ TEST(DeepEverestTest, PersistedIndexesStayUnderBudgetAfterFullPreprocess) {
   ASSERT_TRUE(persisted.ok());
   EXPECT_GT(*persisted, 0u);
   EXPECT_LT(*persisted, (*de)->FullMaterializationBytes() / 2);
+}
+
+TEST(DeepEverestTest, PersistedIndexBytesCountsOnlyItsOwnModel) {
+  TinySystem sys(30, 47, 8);
+  Rng rng(48);
+  nn::Model other("OtherMlp", Shape({8}));
+  other.AddLayer(std::make_unique<nn::Dense>("fc1", 8, 6, &rng));
+  other.AddLayer(std::make_unique<nn::Relu>("relu1"));
+  DE_ASSERT_OK(other.Finalize());
+
+  TempDir dir("de-shared");
+  auto store = storage::FileStore::Open(dir.path());
+  ASSERT_TRUE(store.ok());
+  auto tiny = DeepEverest::Create(sys.model.get(), &sys.dataset,
+                                  &store.value(), SmallOptions());
+  auto mlp = DeepEverest::Create(&other, &sys.dataset, &store.value(),
+                                 SmallOptions());
+  ASSERT_TRUE(tiny.ok());
+  ASSERT_TRUE(mlp.ok());
+
+  DE_ASSERT_OK((*tiny)->PreprocessAllLayers());
+  auto tiny_bytes = (*tiny)->PersistedIndexBytes();
+  auto mlp_bytes = (*mlp)->PersistedIndexBytes();
+  ASSERT_TRUE(tiny_bytes.ok());
+  ASSERT_TRUE(mlp_bytes.ok());
+  EXPECT_GT(*tiny_bytes, 0u);
+  EXPECT_EQ(*mlp_bytes, 0u);  // nothing of its own committed yet
+
+  DE_ASSERT_OK((*mlp)->PreprocessAllLayers());
+  mlp_bytes = (*mlp)->PersistedIndexBytes();
+  ASSERT_TRUE(mlp_bytes.ok());
+  EXPECT_GT(*mlp_bytes, 0u);
+  auto tiny_after = (*tiny)->PersistedIndexBytes();
+  ASSERT_TRUE(tiny_after.ok());
+  EXPECT_EQ(*tiny_after, *tiny_bytes);
 }
 
 // --------------------------- QueryContext plumbing -------------------------

@@ -1,7 +1,12 @@
 #include "core/index_manager.h"
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "persist/snapshot.h"
 #include "testing/test_util.h"
 
 namespace deepeverest {
@@ -11,12 +16,21 @@ namespace {
 using testing_util::TempDir;
 using testing_util::TinySystem;
 
-IndexManagerOptions Opts(int partitions = 4, double ratio = 0.1,
-                         bool persist = true) {
+IndexManagerOptions Opts(int partitions = 4, double ratio = 0.1) {
   IndexManagerOptions options;
   options.layer_config = LayerIndexConfig{partitions, ratio};
-  options.persist = persist;
   return options;
+}
+
+/// Whether the model's committed snapshot holds a segment for `layer`.
+bool Committed(storage::FileStore* store, const std::string& model,
+               int layer) {
+  auto manifest = persist::ReadManifest(store, model);
+  if (!manifest.ok()) return false;
+  for (const persist::SegmentInfo& seg : manifest->segments) {
+    if (seg.layer == layer) return true;
+  }
+  return false;
 }
 
 TEST(IndexManagerTest, BuildsOnFirstUseAndReturnsFreshActs) {
@@ -43,8 +57,8 @@ TEST(IndexManagerTest, BuildsOnFirstUseAndReturnsFreshActs) {
             0.0);
   EXPECT_TRUE(manager.IsIndexed(layer));
   EXPECT_TRUE(manager.IsLoaded(layer));
-  EXPECT_TRUE(
-      store->Exists(IndexManager::KeyFor(sys.model->name(), layer)));
+  // Persisted after the first build (§4.6): a snapshot commit.
+  EXPECT_TRUE(Committed(&store.value(), sys.model->name(), layer));
 }
 
 TEST(IndexManagerTest, SecondCallDoesNotRebuild) {
@@ -74,7 +88,7 @@ TEST(IndexManagerTest, LoadsPersistedIndexAcrossManagers) {
     IndexManager manager(sys.engine.get(), &store.value(), Opts());
     ASSERT_TRUE(manager.EnsureIndex(layer).ok());
   }
-  // A new manager (new session) finds the index on disk: no inference.
+  // A new manager (new session) loads the committed segment: no inference.
   IndexManager manager2(sys.engine.get(), &store.value(), Opts());
   EXPECT_TRUE(manager2.IsIndexed(layer));
   EXPECT_FALSE(manager2.IsLoaded(layer));
@@ -85,21 +99,94 @@ TEST(IndexManagerTest, LoadsPersistedIndexAcrossManagers) {
   EXPECT_EQ((*index)->num_inputs(), 25u);
 }
 
-TEST(IndexManagerTest, NonPersistentStaysInMemory) {
+TEST(IndexManagerTest, CatchUpStaysInMemoryUntilCommit) {
   TinySystem sys(20, 34, 8);
   TempDir dir("im");
   auto store = storage::FileStore::Open(dir.path());
   ASSERT_TRUE(store.ok());
-  IndexManager manager(sys.engine.get(), &store.value(),
-                       Opts(4, 0.0, /*persist=*/false));
+  IndexManager manager(sys.engine.get(), &store.value(), Opts(4, 0.0));
   const int layer = sys.model->activation_layers()[0];
   ASSERT_TRUE(manager.EnsureIndex(layer).ok());
-  auto keys = store->ListKeys();
-  ASSERT_TRUE(keys.ok());
-  EXPECT_TRUE(keys->empty());
+  auto committed_bytes = manager.PersistedBytes();
+  ASSERT_TRUE(committed_bytes.ok());
+  EXPECT_GT(*committed_bytes, 0u);
+
+  for (uint32_t i = 0; i < 5; ++i) {
+    sys.dataset.Add(Tensor(Shape({8}), std::vector<float>(8, 0.1f * i)), 0);
+  }
+  const uint64_t written = store->bytes_written();
+  DE_ASSERT_OK(manager.CatchUp(layer, 25));
+  EXPECT_EQ(manager.Peek(layer)->num_inputs(), 25u);
+  // The merge is published in memory only.
+  EXPECT_EQ(store->bytes_written(), written);
   auto bytes = manager.PersistedBytes();
   ASSERT_TRUE(bytes.ok());
-  EXPECT_EQ(*bytes, 0u);
+  EXPECT_EQ(*bytes, *committed_bytes);
+
+  // The next commit makes it durable.
+  auto info = manager.CommitSnapshot();
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  EXPECT_EQ(info->layers, 1u);
+  EXPECT_EQ(info->dataset_size, 25u);
+  IndexManager manager2(sys.engine.get(), &store.value(), Opts(4, 0.0));
+  auto reloaded = manager2.EnsureIndex(layer);
+  ASSERT_TRUE(reloaded.ok());
+  EXPECT_EQ((*reloaded)->num_inputs(), 25u);
+}
+
+TEST(IndexManagerTest, CommitKeepsCommittedLayersItNeverLoaded) {
+  TinySystem sys(20, 37, 8);
+  TempDir dir("im");
+  auto store = storage::FileStore::Open(dir.path());
+  ASSERT_TRUE(store.ok());
+  {
+    IndexManager manager(sys.engine.get(), &store.value(), Opts());
+    ASSERT_TRUE(manager.EnsureIndex(0).ok());
+    ASSERT_TRUE(manager.EnsureIndex(1).ok());
+  }
+  // A later session builds another layer; its commit replaces the snapshot
+  // but must not drop the layers it never touched.
+  {
+    IndexManager manager(sys.engine.get(), &store.value(), Opts());
+    ASSERT_TRUE(manager.EnsureIndex(2).ok());
+  }
+  IndexManager manager(sys.engine.get(), &store.value(), Opts());
+  const int64_t before = sys.engine->stats().inputs_run;
+  for (int layer = 0; layer < 3; ++layer) {
+    EXPECT_TRUE(Committed(&store.value(), sys.model->name(), layer));
+    ASSERT_TRUE(manager.EnsureIndex(layer).ok()) << "layer " << layer;
+  }
+  EXPECT_EQ(sys.engine->stats().inputs_run, before);
+}
+
+TEST(IndexManagerTest, ConcurrentLoadsAndBuildsNeverRebuildACommittedLayer) {
+  TinySystem sys(20, 38, 8);
+  TempDir dir("im");
+  auto store = storage::FileStore::Open(dir.path());
+  ASSERT_TRUE(store.ok());
+  {
+    IndexManager manager(sys.engine.get(), &store.value(), Opts());
+    for (int layer = 0; layer < 3; ++layer) {
+      ASSERT_TRUE(manager.EnsureIndex(layer).ok());
+    }
+  }
+  // Loads of layers 0-2 race builds (and commits) of layers 3-5.
+  IndexManager manager(sys.engine.get(), &store.value(), Opts());
+  std::atomic<bool> invalidated{false};
+  manager.set_index_invalidation_hook([&](int) { invalidated = true; });
+  const int64_t before = sys.engine->stats().inputs_run;
+  std::vector<std::thread> threads;
+  for (int layer = 0; layer < 6; ++layer) {
+    threads.emplace_back(
+        [&manager, layer] { EXPECT_TRUE(manager.EnsureIndex(layer).ok()); });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_FALSE(invalidated);
+  EXPECT_EQ(sys.engine->stats().inputs_run - before, 3 * 20);
+  for (int layer = 0; layer < 6; ++layer) {
+    EXPECT_TRUE(Committed(&store.value(), sys.model->name(), layer))
+        << "layer " << layer;
+  }
 }
 
 TEST(IndexManagerTest, PreprocessAllLayersIndexesEverything) {

@@ -216,6 +216,35 @@ TEST(IngestQueueTest, IngestWhileQueryingIsBitIdenticalToFreshScan) {
   (*queue)->Shutdown();
 }
 
+TEST(IngestQueueTest, ApplyingABatchWritesOnlyTheLog) {
+  TempDir dir("iq-writes");
+  auto model = nn::MakeTinyMlp(kDims, kSeed);
+  const core::NeuronGroup group{model->activation_layers()[0], {0, 3}};
+  auto store = storage::FileStore::Open(dir.path());
+  ASSERT_TRUE(store.ok());
+  data::Dataset dataset = MakeVectorDataset(30, kDims, kSeed + 1);
+  auto engine = core::DeepEverest::Create(model.get(), &dataset,
+                                          &store.value(), SmallOptions());
+  ASSERT_TRUE(engine.ok());
+  ASSERT_TRUE((*engine)->TopKHighest(group, 5).ok());  // builds + commits
+  auto queue = IngestQueue::Create(engine->get(), &dataset, &store.value(), {});
+  ASSERT_TRUE(queue.ok()) << queue.status().ToString();
+
+  const uint64_t written_before = store->bytes_written();
+  ASSERT_TRUE((*queue)->Ingest(MakeExtras(8)).ok());
+  ASSERT_TRUE((*queue)->WaitIdle(30.0));
+  EXPECT_EQ((*queue)->Stats().min_watermark, 38u);
+  // The apply merged in memory: the log append is the only write.
+  auto log_bytes = store->SizeOf(IngestLog::KeyFor(model->name()));
+  ASSERT_TRUE(log_bytes.ok());
+  EXPECT_EQ(store->bytes_written() - written_before, *log_bytes);
+
+  // A snapshot commit is what makes the merge durable.
+  DE_ASSERT_OK((*queue)->SaveSnapshot());
+  EXPECT_GT(store->bytes_written() - written_before, *log_bytes);
+  (*queue)->Shutdown();
+}
+
 TEST(IngestQueueTest, RecoversFromLogAndSnapshotExactlyOnce) {
   TempDir dir("iq-recover");
   auto model = nn::MakeTinyMlp(kDims, kSeed);

@@ -64,17 +64,9 @@ TEST(WarmRestartTest, FirstQueryRunsNoDatasetInference) {
     (*queue)->Shutdown();
   }
 
-  // Remove the legacy per-layer index files so the restart can only be
-  // warm through the snapshot tier.
+  // Second life: no preprocessing call anywhere.
   auto store = storage::FileStore::Open(dir.path());
   ASSERT_TRUE(store.ok());
-  auto keys = store->ListKeys();
-  ASSERT_TRUE(keys.ok());
-  for (const std::string& key : *keys) {
-    if (key.rfind("index/", 0) == 0) DE_ASSERT_OK(store->Remove(key));
-  }
-
-  // Second life: no preprocessing call anywhere.
   data::Dataset dataset = MakeVectorDataset(30, kDims, kSeed + 1);
   auto engine = core::DeepEverest::Create(model.get(), &dataset,
                                           &store.value(), SmallOptions());
