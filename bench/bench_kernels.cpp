@@ -10,13 +10,16 @@
 //
 // Exit status: 0 on success, 1 on any parity mismatch (CI fails the smoke).
 //
+// The bulk-unpack and fused-select rows run over one packed array of
+// DE_BENCH_KERNEL_COUNT values and report values/s.
+//
 // Env knobs (the default block is L2-cache-resident on purpose: NTA rounds
 // feed the aggregation kernels blocks bounded by the inference batch size,
 // not whole-dataset sweeps, so ~1k rows x 256 neurons is the representative
 // shape; crank DE_BENCH_KERNEL_ROWS up to measure the DRAM-bound regime):
 //   DE_BENCH_KERNEL_ROWS     rows per aggregation block        (default 1024)
 //   DE_BENCH_KERNEL_NEURONS  values per row                    (default 256)
-//   DE_BENCH_KERNEL_COUNT    values per bulk-unpack call       (default 1<<22)
+//   DE_BENCH_KERNEL_COUNT    values per bulk-unpack/select call (default 1<<22)
 //   DE_BENCH_KERNEL_REPS     timed repetitions, best-of        (default 20)
 
 #include <cinttypes>
@@ -135,11 +138,16 @@ int main() {
 
   // Bulk-unpack workload (4 bits = the NPI default of 16 partitions, plus a
   // straddling width that exercises the scalar fallback inside either table).
+  // The fused select reads the straddling widths the NPI uses at 32 and 128
+  // partitions (5 and 7 bits).
   const int unpack_bits[] = {4, 7};
+  const int select_bits[] = {5, 7};
   deepeverest::PackedIntArray packed4(count, /*bits=*/4);
+  deepeverest::PackedIntArray packed5(count, /*bits=*/5);
   deepeverest::PackedIntArray packed7(count, /*bits=*/7);
   for (size_t i = 0; i < count; ++i) {
     packed4.Set(i, rng() & 0xf);
+    packed5.Set(i, rng() & 0x1f);
     packed7.Set(i, rng() & 0x7f);
   }
 
@@ -225,6 +233,68 @@ int main() {
                      std::memcmp(uout_scalar.data(), uout.data(),
                                  count * sizeof(uint64_t)) == 0);
       }
+    }
+  }
+
+  // ---- fused select (getInputIDs over one PID row) ----
+  std::vector<uint32_t> sel(count), sel_scalar(count);
+  for (const int bits : select_bits) {
+    const deepeverest::PackedIntArray& packed = bits == 5 ? packed5 : packed7;
+    const uint64_t value = 3;  // one partition id; ~1/2^bits of the values
+    size_t found = 0;
+    size_t found_scalar = 0;
+    const std::string name = "select_b" + std::to_string(bits);
+    for (size_t m = 0; m < num_modes; ++m) {
+      const KernelTable& table = GetKernelTable(modes[m]);
+      // Bytes: the packed row read once, plus the matching ids written.
+      const double select_bytes =
+          static_cast<double>(count) * bits / 8.0 +
+          static_cast<double>(count) / (1u << bits) * sizeof(uint32_t);
+      results.push_back(Time(name, table.name, reps, count, select_bytes, [&] {
+        found = table.select_eq(packed.words().data(), packed.words().size(),
+                                bits, 0, count, value, sel.data());
+      }));
+      times[name][table.name] = results.back().best_seconds;
+      if (m == 0) {
+        found_scalar = found;
+        sel_scalar = sel;
+      } else {
+        check_parity(name.c_str(),
+                     found == found_scalar &&
+                         std::memcmp(sel_scalar.data(), sel.data(),
+                                     found * sizeof(uint32_t)) == 0);
+      }
+    }
+  }
+
+  // ---- IQA row packing: presence mask + compaction of the non-zeros ----
+  {
+    // Half the values exact zeros, like a ReLU layer's activations.
+    std::vector<float> row(rows * neurons);
+    for (size_t i = 0; i < row.size(); ++i) {
+      row[i] = (rng() & 1) != 0 ? 0.0f : block[i];
+    }
+    std::vector<uint64_t> words((row.size() + 63) / 64);
+    std::vector<float> packed(row.size()), packed_scalar;
+    size_t stored = 0;
+    const double pack_bytes = static_cast<double>(row.size()) *
+                              (sizeof(float) * 1.5 + 1.0 / 8.0);
+    for (size_t m = 0; m < num_modes; ++m) {
+      const KernelTable& table = GetKernelTable(modes[m]);
+      results.push_back(
+          Time("pack_nonzero", table.name, reps, row.size(), pack_bytes, [&] {
+            stored = table.nonzero_mask(row.data(), row.size(), words.data());
+            table.compact(row.data(), row.size(), words.data(), stored,
+                          packed.data());
+          }));
+      times["pack_nonzero"][table.name] = results.back().best_seconds;
+      packed.resize(stored);
+      if (m == 0) {
+        packed_scalar = packed;
+      } else {
+        check_parity("pack_nonzero", BitEqualF(packed_scalar, packed));
+      }
+      packed.resize(row.size());
     }
   }
 

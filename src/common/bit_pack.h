@@ -58,6 +58,13 @@ class PackedIntArray {
   /// Defined in bit_pack.cc so this header does not pull in the kernel layer.
   void GetMany(size_t begin, size_t count, uint64_t* out) const;
 
+  /// Bulk select: writes the offsets i in [0, count) with
+  /// Get(begin + i) == value to out_ids (ascending; room for `count`) and
+  /// returns how many matched. One fused kernel pass: no value is unpacked
+  /// into a buffer. Bounds are checked once, as in GetMany.
+  size_t SelectEq(size_t begin, size_t count, uint64_t value,
+                  uint32_t* out_ids) const;
+
   /// Stores `value` (must fit in bits_per_value bits) at `index`.
   void Set(size_t index, uint64_t value) {
     DE_CHECK_LT(index, size_);

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -27,15 +26,30 @@ namespace core {
 /// per-shard atomics, so Stats reads never take a lock. With one shard the
 /// behaviour is exactly the original single-threaded cache.
 ///
+/// Rows are stored without their exact zeros (a presence bitmap plus the
+/// remaining values; ReLU layers are about half zeros), losslessly to the
+/// bit. The byte budget counts every row at its dense size, payload + 64
+/// bytes, so the stored form changes no hit, miss or eviction, and physical
+/// memory stays below the budget.
+///
+/// Recency is an intrusive doubly linked list threaded through the entries
+/// (least recently used at the head, most recently used at the tail): a
+/// touch is an O(1) splice to the tail and allocates nothing, and either
+/// eviction end is O(1).
+///
 /// Eviction within a shard is **most recently used** (MRU) by default: NTA
 /// processes partitions from most- to least-similar, so rows inserted early
 /// in a query belong to the most informative inputs; under pressure the
 /// cache sheds the latest rows and keeps the early ones. `kLru` is available
 /// for workloads without that access pattern (e.g. uniform serving traffic).
 ///
-/// Thread-safety: all public methods are safe to call concurrently. Lookup
-/// copies the row out under the shard lock — no pointers into the cache
-/// escape, so concurrent Insert/eviction can never invalidate a reader.
+/// The NTA hot path reads through GatherMany: one call per evaluated batch,
+/// which takes each touched shard's lock once and copies the group's
+/// columns of every hit straight into the caller's row block.
+///
+/// Thread-safety: all public methods are safe to call concurrently. Reads
+/// copy out under the shard lock — no pointers into the cache escape, so
+/// concurrent Insert/eviction can never invalidate a reader.
 class IqaCache {
  public:
   enum class EvictionPolicy {
@@ -71,14 +85,20 @@ class IqaCache {
   /// and counts a hit; returns false (and counts a miss) when absent.
   bool Lookup(int layer, uint32_t input_id, std::vector<float>* row_out);
 
-  /// Like Lookup but extracts only `neurons` (flat indices into the row)
-  /// into `*out`, avoiding a full-row copy — the NTA hot path.
-  bool Gather(int layer, uint32_t input_id,
-              const std::vector<int64_t>& neurons, std::vector<float>* out);
+  /// Batched lookup of (layer, ids[i]) for i in [0, n): on a hit copies the
+  /// row's `neurons` columns (flat indices) to out_block[i * g .. i * g + g)
+  /// with g = neurons.size() and sets hit[i] = 1; on a miss sets hit[i] = 0
+  /// and leaves that block row untouched. Counts one hit or miss per id and
+  /// returns the number of hits. Each shard the ids touch is locked once,
+  /// and within a shard the ids are visited in the given order, so recency
+  /// ends exactly as n single lookups in that order would leave it.
+  size_t GatherMany(int layer, const uint32_t* ids, size_t n,
+                    const std::vector<int64_t>& neurons, float* out_block,
+                    uint8_t* hit);
 
   /// Inserts a full-layer row, evicting entries from the target shard if
   /// needed. Rows larger than the shard capacity are not cached.
-  void Insert(int layer, uint32_t input_id, std::vector<float> row);
+  void Insert(int layer, uint32_t input_id, const std::vector<float>& row);
 
   /// Drops every entry (e.g. when the dataset or model changes).
   void Clear();
@@ -106,21 +126,44 @@ class IqaCache {
   std::vector<ShardSnapshot> ShardSnapshots() const;
 
  private:
-  struct Entry {
-    std::vector<float> row;
-    uint64_t last_use = 0;
+  /// A layer row without its exact zeros: bit c % 64 of present_[c / 64]
+  /// says column c is stored, before_[w] counts the stored columns in
+  /// words before w, and values_ holds the stored columns in order. Only
+  /// +0.0f (all bits clear) is left out, so reads are bit-exact.
+  class PackedRow {
+   public:
+    explicit PackedRow(const std::vector<float>& dense);
+    size_t size() const { return size_; }
+    /// out[i] = the value of column columns[i].
+    void Gather(const std::vector<int64_t>& columns, float* out) const;
+    void Unpack(std::vector<float>* out) const;
+
+   private:
+    size_t size_ = 0;
+    std::vector<uint64_t> present_;
+    std::vector<uint32_t> before_;
+    std::unique_ptr<float[]> values_;
   };
 
-  /// One lock stripe: its own map, recency index, byte budget, and atomic
+  /// One cached row, linked into its shard's recency list. Entries live in
+  /// unordered_map nodes, whose addresses are stable, so the links are
+  /// plain pointers.
+  struct Entry {
+    PackedRow row;
+    uint64_t key = 0;
+    Entry* older = nullptr;
+    Entry* newer = nullptr;
+  };
+
+  /// One lock stripe: its own map, recency list, byte budget, and atomic
   /// counters, padded apart from its neighbours.
   struct Shard {
     mutable common::Mutex mu;
     uint64_t capacity_bytes = 0;  // set once at construction, then read-only
     uint64_t size_bytes GUARDED_BY(mu) = 0;
-    uint64_t clock GUARDED_BY(mu) = 0;
     std::unordered_map<uint64_t, Entry> entries GUARDED_BY(mu);
-    // last_use -> key, for O(log n) eviction from either end.
-    std::map<uint64_t, uint64_t> by_recency GUARDED_BY(mu);
+    Entry* oldest GUARDED_BY(mu) = nullptr;  // LRU end
+    Entry* newest GUARDED_BY(mu) = nullptr;  // MRU end
     std::atomic<int64_t> hits{0};
     std::atomic<int64_t> misses{0};
     std::atomic<int64_t> insertions{0};
@@ -131,19 +174,18 @@ class IqaCache {
     return (static_cast<uint64_t>(static_cast<uint32_t>(layer)) << 32) |
            input_id;
   }
-  static uint64_t BytesOf(const std::vector<float>& row) {
-    return row.size() * sizeof(float) + 64;  // payload + bookkeeping estimate
+  /// A row's charge against the budget: its dense payload + a bookkeeping
+  /// estimate.
+  static uint64_t BytesOf(size_t columns) {
+    return columns * sizeof(float) + 64;
   }
 
-  Shard& ShardFor(uint64_t key);
+  size_t ShardIndexOf(uint64_t key) const;
 
-  /// Finds (layer, input) in its shard, bumps recency and the hit/miss
-  /// counters, and invokes `consume(row)` under the shard lock on a hit.
-  template <typename Consumer>
-  bool LookupInternal(int layer, uint32_t input_id, Consumer&& consume);
-
-  void TouchLocked(Shard* shard, uint64_t key, Entry* entry)
-      REQUIRES(shard->mu);
+  /// Recency list maintenance. Touch moves an entry to the newest end.
+  static void LinkNewest(Shard* shard, Entry* entry) REQUIRES(shard->mu);
+  static void Unlink(Shard* shard, Entry* entry) REQUIRES(shard->mu);
+  static void Touch(Shard* shard, Entry* entry) REQUIRES(shard->mu);
 
   uint64_t capacity_bytes_;
   EvictionPolicy policy_;

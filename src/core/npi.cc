@@ -297,19 +297,15 @@ Result<LayerIndex> LayerIndex::AppendInputs(
 
 void LayerIndex::GetInputIds(int64_t neuron, uint32_t pid,
                              std::vector<uint32_t>* out) const {
-  // Per-round membership scan: bulk-unpack the neuron's PID column in
-  // fixed-size blocks (bounds checked once per block, SIMD unpack when
-  // available) instead of one bounds-checked PackedIntArray::Get per input.
-  constexpr size_t kBlock = 1024;
-  uint64_t buf[kBlock];
-  const size_t base = static_cast<size_t>(neuron) * num_inputs_;
-  for (size_t begin = 0; begin < num_inputs_; begin += kBlock) {
-    const size_t count = std::min(kBlock, static_cast<size_t>(num_inputs_) - begin);
-    pids_.GetMany(base + begin, count, buf);
-    for (size_t i = 0; i < count; ++i) {
-      if (buf[i] == pid) out->push_back(static_cast<uint32_t>(begin + i));
-    }
-  }
+  // Per-round membership scan: one fused select-equal pass over the
+  // neuron's packed PID row (bounds checked once, SIMD when available)
+  // writes the matching input ids straight into `out`.
+  const size_t old_size = out->size();
+  out->resize(old_size + num_inputs_);
+  const size_t found = pids_.SelectEq(
+      static_cast<size_t>(neuron) * num_inputs_, num_inputs_, pid,
+      out->data() + old_size);
+  out->resize(old_size + found);
 }
 
 uint32_t LayerIndex::PidForActivation(int64_t neuron, float activation) const {

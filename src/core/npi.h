@@ -91,8 +91,9 @@ class LayerIndex {
         pids_.Get(static_cast<size_t>(neuron) * num_inputs_ + input_id));
   }
 
-  /// getInputIDs(neuronID, PID): appends the partition's members to `out`.
-  /// Scans the neuron's packed PID row (O(nInputs)).
+  /// getInputIDs(neuronID, PID): appends the partition's members to `out`
+  /// in ascending id order. One fused select pass over the neuron's packed
+  /// PID row (O(nInputs)); no PID is unpacked into a buffer.
   void GetInputIds(int64_t neuron, uint32_t pid,
                    std::vector<uint32_t>* out) const;
 

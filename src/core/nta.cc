@@ -4,8 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "common/stopwatch.h"
@@ -79,11 +77,97 @@ Status ValidateOptions(const NtaOptions& options) {
   return Status::OK();
 }
 
-/// Group activations learned so far plus the IQA hit count — the dedup set
-/// every Evaluate call consults.
-struct RunState {
-  std::unordered_map<uint32_t, std::vector<float>> acts;
+/// Per-query activation state: every input this query has claimed for
+/// evaluation, with its group activations once evaluated. Flat, so a round
+/// allocates nothing per input:
+///  - `acts_` is an arena of g floats per claimed input, in claim order;
+///  - `row_ids_` maps arena row -> input id;
+///  - an open-addressing table maps input id -> arena row; it doubles when
+///    half full, so it stays sized to the candidates.
+/// Rows [0, evaluated) hold activations; rows [evaluated, claimed) are the
+/// round's pending batch, in the order the round claimed them. Memory is
+/// O(g x candidates) and nothing is sized to the dataset, so a parked
+/// execution holds only what it evaluated.
+class RunState {
+ public:
+  explicit RunState(size_t g) : g_(g), slots_(kInitialSlots, kEmptySlot) {}
+
+  /// Adds `id` to the pending batch unless it is already claimed
+  /// (evaluated earlier, or queued in this batch).
+  void Claim(uint32_t id) {
+    size_t slot = SlotOf(id);
+    while (slots_[slot] != kEmptySlot) {
+      if (static_cast<uint32_t>(slots_[slot]) == id + 1) return;
+      slot = (slot + 1) & (slots_.size() - 1);
+    }
+    const uint32_t row = static_cast<uint32_t>(row_ids_.size());
+    slots_[slot] = SlotValue(id, row);
+    row_ids_.push_back(id);
+    if (row_ids_.size() * 2 > slots_.size()) Grow();
+  }
+
+  /// The group activations of an evaluated input.
+  const float* Row(uint32_t id) const {
+    size_t slot = SlotOf(id);
+    while (static_cast<uint32_t>(slots_[slot]) != id + 1) {
+      DE_CHECK_NE(slots_[slot], kEmptySlot) << "input " << id << " unknown";
+      slot = (slot + 1) & (slots_.size() - 1);
+    }
+    return acts_.data() + static_cast<size_t>(slots_[slot] >> 32) * g_;
+  }
+
+  size_t evaluated() const { return evaluated_; }
+  size_t pending() const { return row_ids_.size() - evaluated_; }
+  const uint32_t* ids_from(size_t row) const { return row_ids_.data() + row; }
+  const float* rows_from(size_t row) const { return acts_.data() + row * g_; }
+
+  /// Sizes the arena for the pending batch and returns its first row, for
+  /// EvaluateGroup to fill; MarkEvaluated() then publishes the batch.
+  float* PendingBlock() {
+    acts_.resize(row_ids_.size() * g_);
+    return acts_.data() + evaluated_ * g_;
+  }
+  void MarkEvaluated() { evaluated_ = row_ids_.size(); }
+
   int64_t iqa_hits = 0;
+  // EvaluateGroup scratch, reused across rounds.
+  std::vector<uint8_t> hit;
+  std::vector<uint32_t> to_infer;
+  std::vector<size_t> infer_rows;
+
+ private:
+  static constexpr size_t kInitialSlots = 64;
+  static constexpr uint64_t kEmptySlot = 0;
+
+  // Low half id + 1 (so 0 marks an empty slot), high half the arena row.
+  static uint64_t SlotValue(uint32_t id, uint32_t row) {
+    return (static_cast<uint64_t>(row) << 32) | (static_cast<uint64_t>(id) + 1);
+  }
+  size_t SlotOf(uint32_t id) const {
+    // Fibonacci hashing onto the power-of-two table.
+    return static_cast<size_t>((id * 0x9e3779b97f4a7c15ull) >>
+                               (64 - shift_bits_));
+  }
+  void Grow() {
+    std::vector<uint64_t> old = std::move(slots_);
+    slots_.assign(old.size() * 2, kEmptySlot);
+    ++shift_bits_;
+    for (const uint64_t value : old) {
+      if (value == kEmptySlot) continue;
+      size_t slot = SlotOf(static_cast<uint32_t>(value) - 1);
+      while (slots_[slot] != kEmptySlot) {
+        slot = (slot + 1) & (slots_.size() - 1);
+      }
+      slots_[slot] = value;
+    }
+  }
+
+  size_t g_;
+  std::vector<float> acts_;
+  std::vector<uint32_t> row_ids_;
+  std::vector<uint64_t> slots_;
+  int shift_bits_ = 6;  // log2(slots_.size())
+  size_t evaluated_ = 0;
 };
 
 /// Per-neuron cursor over the similarity-ordered MAI entries (§4.7.1),
@@ -97,30 +181,37 @@ struct MaiCursor {
   double max_seen = -kInf;
 };
 
-/// Computes group activations for `ids` (deduplicated against rows already
-/// known), consulting the context's IQA cache first and batching the rest
-/// through the context's scheduler (or the engine directly). IDs that
-/// became known by this call are appended to `newly` (each input becomes
-/// known exactly once per query). Inference cost lands in ctx->receipt.
+/// Evaluates the pending batch of `state` (the inputs claimed since the
+/// last call, all unknown so far) straight into its arena rows: one batched
+/// IQA gather serves the cached rows, and the rest run through the
+/// context's scheduler (or the engine directly). Inference cost lands in
+/// ctx->receipt, and each inferred full-layer row is cached in the IQA.
 Status EvaluateGroup(nn::InferenceEngine* inference, const NeuronGroup& group,
-                     const std::vector<uint32_t>& ids, QueryContext* ctx,
-                     RunState* state, std::vector<uint32_t>* newly) {
-  std::vector<uint32_t> to_infer;
-  for (uint32_t id : ids) {
-    if (state->acts.count(id) != 0) continue;
-    if (ctx->iqa != nullptr) {
-      std::vector<float> acts;
-      if (ctx->iqa->Gather(group.layer, id, group.neurons, &acts)) {
-        state->acts.emplace(id, std::move(acts));
-        ++state->iqa_hits;
-        newly->push_back(id);
-        continue;
-      }
-    }
-    to_infer.push_back(id);
+                     QueryContext* ctx, RunState* state) {
+  const size_t n = state->pending();
+  if (n == 0) return Status::OK();
+  const size_t g = group.neurons.size();
+  const size_t first = state->evaluated();
+  const uint32_t* ids = state->ids_from(first);
+  float* block = state->PendingBlock();
+  state->hit.assign(n, 0);
+  if (ctx->iqa != nullptr) {
+    state->iqa_hits += static_cast<int64_t>(ctx->iqa->GatherMany(
+        group.layer, ids, n, group.neurons, block, state->hit.data()));
   }
-  if (to_infer.empty()) return Status::OK();
+  state->to_infer.clear();
+  state->infer_rows.clear();
+  for (size_t r = 0; r < n; ++r) {
+    if (state->hit[r] != 0) continue;
+    state->to_infer.push_back(ids[r]);
+    state->infer_rows.push_back(r);
+  }
+  if (state->to_infer.empty()) {
+    state->MarkEvaluated();
+    return Status::OK();
+  }
 
+  const std::vector<uint32_t>& to_infer = state->to_infer;
   std::vector<std::vector<float>> rows;
   {
     // `batches_share` is this call's fractional share of (possibly shared)
@@ -146,19 +237,17 @@ Status EvaluateGroup(nn::InferenceEngine* inference, const NeuronGroup& group,
         ctx->receipt.simulated_gpu_seconds - before.simulated_gpu_seconds);
   }
   for (size_t r = 0; r < to_infer.size(); ++r) {
-    const uint32_t id = to_infer[r];
-    std::vector<float> acts(group.neurons.size());
-    for (size_t i = 0; i < group.neurons.size(); ++i) {
-      acts[i] = rows[r][static_cast<size_t>(group.neurons[i])];
+    float* dst = block + state->infer_rows[r] * g;
+    for (size_t i = 0; i < g; ++i) {
+      dst[i] = rows[r][static_cast<size_t>(group.neurons[i])];
     }
-    state->acts.emplace(id, std::move(acts));
-    newly->push_back(id);
     if (ctx->iqa != nullptr) {
       // Cache the full layer row so related queries over *other* neuron
       // groups in this layer also benefit (section 4.7.3).
-      ctx->iqa->Insert(group.layer, id, std::move(rows[r]));
+      ctx->iqa->Insert(group.layer, to_infer[r], rows[r]);
     }
   }
+  state->MarkEvaluated();
   return Status::OK();
 }
 
@@ -206,7 +295,9 @@ struct NtaExecution::Impl {
         g(group_in.neurons.size()),
         start_receipt(ctx_in->receipt),
         num_partitions(index_in->num_partitions()),
-        top(options_in.k, /*smaller_is_better=*/!is_highest) {}
+        state(g),
+        top(options_in.k, /*smaller_is_better=*/!is_highest),
+        uppers(g) {}
 
   // --- immutable query shape ----------------------------------------------
   nn::InferenceEngine* inference;
@@ -226,7 +317,7 @@ struct NtaExecution::Impl {
   Phase phase = Phase::kPrologue;
   Status error = Status::OK();
   RunState state;
-  std::vector<uint32_t> newly;
+  size_t offered = 0;  // arena rows [0, offered) were offered to `top`
   TopKSet top;
   int64_t rounds = 0;
   bool finished = false;  // threshold met or user early stop
@@ -258,55 +349,40 @@ struct NtaExecution::Impl {
 
   // Scratch reused across rounds (capacity persists; contents per-round).
   std::vector<double> min_dists;
-  std::vector<uint32_t> offer_ids;
-  std::vector<float> offer_block;
   std::vector<double> offer_values;
+  std::vector<double> uppers;
   std::vector<uint32_t> members;
 
-  Status Evaluate(const std::vector<uint32_t>& ids) {
-    return EvaluateGroup(inference, group, ids, ctx, &state, &newly);
-  }
+  Status Evaluate() { return EvaluateGroup(inference, group, ctx, &state); }
 
   // Per-round candidate maintenance is a streaming pass: the round's new
-  // activations are gathered into one contiguous row block and aggregated
-  // with a single batched virtual call (built-ins: one dispatched
-  // SIMD/scalar kernel call), instead of one virtual Aggregate per
-  // candidate.
+  // activations already sit contiguously in the arena, so they are
+  // aggregated in place with a single batched virtual call (built-ins: one
+  // dispatched SIMD/scalar kernel call) and offered. Each input is offered
+  // once: it is claimed, and so evaluated, at most once per query. (The
+  // most-similar target row is evaluated by the prologue and never
+  // offered.)
+  template <typename AggregateFn>
+  void OfferNewly(AggregateFn aggregate) {
+    const size_t n = state.evaluated() - offered;
+    if (n == 0) return;
+    offer_values.resize(n);
+    aggregate(state.rows_from(offered), n, offer_values.data());
+    const uint32_t* ids = state.ids_from(offered);
+    for (size_t r = 0; r < n; ++r) top.Offer(ids[r], offer_values[r]);
+    offered = state.evaluated();
+  }
+
   void OfferNewlyMostSimilar() {
-    offer_ids.clear();
-    for (uint32_t id : newly) {
-      if (has_target_id && id == target_id) continue;
-      offer_ids.push_back(id);
-    }
-    newly.clear();
-    if (offer_ids.empty()) return;
-    offer_block.resize(offer_ids.size() * g);
-    for (size_t r = 0; r < offer_ids.size(); ++r) {
-      const std::vector<float>& acts = state.acts.at(offer_ids[r]);
-      std::copy(acts.begin(), acts.end(), offer_block.begin() + r * g);
-    }
-    offer_values.resize(offer_ids.size());
-    dist->AggregateAbsDiffMany(offer_block.data(), g, offer_ids.size(),
-                               target_acts.data(), g, offer_values.data());
-    for (size_t r = 0; r < offer_ids.size(); ++r) {
-      top.Offer(offer_ids[r], offer_values[r]);
-    }
+    OfferNewly([this](const float* rows, size_t n, double* out) {
+      dist->AggregateAbsDiffMany(rows, g, n, target_acts.data(), g, out);
+    });
   }
 
   void OfferNewlyHighest() {
-    if (newly.empty()) return;
-    offer_block.resize(newly.size() * g);
-    for (size_t r = 0; r < newly.size(); ++r) {
-      const std::vector<float>& acts = state.acts.at(newly[r]);
-      std::copy(acts.begin(), acts.end(), offer_block.begin() + r * g);
-    }
-    offer_values.resize(newly.size());
-    dist->AggregateValuesMany(offer_block.data(), g, newly.size(), g,
-                              offer_values.data());
-    for (size_t r = 0; r < newly.size(); ++r) {
-      top.Offer(newly[r], offer_values[r]);
-    }
-    newly.clear();
+    OfferNewly([this](const float* rows, size_t n, double* out) {
+      dist->AggregateValuesMany(rows, g, n, g, out);
+    });
   }
 
   void EmitProgress(double threshold) {
@@ -367,7 +443,6 @@ struct NtaExecution::Impl {
   }
 
   void CheckAndProgressHighest() {
-    std::vector<double> uppers(g);
     for (size_t gi = 0; gi < g; ++gi) uppers[gi] = std::max(UpperOf(gi), 0.0);
     const double threshold = dist->Aggregate(uppers.data(), g);
     last_threshold = threshold;
@@ -407,10 +482,12 @@ struct NtaExecution::Impl {
     if (has_target_id) {
       SpanScope span(ctx->trace.get(), "nta.target");
       const int64_t inputs_before = ctx->receipt.inputs_run;
-      DE_RETURN_NOT_OK(Evaluate({target_id}));
+      state.Claim(target_id);
+      DE_RETURN_NOT_OK(Evaluate());
       span.AddInt("inputs_run", ctx->receipt.inputs_run - inputs_before);
-      target_acts = state.acts.at(target_id);
-      newly.clear();
+      const float* row = state.Row(target_id);
+      target_acts.assign(row, row + g);
+      offered = state.evaluated();  // the target is never a candidate
     }
     // MAI fast path (§4.7.1): build the similarity-ordered cursor of every
     // neuron whose MAI contains the target's activation.
@@ -457,11 +534,11 @@ struct NtaExecution::Impl {
     // that neuron's own seen range), and sweeps continue until the
     // batch of not-yet-computed inputs reaches the batch size. Checking
     // fullness only between sweeps keeps every neuron's boundary
-    // current — this reproduces the paper's Figure 4 trace exactly.
-    std::vector<uint32_t> batch;
-    std::unordered_set<uint32_t> in_batch;
+    // current — this reproduces the paper's Figure 4 trace exactly. The
+    // batch is the run state's pending rows: Claim() dedups against every
+    // input already evaluated or queued.
     bool any_left = true;
-    while (static_cast<int>(batch.size()) < inference->batch_size() &&
+    while (static_cast<int>(state.pending()) < inference->batch_size() &&
            any_left) {
       any_left = false;
       for (MaiCursor& cursor : cursors) {
@@ -476,10 +553,7 @@ struct NtaExecution::Impl {
         cursor.max_seen =
             std::max(cursor.max_seen, static_cast<double>(entry.activation));
         if (rank == 0) cursor.seen_highest = true;
-        if (state.acts.count(entry.input_id) == 0 &&
-            in_batch.insert(entry.input_id).second) {
-          batch.push_back(entry.input_id);
-        }
+        state.Claim(entry.input_id);
       }
     }
 
@@ -490,7 +564,8 @@ struct NtaExecution::Impl {
       return true;
     }();
 
-    DE_RETURN_NOT_OK(Evaluate(batch));
+    const size_t candidates = state.pending();
+    DE_RETURN_NOT_OK(Evaluate());
     OfferNewlyMostSimilar();
     ++rounds;
 
@@ -510,7 +585,7 @@ struct NtaExecution::Impl {
     }
     const double t = dist->Aggregate(min_dists.data(), g);
     round_span.AddInt("round", rounds);
-    round_span.AddInt("candidates", static_cast<int64_t>(batch.size()));
+    round_span.AddInt("candidates", static_cast<int64_t>(candidates));
     round_span.AddInt("inputs_run", ctx->receipt.inputs_run - inputs_before);
     round_span.AddInt("iqa_hits", state.iqa_hits - hits_before);
     round_span.AddDouble("threshold", t);
@@ -574,21 +649,17 @@ struct NtaExecution::Impl {
     const int64_t inputs_before = ctx->receipt.inputs_run;
     const int64_t hits_before = state.iqa_hits;
     const size_t c = partition_round;
-    // Step 4(a): gather this round's partitions.
-    std::vector<uint32_t> to_eval;
-    std::unordered_set<uint32_t> queued;
+    // Step 4(a): gather this round's partitions; the union of their
+    // not-yet-evaluated members becomes the pending batch.
     for (size_t gi = 0; gi < g; ++gi) {
       round_members[gi].clear();
       if (c >= ord[gi].size()) continue;  // neuron exhausted
       index->GetInputIds(group.neurons[gi], ord[gi][c], &round_members[gi]);
-      for (uint32_t id : round_members[gi]) {
-        if (state.acts.count(id) == 0 && queued.insert(id).second) {
-          to_eval.push_back(id);
-        }
-      }
+      for (uint32_t id : round_members[gi]) state.Claim(id);
     }
     // Step 4(b): batched inference for the union, update top.
-    DE_RETURN_NOT_OK(Evaluate(to_eval));
+    const size_t candidates = state.pending();
+    DE_RETURN_NOT_OK(Evaluate());
     OfferNewlyMostSimilar();
     ++rounds;
 
@@ -597,7 +668,7 @@ struct NtaExecution::Impl {
     for (size_t gi = 0; gi < g; ++gi) {
       if (c >= ord[gi].size()) continue;  // neuron exhausted
       for (uint32_t id : round_members[gi]) {
-        const double act = state.acts.at(id)[gi];
+        const double act = state.Row(id)[gi];
         min_bound[gi] = std::min(min_bound[gi], act);
         max_bound[gi] = std::max(max_bound[gi], act);
       }
@@ -614,7 +685,7 @@ struct NtaExecution::Impl {
     }
     const double t = dist->Aggregate(min_dists.data(), g);
     round_span.AddInt("round", rounds);
-    round_span.AddInt("candidates", static_cast<int64_t>(to_eval.size()));
+    round_span.AddInt("candidates", static_cast<int64_t>(candidates));
     round_span.AddInt("inputs_run", ctx->receipt.inputs_run - inputs_before);
     round_span.AddInt("iqa_hits", state.iqa_hits - hits_before);
     round_span.AddDouble("threshold", t);
@@ -636,10 +707,8 @@ struct NtaExecution::Impl {
     // Lockstep sorted access: each sweep consumes the next highest MAI
     // entry of every neuron; sweeps continue until the batch of uncomputed
     // inputs is full.
-    std::vector<uint32_t> batch;
-    std::unordered_set<uint32_t> in_batch;
     bool any_left = true;
-    while (static_cast<int>(batch.size()) < inference->batch_size() &&
+    while (static_cast<int>(state.pending()) < inference->batch_size() &&
            any_left) {
       any_left = false;
       for (size_t gi = 0; gi < g; ++gi) {
@@ -648,22 +717,20 @@ struct NtaExecution::Impl {
             index->MaiEntries(group.neurons[gi])[mai_next[gi]];
         ++mai_next[gi];
         if (mai_next[gi] < mai_count) any_left = true;
-        if (state.acts.count(entry.input_id) == 0 &&
-            in_batch.insert(entry.input_id).second) {
-          batch.push_back(entry.input_id);
-        }
+        state.Claim(entry.input_id);
       }
     }
     bool exhausted = true;
     for (size_t gi = 0; gi < g; ++gi) {
       if (mai_next[gi] < mai_count) exhausted = false;
     }
-    DE_RETURN_NOT_OK(Evaluate(batch));
+    const size_t candidates = state.pending();
+    DE_RETURN_NOT_OK(Evaluate());
     OfferNewlyHighest();
     ++rounds;
     CheckAndProgressHighest();
     round_span.AddInt("round", rounds);
-    round_span.AddInt("candidates", static_cast<int64_t>(batch.size()));
+    round_span.AddInt("candidates", static_cast<int64_t>(candidates));
     round_span.AddInt("inputs_run", ctx->receipt.inputs_run - inputs_before);
     round_span.AddInt("iqa_hits", state.iqa_hits - hits_before);
     round_span.AddDouble("threshold", last_threshold);
@@ -686,25 +753,20 @@ struct NtaExecution::Impl {
     const int64_t inputs_before = ctx->receipt.inputs_run;
     const int64_t hits_before = state.iqa_hits;
     const int pid = next_pid;
-    std::vector<uint32_t> to_eval;
-    std::unordered_set<uint32_t> queued;
     for (size_t gi = 0; gi < g; ++gi) {
       members.clear();
       index->GetInputIds(group.neurons[gi], static_cast<uint32_t>(pid),
                          &members);
-      for (uint32_t id : members) {
-        if (state.acts.count(id) == 0 && queued.insert(id).second) {
-          to_eval.push_back(id);
-        }
-      }
+      for (uint32_t id : members) state.Claim(id);
       next_partition[gi] = pid + 1;
     }
-    DE_RETURN_NOT_OK(Evaluate(to_eval));
+    const size_t candidates = state.pending();
+    DE_RETURN_NOT_OK(Evaluate());
     OfferNewlyHighest();
     ++rounds;
     CheckAndProgressHighest();
     round_span.AddInt("round", rounds);
-    round_span.AddInt("candidates", static_cast<int64_t>(to_eval.size()));
+    round_span.AddInt("candidates", static_cast<int64_t>(candidates));
     round_span.AddInt("inputs_run", ctx->receipt.inputs_run - inputs_before);
     round_span.AddInt("iqa_hits", state.iqa_hits - hits_before);
     round_span.AddDouble("threshold", last_threshold);

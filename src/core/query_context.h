@@ -104,6 +104,10 @@ class QueryContext {
   /// because the trace outlives the context in the recent-trace ring that
   /// backs `GET /v1/trace/<id>`.
   std::shared_ptr<Trace> trace;
+  /// The trace's "respond" span: opened by the service as it resolves the
+  /// query's future, closed by the front-end once it resumes on the result,
+  /// so the thread handoff between the two is attributed too. -1 = none.
+  int respond_span = -1;
   /// Dataset version (input count) this query's index was pinned at, filled
   /// in when the execution resolves its index. The answer covers exactly the
   /// prefix [0, pinned_dataset_version) even if ingest grows the dataset

@@ -86,6 +86,9 @@ constexpr KernelTable kScalarTable = {
     {ValueAggL1Scalar, ValueAggL2Scalar, ValueAggLInfScalar,
      ValueAggWL2Scalar},
     internal::UnpackScalar,
+    internal::SelectEqScalar,
+    internal::NonZeroMaskScalar,
+    internal::CompactScalar,
     internal::DequantRowScalar,
     "scalar",
 };

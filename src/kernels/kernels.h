@@ -10,13 +10,15 @@ namespace kernels {
 /// \brief The hot-loop kernel layer.
 ///
 /// Everything on a per-candidate path — batched distance aggregation over
-/// row blocks, bulk bit-unpacking of NPI partition ids, 8-bit dequantisation
-/// — runs through one KernelTable of plain function pointers. Two tables
-/// exist: a portable scalar one and an AVX2 one (compiled in its own
-/// translation unit with -mavx2 -ffp-contract=off). Which table serves the
-/// process is decided exactly once, on first use, from cpuid plus the
-/// DEEPEVEREST_KERNELS environment override; after that the per-block call
-/// is one indirect jump, hoisted out of the per-candidate loop entirely.
+/// row blocks, bulk bit-unpacking and selection of NPI partition ids,
+/// zero-dropping of IQA rows, 8-bit dequantisation — runs through one
+/// KernelTable of plain function
+/// pointers. Two tables exist: a portable scalar one and an AVX2 one
+/// (compiled in its own translation unit with -mavx2 -ffp-contract=off).
+/// Which table serves the process is decided exactly once, on first use,
+/// from cpuid plus the DEEPEVEREST_KERNELS environment override; after that
+/// the per-block call is one indirect jump, hoisted out of the
+/// per-candidate loop entirely.
 ///
 /// Bit-parity contract: for identical inputs, every entry of the AVX2 table
 /// returns results bit-identical to the scalar table. The AVX2 aggregation
@@ -63,6 +65,24 @@ struct KernelTable {
   /// `num_words` is asserted against the last touched word.
   using UnpackFn = void (*)(const uint64_t* words, size_t num_words, int bits,
                             size_t begin, size_t count, uint64_t* out);
+  /// Fused unpack + compare: writes the offsets i in [0, count) whose packed
+  /// value at element `begin + i` equals `value` to out_ids (ascending) and
+  /// returns how many it wrote; out_ids must hold `count` entries. No value
+  /// is materialised — this is getInputIDs over one neuron's PID row.
+  /// Bounds as for UnpackFn.
+  using SelectEqFn = size_t (*)(const uint64_t* words, size_t num_words,
+                                int bits, size_t begin, size_t count,
+                                uint64_t value, uint32_t* out_ids);
+  /// Presence bitmap of a float row: bit i % 64 of words[i / 64] is set when
+  /// in[i] is not +0.0f (all bits clear; -0.0f counts as present). Writes
+  /// (n + 63) / 64 words, with the bits past n clear, and returns the
+  /// number of set bits.
+  using NonZeroMaskFn = size_t (*)(const float* in, size_t n, uint64_t* words);
+  /// Copies the values of in[0..n) whose bit is set in `words` to out, in
+  /// order, bit-exactly. `count` is the number of set bits and the size of
+  /// `out`.
+  using CompactFn = void (*)(const float* in, size_t n, const uint64_t* words,
+                             size_t count, float* out);
   /// out[i] = min_value[i] + scale[i] * codes[i]: one quantised row decoded
   /// against the per-neuron ranges (QuantizedActivationMatrix layout).
   using DequantRowFn = void (*)(const uint8_t* codes, const float* min_value,
@@ -71,6 +91,9 @@ struct KernelTable {
   AbsDiffAggFn abs_diff_agg[kNumAggKinds];
   ValueAggFn value_agg[kNumAggKinds];
   UnpackFn unpack;
+  SelectEqFn select_eq;
+  NonZeroMaskFn nonzero_mask;
+  CompactFn compact;
   DequantRowFn dequant_row;
   const char* name;
 };

@@ -357,6 +357,158 @@ void UnpackAvx2(const uint64_t* words, size_t num_words, int bits,
 }
 
 // ---------------------------------------------------------------------------
+// Fused select over packed values, for widths up to 13 bits — including the
+// widths that straddle 64-bit words (3, 5, 6, 7, ...). Eight consecutive
+// elements span at most 7 + 8 * 13 bits, so one unaligned 16-byte load
+// holds all of them. Each 32-bit lane is filled with the four bytes that
+// start at its element's first byte (one in-lane byte shuffle of the load
+// broadcast to both halves), then shifted by the element's 0..7 bit offset,
+// masked, compared and movemasked. A step advances 8 * bits bits, a whole
+// number of bytes, so the shuffle and the shifts are the same for every
+// step and are built once per call. The matching lanes' offsets are
+// compressed through a 256-entry table and stored as one 8-lane write, so
+// emission is branch-free; that write stays inside out_ids because fewer
+// than `i` matches precede element `i`. Wider values, and the last elements
+// whose 16-byte load would read past the array, run the shared scalar body.
+// ---------------------------------------------------------------------------
+
+/// For each 8-bit match mask, the positions of its set bits in ascending
+/// order, one per byte.
+struct CompressTable {
+  uint64_t positions[256];
+};
+
+constexpr CompressTable MakeCompressTable() {
+  CompressTable table{};
+  for (unsigned mask = 0; mask < 256; ++mask) {
+    uint64_t packed = 0;
+    int k = 0;
+    for (unsigned lane = 0; lane < 8; ++lane) {
+      if ((mask >> lane) & 1u) packed |= uint64_t{lane} << (8 * k++);
+    }
+    table.positions[mask] = packed;
+  }
+  return table;
+}
+
+constexpr CompressTable kCompress = MakeCompressTable();
+
+size_t SelectEqAvx2(const uint64_t* words, size_t num_words, int bits,
+                    size_t begin, size_t count, uint64_t value,
+                    uint32_t* out_ids) {
+  if (count == 0) return 0;
+  if (bits > 13) {
+    return internal::SelectEqScalar(words, num_words, bits, begin, count,
+                                    value, out_ids);
+  }
+  DE_CHECK_GE(bits, 1);
+  DE_CHECK_LE(((begin + count) * static_cast<size_t>(bits) + 63) / 64,
+              num_words);
+  const uint64_t mask = (1ull << bits) - 1;
+  if (value > mask) return 0;  // no packed value can equal it
+  const auto* bytes = reinterpret_cast<const uint8_t*>(words);
+  // A step starting at element e loads bytes [(e * bits) >> 3, +16), which
+  // must lie inside the array.
+  const size_t num_bytes = num_words * sizeof(uint64_t);
+  const size_t steppable =
+      num_bytes >= 16 ? ((num_bytes - 16) * 8 + 7) / bits + 1 : 0;
+
+  // Per-lane source bytes and bit shifts, fixed for the whole call.
+  const size_t first_bit = begin * static_cast<size_t>(bits);
+  alignas(32) uint8_t shuffle[32];
+  alignas(32) uint32_t shift[8];
+  for (int lane = 0; lane < 8; ++lane) {
+    const size_t bit = (first_bit & 7) + static_cast<size_t>(lane * bits);
+    for (int b = 0; b < 4; ++b) {
+      shuffle[4 * lane + b] = static_cast<uint8_t>((bit >> 3) + b);
+    }
+    shift[lane] = static_cast<uint32_t>(bit & 7);
+  }
+  const __m256i vshuffle =
+      _mm256_load_si256(reinterpret_cast<const __m256i*>(shuffle));
+  const __m256i vshift =
+      _mm256_load_si256(reinterpret_cast<const __m256i*>(shift));
+  const __m256i vmask = _mm256_set1_epi32(static_cast<int>(mask));
+  const __m256i vvalue = _mm256_set1_epi32(static_cast<int>(value));
+
+  const uint8_t* src = bytes + (first_bit >> 3);
+  const size_t step_bytes = static_cast<size_t>(bits);  // 8 * bits bits
+  size_t found = 0;
+  size_t i = 0;
+  for (; i + 8 <= count && begin + i < steppable; i += 8, src += step_bytes) {
+    const __m256i window = _mm256_broadcastsi128_si256(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(src)));
+    const __m256i vals = _mm256_and_si256(
+        _mm256_srlv_epi32(_mm256_shuffle_epi8(window, vshuffle), vshift),
+        vmask);
+    const unsigned hits = static_cast<unsigned>(_mm256_movemask_ps(
+        _mm256_castsi256_ps(_mm256_cmpeq_epi32(vals, vvalue))));
+    const __m256i lanes = _mm256_cvtepu8_epi32(_mm_cvtsi64_si128(
+        static_cast<long long>(kCompress.positions[hits])));
+    _mm256_storeu_si256(
+        reinterpret_cast<__m256i*>(out_ids + found),
+        _mm256_add_epi32(lanes, _mm256_set1_epi32(static_cast<int>(i))));
+    found += static_cast<size_t>(__builtin_popcount(hits));
+  }
+  if (i < count) {
+    const size_t tail = internal::SelectEqScalar(
+        words, num_words, bits, begin + i, count - i, value, out_ids + found);
+    for (size_t j = found; j < found + tail; ++j) {
+      out_ids[j] += static_cast<uint32_t>(i);
+    }
+    found += tail;
+  }
+  return found;
+}
+
+// ---------------------------------------------------------------------------
+// Zero-dropping of IQA rows. The mask compares 8 lanes' bits with zero per
+// step (so -0.0f stays present) and movemasks them into the word. The
+// compaction permutes each group of 8 so its present lanes come first,
+// through the same 256-entry table as the select, and stores all 8 lanes;
+// once fewer than 8 slots of `out` remain, the shared scalar body copies the
+// rest. Permutes move bits, so values are copied exactly.
+// ---------------------------------------------------------------------------
+
+size_t NonZeroMaskAvx2(const float* in, size_t n, uint64_t* words) {
+  size_t count = 0;
+  size_t w = 0;
+  for (; (w + 1) * 64 <= n; ++w) {
+    uint64_t word = 0;
+    for (int j = 0; j < 8; ++j) {
+      const __m256i v = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(in + w * 64 + 8 * j));
+      const unsigned zero_lanes = static_cast<unsigned>(
+          _mm256_movemask_ps(_mm256_castsi256_ps(
+              _mm256_cmpeq_epi32(v, _mm256_setzero_si256()))));
+      word |= static_cast<uint64_t>(~zero_lanes & 0xffu) << (8 * j);
+    }
+    words[w] = word;
+    count += static_cast<size_t>(__builtin_popcountll(word));
+  }
+  if (w * 64 < n) {
+    count += internal::NonZeroMaskScalar(in + w * 64, n - w * 64, words + w);
+  }
+  return count;
+}
+
+void CompactAvx2(const float* in, size_t n, const uint64_t* words,
+                 size_t count, float* out) {
+  size_t k = 0;
+  size_t i = 0;
+  for (; i + 8 <= n && k + 8 <= count; i += 8) {
+    const unsigned mask =
+        static_cast<unsigned>(words[i / 64] >> (i % 64)) & 0xffu;
+    const __m256i order = _mm256_cvtepu8_epi32(_mm_cvtsi64_si128(
+        static_cast<long long>(kCompress.positions[mask])));
+    _mm256_storeu_ps(out + k,
+                     _mm256_permutevar8x32_ps(_mm256_loadu_ps(in + i), order));
+    k += static_cast<size_t>(__builtin_popcount(mask));
+  }
+  internal::CompactFromScalar(in, n, words, i, out + k);
+}
+
+// ---------------------------------------------------------------------------
 // Quantised row decode: zero-extend 8 codes, convert, multiply by the
 // per-neuron scale, add the per-neuron min. vmulps/vaddps are the same IEEE
 // single-precision ops the scalar body uses, so decode is bit-identical.
@@ -384,6 +536,9 @@ constexpr KernelTable kAvx2Table = {
      AbsDiffAggWL2Avx2},
     {ValueAggL1Avx2, ValueAggL2Avx2, ValueAggLInfAvx2, ValueAggWL2Avx2},
     UnpackAvx2,
+    SelectEqAvx2,
+    NonZeroMaskAvx2,
+    CompactAvx2,
     DequantRowAvx2,
     "avx2",
 };

@@ -1,9 +1,11 @@
 #ifndef DEEPEVEREST_KERNELS_KERNELS_SCALAR_INL_H_
 #define DEEPEVEREST_KERNELS_KERNELS_SCALAR_INL_H_
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 #include "common/logging.h"
 
@@ -121,6 +123,68 @@ inline void UnpackScalar(const uint64_t* words, size_t num_words, int bits,
     }
     out[i] = value & mask;
   }
+}
+
+/// Word-at-a-time fused select: the unpack walk of UnpackScalar with the
+/// compare folded in, so the PID row is never written out. The match is
+/// stored unconditionally and the cursor advanced by the compare result,
+/// which keeps the loop branch-free.
+inline size_t SelectEqScalar(const uint64_t* words, size_t num_words, int bits,
+                             size_t begin, size_t count, uint64_t value,
+                             uint32_t* out_ids) {
+  if (count == 0) return 0;
+  DE_CHECK_GE(bits, 1);
+  DE_CHECK_LE(bits, 64);
+  const uint64_t mask = bits >= 64 ? ~0ull : ((1ull << bits) - 1);
+  size_t bit = begin * static_cast<size_t>(bits);
+  DE_CHECK_LE(((begin + count) * static_cast<size_t>(bits) + 63) / 64,
+              num_words);
+  size_t found = 0;
+  for (size_t i = 0; i < count; ++i, bit += static_cast<size_t>(bits)) {
+    const size_t word = bit >> 6;
+    const int offset = static_cast<int>(bit & 63);
+    uint64_t v = words[word] >> offset;
+    if (offset + bits > 64) v |= words[word + 1] << (64 - offset);
+    out_ids[found] = static_cast<uint32_t>(i);
+    found += static_cast<size_t>((v & mask) == value);
+  }
+  return found;
+}
+
+inline size_t NonZeroMaskScalar(const float* in, size_t n, uint64_t* words) {
+  size_t count = 0;
+  for (size_t w = 0; w * 64 < n; ++w) {
+    const size_t end = std::min(n, w * 64 + 64);
+    uint64_t word = 0;
+    for (size_t i = w * 64; i < end; ++i) {
+      uint32_t bits = 0;
+      std::memcpy(&bits, in + i, sizeof(bits));
+      word |= static_cast<uint64_t>(bits != 0) << (i % 64);
+    }
+    words[w] = word;
+    count += static_cast<size_t>(__builtin_popcountll(word));
+  }
+  return count;
+}
+
+/// Copies the set-bit values of in[begin, n) to out; `begin` need not be
+/// word-aligned. Returns how many it copied.
+inline size_t CompactFromScalar(const float* in, size_t n, const uint64_t* words,
+                                size_t begin, float* out) {
+  size_t k = 0;
+  for (size_t w = begin / 64; w * 64 < n; ++w) {
+    uint64_t bits = words[w];
+    if (w == begin / 64) bits &= ~uint64_t{0} << (begin % 64);
+    for (; bits != 0; bits &= bits - 1) {
+      out[k++] = in[w * 64 + static_cast<size_t>(__builtin_ctzll(bits))];
+    }
+  }
+  return k;
+}
+
+inline void CompactScalar(const float* in, size_t n, const uint64_t* words,
+                          size_t /*count*/, float* out) {
+  CompactFromScalar(in, n, words, 0, out);
 }
 
 inline void DequantRowScalar(const uint8_t* codes, const float* min_value,

@@ -598,11 +598,14 @@ void QueryServer::HandleQuery(const HttpRequest& request,
     WriteError(writer, submitted.status());
     return;
   }
-  Trace* const trace = submitted->context->trace.get();
-  const uint64_t query_id = trace != nullptr ? trace->id() : 0;
+  const uint64_t query_id = submitted->context->trace != nullptr
+                                ? submitted->context->trace->id()
+                                : 0;
   RegisterLive(query_id, submitted->context, service);
   Result<core::TopKResult> result = submitted->result.get();
   UnregisterLive(query_id);
+  Trace* const trace = submitted->context->trace.get();
+  if (trace != nullptr) trace->EndSpan(submitted->context->respond_span);
   if (!result.ok()) {
     if (trace != nullptr) trace->Finish();
     WriteError(writer, result.status());
@@ -701,6 +704,7 @@ void QueryServer::HandleStreamingQuery(service::QueryService* service,
   Result<core::TopKResult> result = submitted->result.get();
   UnregisterLive(query_id);
   Trace* const trace = submitted->context->trace.get();
+  if (trace != nullptr) trace->EndSpan(submitted->context->respond_span);
   JsonWriter w;
   w.BeginObject();
   w.Key("event");

@@ -589,6 +589,7 @@ void QueryService::CompletePending(PendingQuery* pending,
     // span the HTTP layer adds afterwards still lands in this same trace
     // object (the ring holds shared_ptrs).
     trace_ring_.Push(pending->ctx->trace);
+    pending->ctx->respond_span = trace->StartSpan("respond");
   }
   pending->promise.set_value(std::move(result));
 }

@@ -72,6 +72,9 @@ TEST(KernelDispatchTest, ScalarTableAlwaysAvailable) {
     EXPECT_NE(table.value_agg[k], nullptr);
   }
   EXPECT_NE(table.unpack, nullptr);
+  EXPECT_NE(table.select_eq, nullptr);
+  EXPECT_NE(table.nonzero_mask, nullptr);
+  EXPECT_NE(table.compact, nullptr);
   EXPECT_NE(table.dequant_row, nullptr);
 }
 

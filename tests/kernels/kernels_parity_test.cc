@@ -8,10 +8,12 @@
 
 #include <cmath>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/bit_pack.h"
 #include "common/rng.h"
 
 namespace deepeverest {
@@ -157,6 +159,176 @@ TEST_F(KernelsParityTest, UnpackAllWidthsAndOffsets) {
         // Neither kernel may write past `count`.
         EXPECT_EQ(out_scalar[count], 0xAAu);
         EXPECT_EQ(out_avx2[count], 0xBBu);
+      }
+    }
+  }
+}
+
+/// Bit-by-bit reference read of packed element `index`.
+uint64_t ReferenceGet(const std::vector<uint64_t>& words, int bits,
+                      size_t index) {
+  uint64_t v = 0;
+  for (int b = 0; b < bits; ++b) {
+    const size_t bit = index * static_cast<size_t>(bits) + b;
+    v |= ((words[bit / 64] >> (bit % 64)) & 1ull) << b;
+  }
+  return v;
+}
+
+/// Runs `select_eq` of `table` on one case and checks it against the
+/// reference loop, including that nothing is written past `count`.
+void ExpectSelectMatchesReference(const KernelTable& table,
+                                  const std::vector<uint64_t>& words,
+                                  int bits, size_t begin, size_t count,
+                                  uint64_t value) {
+  std::vector<uint32_t> expected;
+  for (size_t i = 0; i < count; ++i) {
+    if (ReferenceGet(words, bits, begin + i) == value) {
+      expected.push_back(static_cast<uint32_t>(i));
+    }
+  }
+  std::vector<uint32_t> out(count + 1, 0xDEADBEEFu);
+  const size_t found = table.select_eq(words.data(), words.size(), bits,
+                                       begin, count, value, out.data());
+  ASSERT_EQ(found, expected.size())
+      << table.name << " bits=" << bits << " begin=" << begin
+      << " count=" << count << " value=" << value;
+  for (size_t j = 0; j < found; ++j) {
+    ASSERT_EQ(out[j], expected[j])
+        << table.name << " bits=" << bits << " begin=" << begin
+        << " count=" << count << " value=" << value << " match " << j;
+  }
+  EXPECT_EQ(out[count], 0xDEADBEEFu) << table.name << " wrote past count";
+}
+
+// Not a KernelsParityTest: the scalar table is checked against the
+// reference even on machines without AVX2.
+TEST(KernelsSelectEqTest, AllWidthsRangesAndValuesMatchReference) {
+  std::vector<const KernelTable*> tables = {
+      &GetKernelTable(DispatchMode::kScalar)};
+  if (Avx2Supported()) tables.push_back(&GetKernelTable(DispatchMode::kAvx2));
+  Rng rng(4242);
+  const size_t n = 517;
+  for (int bits = 1; bits <= 32; ++bits) {
+    // Exactly as many words as the elements need, so the last elements sit
+    // at the very end of the array (the SIMD path must not read past it).
+    std::vector<uint64_t> words((n * static_cast<size_t>(bits) + 63) / 64);
+    for (uint64_t& w : words) w = rng.NextUint64();
+    const uint64_t mask = (1ull << bits) - 1;
+    std::vector<std::pair<size_t, size_t>> ranges = {
+        {0, 0}, {0, 1}, {n - 1, 1}, {0, n}, {1, n - 1}, {3, 61},
+        {5, 8 * 7 + 3}, {n - 9, 9}, {n - 8, 8}, {64, 64}};
+    for (int t = 0; t < 24; ++t) {
+      const size_t begin = rng.NextUint64() % n;
+      const size_t count = rng.NextUint64() % (n - begin + 1);
+      ranges.emplace_back(begin, count);
+    }
+    for (const auto& [begin, count] : ranges) {
+      std::vector<uint64_t> values;
+      // Present: the first, a middle and the last value of the range.
+      if (count > 0) {
+        values.push_back(ReferenceGet(words, bits, begin));
+        values.push_back(ReferenceGet(words, bits, begin + count / 2));
+        values.push_back(ReferenceGet(words, bits, begin + count - 1));
+      }
+      // Absent: a value no element in the range holds, when one exists in
+      // the width, and always one that does not fit the width at all.
+      for (int attempt = 0; attempt < 64; ++attempt) {
+        const uint64_t candidate = rng.NextUint64() & mask;
+        bool present = false;
+        for (size_t i = 0; i < count && !present; ++i) {
+          present = ReferenceGet(words, bits, begin + i) == candidate;
+        }
+        if (!present) {
+          values.push_back(candidate);
+          break;
+        }
+      }
+      values.push_back(mask + 1);
+      for (const KernelTable* table : tables) {
+        for (const uint64_t value : values) {
+          ExpectSelectMatchesReference(*table, words, bits, begin, count,
+                                       value);
+        }
+      }
+    }
+  }
+}
+
+// Dense matches: every element equal, so every lane of every SIMD step
+// reports a hit and the tail must continue the offsets correctly.
+TEST(KernelsSelectEqTest, EveryElementMatching) {
+  std::vector<const KernelTable*> tables = {
+      &GetKernelTable(DispatchMode::kScalar)};
+  if (Avx2Supported()) tables.push_back(&GetKernelTable(DispatchMode::kAvx2));
+  for (const int bits : {1, 3, 5, 7, 13, 25, 26, 32}) {
+    const size_t n = 203;
+    PackedIntArray packed(n, bits);
+    const uint64_t value = (1ull << (bits - 1)) | 1ull;
+    for (size_t i = 0; i < n; ++i) packed.Set(i, value);
+    for (const KernelTable* table : tables) {
+      ExpectSelectMatchesReference(*table, packed.words(), bits, 0, n, value);
+      ExpectSelectMatchesReference(*table, packed.words(), bits, 7, n - 7,
+                                   value);
+    }
+  }
+}
+
+// Zero-dropping (IQA row packing): both tables against a reference loop,
+// over lengths around the 8-lane and 64-bit word boundaries and zero
+// densities from none to all, with -0.0f and NaN payloads that must stay.
+TEST(KernelsNonZeroTest, MaskAndCompactMatchReference) {
+  std::vector<const KernelTable*> tables = {
+      &GetKernelTable(DispatchMode::kScalar)};
+  if (Avx2Supported()) tables.push_back(&GetKernelTable(DispatchMode::kAvx2));
+  Rng rng(606);
+  const uint32_t nan_bits = 0x7fc00abcu;
+  for (const size_t n : {0, 1, 7, 8, 9, 63, 64, 65, 127, 128, 200, 1000}) {
+    for (const double zero_frac : {0.0, 0.1, 0.5, 0.9, 1.0}) {
+      std::vector<float> in(n);
+      for (float& v : in) {
+        const double dice = rng.NextDouble();
+        if (dice < zero_frac) {
+          v = 0.0f;
+        } else if (dice < zero_frac + 0.02) {
+          v = -0.0f;
+        } else if (dice < zero_frac + 0.04) {
+          std::memcpy(&v, &nan_bits, sizeof(v));
+        } else {
+          v = static_cast<float>(rng.NextDouble() * 2.0 - 1.0);
+        }
+      }
+      std::vector<uint64_t> want_words((n + 63) / 64, 0);
+      std::vector<uint32_t> want_values;
+      for (size_t i = 0; i < n; ++i) {
+        uint32_t bits = 0;
+        std::memcpy(&bits, &in[i], sizeof(bits));
+        if (bits == 0) continue;
+        want_words[i / 64] |= uint64_t{1} << (i % 64);
+        want_values.push_back(bits);
+      }
+      for (const KernelTable* table : tables) {
+        std::vector<uint64_t> words(want_words.size(), ~0ull);
+        ASSERT_EQ(table->nonzero_mask(in.data(), n, words.data()),
+                  want_values.size())
+            << table->name << " n=" << n << " zeros=" << zero_frac;
+        EXPECT_EQ(words, want_words) << table->name << " n=" << n;
+        // One guard slot past `count`: nothing may be written there.
+        std::vector<float> out(want_values.size() + 1);
+        const uint32_t guard = 0x12345678u;
+        std::memcpy(&out.back(), &guard, sizeof(guard));
+        table->compact(in.data(), n, want_words.data(), want_values.size(),
+                       out.data());
+        for (size_t k = 0; k < want_values.size(); ++k) {
+          uint32_t bits = 0;
+          std::memcpy(&bits, &out[k], sizeof(bits));
+          ASSERT_EQ(bits, want_values[k])
+              << table->name << " n=" << n << " zeros=" << zero_frac
+              << " k=" << k;
+        }
+        uint32_t after = 0;
+        std::memcpy(&after, &out.back(), sizeof(after));
+        EXPECT_EQ(after, guard) << table->name << " wrote past count";
       }
     }
   }

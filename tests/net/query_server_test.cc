@@ -9,7 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <future>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -415,12 +418,70 @@ TEST(QueryServerTest, StreamingQlQuery) {
   EXPECT_TRUE(final_matches);
 }
 
+/// A gate that holds a service worker inside a blocker query's progress
+/// sink until Open(). Shared with the sink, which may still run after a
+/// test body returns early.
+struct WorkerGate {
+  std::promise<void> open;
+  std::shared_future<void> opened = open.get_future().share();
+  std::promise<void> held;
+  std::atomic<bool> holding{false};
+  std::atomic<bool> is_open{false};
+
+  void Open() {
+    if (!is_open.exchange(true)) open.set_value();
+  }
+};
+
+/// Opens the gate on every exit path. Declared after the fixture, it runs
+/// before the service shuts down, so a failed assertion never leaves the
+/// worker blocked.
+struct OpenOnExit {
+  std::shared_ptr<WorkerGate> gate;
+  ~OpenOnExit() { gate->Open(); }
+};
+
+/// Submits a blocker query whose progress sink waits on `gate`, and returns
+/// once the blocker holds a worker. With a one-worker service, any query
+/// submitted afterwards stays queued — admitted and live, but not running —
+/// until the gate opens, however fast queries run.
+void HoldOnlyWorker(ServerFixture* fix, const std::shared_ptr<WorkerGate>& gate,
+                    service::Submission* blocker) {
+  ASSERT_EQ(fix->service->options().num_workers, 1);
+  std::future<void> held = gate->held.get_future();
+  core::QuerySpec spec;
+  spec.layer = fix->system->model()->activation_layers().front();
+  spec.neurons = {0, 1, 2, 3};
+  // k = every input: the blocker cannot finish in its first round, so its
+  // sink runs at least once.
+  spec.k = static_cast<int>(fix->system->dataset()->size());
+  spec.on_progress = [gate](const core::NtaProgress&) {
+    if (!gate->holding.exchange(true)) gate->held.set_value();
+    gate->opened.wait();
+    return true;
+  };
+  auto submitted = fix->service->SubmitWithControl(std::move(spec));
+  ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+  *blocker = std::move(submitted.value());
+  ASSERT_EQ(held.wait_for(std::chrono::seconds(30)), std::future_status::ready)
+      << "the blocker never reached its progress sink";
+}
+
 TEST(QueryServerTest, DisconnectCancelsStreamingQuery) {
+  // The streamed query is held in the queue until the client has gone, so
+  // it always runs after the disconnect; its slow rounds give the peer's
+  // reset time to arrive between progress writes.
   DemoSystemOptions demo_options;
-  demo_options.device_latency_scale = 8.0;  // slow: the stream outlives us
-  ServerFixture fix(demo_options);
+  demo_options.device_latency_scale = 8.0;
+  service::QueryServiceOptions service_options;
+  service_options.num_workers = 1;
+  ServerFixture fix(demo_options, service_options);
   auto client = fix.Connect();
   ASSERT_TRUE(client.ok());
+  auto gate = std::make_shared<WorkerGate>();
+  OpenOnExit open_on_exit{gate};
+  service::Submission blocker;
+  ASSERT_NO_FATAL_FAILURE(HoldOnlyWorker(&fix, gate, &blocker));
 
   int seen = 0;
   auto response = client->GetStream(
@@ -434,6 +495,7 @@ TEST(QueryServerTest, DisconnectCancelsStreamingQuery) {
   ASSERT_TRUE(response.ok());
   ASSERT_GE(seen, 1);
   EXPECT_FALSE(client->connected());
+  gate->Open();
 
   // The server notices at its next failed chunk write, flips the query's
   // context to cancelled, and NTA aborts between rounds.
@@ -884,49 +946,69 @@ TEST(QueryServerTest, ResultCarriesQueryIdAndStatsCarryStates) {
 // `accepted` event names the id, a second connection deletes it, and the
 // stream terminates with a Cancelled error event.
 TEST(QueryServerTest, DeleteCancelsLiveQueryById) {
-  DemoSystemOptions demo_options;
-  demo_options.device_latency_scale = 8.0;  // slow enough to cancel mid-run
-  ServerFixture fix(demo_options);
+  // The streamed query stays queued behind a held worker until its DELETE
+  // has landed; the gate opens only after the DELETE's reply.
+  service::QueryServiceOptions service_options;
+  service_options.num_workers = 1;
+  ServerFixture fix({}, service_options);
   auto client = fix.Connect();
   ASSERT_TRUE(client.ok());
   auto canceller = fix.Connect();
   ASSERT_TRUE(canceller.ok());
+  auto gate = std::make_shared<WorkerGate>();
+  OpenOnExit open_on_exit{gate};
+  service::Submission blocker;
+  ASSERT_NO_FATAL_FAILURE(HoldOnlyWorker(&fix, gate, &blocker));
 
   uint64_t query_id = 0;
   std::string final_event;
+  const auto cancel_live = [&](uint64_t id) {
+    auto cancel = canceller->Request("DELETE",
+                                     "/v1/query/" + std::to_string(id));
+    ASSERT_TRUE(cancel.ok());
+    EXPECT_EQ(cancel->status, 200) << cancel->body;
+    auto body = ParseJson(cancel->body);
+    ASSERT_TRUE(body.ok()) << cancel->body;
+    const JsonValue* requested = body->Find("cancel_requested");
+    ASSERT_NE(requested, nullptr) << cancel->body;
+    EXPECT_TRUE(requested->bool_value());
+  };
+  const auto on_event = [&](const std::string& line) {
+    auto event = ParseJson(line);
+    ASSERT_TRUE(event.ok()) << line;
+    const JsonValue* kind = event->Find("event");
+    ASSERT_NE(kind, nullptr) << line;
+    if (kind->string_value() == "accepted") {
+      const JsonValue* id = event->Find("query_id");
+      ASSERT_NE(id, nullptr) << line;
+      query_id = static_cast<uint64_t>(id->int_value());
+      EXPECT_GT(query_id, 0u);
+      cancel_live(query_id);
+      gate->Open();
+    } else if (kind->string_value() == "error" ||
+               kind->string_value() == "result") {
+      final_event = line;
+    }
+  };
   auto response = client->GetStream(
       "/v1/query?stream=1&kind=highest&layer=" +
           std::to_string(fix.system->model()->activation_layers().front()) +
           "&neurons=0,1,2,3&k=10",
       [&](const std::string& line) {
-        auto event = ParseJson(line);
-        EXPECT_TRUE(event.ok()) << line;
-        if (!event.ok()) return true;
-        const std::string kind = event->Find("event")->string_value();
-        if (kind == "accepted") {
-          query_id =
-              static_cast<uint64_t>(event->Find("query_id")->int_value());
-          EXPECT_GT(query_id, 0u);
-          auto cancel = canceller->Request(
-              "DELETE", "/v1/query/" + std::to_string(query_id));
-          EXPECT_TRUE(cancel.ok());
-          EXPECT_EQ(cancel->status, 200) << cancel->body;
-          auto body = ParseJson(cancel->body);
-          EXPECT_TRUE(body.ok());
-          EXPECT_TRUE(body->Find("cancel_requested")->bool_value());
-        } else if (kind == "error" || kind == "result") {
-          final_event = line;
-        }
+        on_event(line);
         return true;
       });
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   ASSERT_GT(query_id, 0u);
   auto final_json = ParseJson(final_event);
   ASSERT_TRUE(final_json.ok()) << final_event;
+  ASSERT_NE(final_json->Find("event"), nullptr) << final_event;
   EXPECT_EQ(final_json->Find("event")->string_value(), "error");
   ASSERT_NE(final_json->Find("code"), nullptr) << final_event;
   EXPECT_EQ(final_json->Find("code")->string_value(), "Cancelled");
   EXPECT_EQ(fix.service->Snapshot().cancelled, 1);
+  // The blocker itself was never cancelled and completes normally.
+  EXPECT_TRUE(blocker.result.get().ok());
 
   // Once finished the id is no longer live: a second DELETE is 404. A
   // non-numeric id is a 400, an unknown numeric id a 404.

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -132,26 +133,41 @@ TEST(StreamingProgressTest, CancelMidFlightCountsAsCancelled) {
   ASSERT_TRUE(service.ok());
 
   core::QuerySpec query = MultiRoundQuery(*(*system)->model());
-  std::mutex mu;
-  std::condition_variable cv;
-  bool first_event = false;
-  query.on_progress = [&](const core::NtaProgress&) {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      first_event = true;
+  // The first progress event holds its round until the cancel has been
+  // requested, so the query cannot finish before the cancel lands, however
+  // fast its rounds run. Shared with the sink, which may outlive an early
+  // return.
+  struct Handshake {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool first_event = false;
+    bool cancel_sent = false;
+  };
+  auto handshake = std::make_shared<Handshake>();
+  query.on_progress = [handshake](const core::NtaProgress&) {
+    std::unique_lock<std::mutex> lock(handshake->mu);
+    if (!handshake->first_event) {
+      handshake->first_event = true;
+      handshake->cv.notify_all();
+      handshake->cv.wait_for(lock, std::chrono::seconds(10),
+                             [&] { return handshake->cancel_sent; });
     }
-    cv.notify_all();
     return true;
   };
   auto submitted = (*service)->SubmitWithControl(std::move(query));
   ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
   {
-    std::unique_lock<std::mutex> lock(mu);
-    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(10),
-                            [&] { return first_event; }))
-        << "query produced no progress to cancel after";
+    std::unique_lock<std::mutex> lock(handshake->mu);
+    ASSERT_TRUE(handshake->cv.wait_for(lock, std::chrono::seconds(10), [&] {
+      return handshake->first_event;
+    })) << "query produced no progress to cancel after";
   }
   submitted->context->Cancel();
+  {
+    std::lock_guard<std::mutex> lock(handshake->mu);
+    handshake->cancel_sent = true;
+  }
+  handshake->cv.notify_all();
   auto result = submitted->result.get();
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsCancelled()) << result.status().ToString();
