@@ -151,15 +151,6 @@ int main() {
     packed7.Set(i, rng() & 0x7f);
   }
 
-  // Dequant workload: one codes matrix, decoded row by row like the store.
-  std::vector<uint8_t> codes(rows * neurons);
-  for (uint8_t& c : codes) c = static_cast<uint8_t>(rng() & 0xff);
-  std::vector<float> minv(neurons), scale(neurons);
-  for (size_t i = 0; i < neurons; ++i) {
-    minv[i] = dist(rng);
-    scale[i] = std::abs(dist(rng)) / 255.0f + 1e-6f;
-  }
-
   std::vector<Result> results;
   std::map<std::string, std::map<std::string, double>> times;  // kernel->mode
   bool parity_ok = true;
@@ -295,27 +286,6 @@ int main() {
         check_parity("pack_nonzero", BitEqualF(packed_scalar, packed));
       }
       packed.resize(row.size());
-    }
-  }
-
-  // ---- quantised row decode ----
-  std::vector<float> fout(rows * neurons), fout_scalar(rows * neurons);
-  const double dq_bytes = static_cast<double>(rows) * neurons *
-                          (sizeof(uint8_t) + sizeof(float));
-  for (size_t m = 0; m < num_modes; ++m) {
-    const KernelTable& table = GetKernelTable(modes[m]);
-    results.push_back(
-        Time("dequant_row", table.name, reps, rows * neurons, dq_bytes, [&] {
-          for (size_t r = 0; r < rows; ++r) {
-            table.dequant_row(codes.data() + r * neurons, minv.data(),
-                              scale.data(), neurons, fout.data() + r * neurons);
-          }
-        }));
-    times["dequant_row"][table.name] = results.back().best_seconds;
-    if (m == 0) {
-      fout_scalar = fout;
-    } else {
-      check_parity("dequant_row", BitEqualF(fout_scalar, fout));
     }
   }
 

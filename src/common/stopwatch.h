@@ -25,6 +25,22 @@ class Stopwatch {
   Clock::time_point start_;
 };
 
+/// \brief Adds the wall time of its scope to `*acc` on every exit path. The
+/// resumable executions charge each Step with it, so `wall_seconds` covers
+/// exactly the time spent stepping — parked intervals between Step calls
+/// cost a query nothing.
+class ActiveTimeCharge {
+ public:
+  explicit ActiveTimeCharge(double* acc) : acc_(acc) {}
+  ~ActiveTimeCharge() { *acc_ += watch_.ElapsedSeconds(); }
+  ActiveTimeCharge(const ActiveTimeCharge&) = delete;
+  ActiveTimeCharge& operator=(const ActiveTimeCharge&) = delete;
+
+ private:
+  Stopwatch watch_;
+  double* acc_;
+};
+
 }  // namespace deepeverest
 
 #endif  // DEEPEVEREST_COMMON_STOPWATCH_H_

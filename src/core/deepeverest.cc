@@ -103,47 +103,6 @@ uint64_t DeepEverest::FullMaterializationBytes() const {
          4;
 }
 
-namespace {
-
-// Validated before the index ensure: the §4.6 fresh-scan path reads
-// activation rows with unchecked indexing (NtaEngine re-validates on its own
-// path, but by then an out-of-range neuron would already have been scanned).
-Status ValidateGroup(const nn::Model& model, const NeuronGroup& group) {
-  if (group.neurons.empty()) {
-    return Status::InvalidArgument("neuron group is empty");
-  }
-  if (group.layer < 0 || group.layer >= model.num_layers()) {
-    return Status::OutOfRange("layer " + std::to_string(group.layer) +
-                              " out of range");
-  }
-  const int64_t layer_neurons = model.NeuronCount(group.layer);
-  for (int64_t n : group.neurons) {
-    if (n < 0 || n >= layer_neurons) {
-      return Status::OutOfRange("neuron " + std::to_string(n) +
-                                " out of range for layer " +
-                                std::to_string(group.layer));
-    }
-  }
-  return Status::OK();
-}
-
-/// Charges a Step's wall time to the execution's active-time accumulator on
-/// every exit path (mirrors NtaExecution's accounting: parked time between
-/// Step calls costs the query nothing).
-class ActiveTimeCharge {
- public:
-  explicit ActiveTimeCharge(double* acc) : acc_(acc) {}
-  ~ActiveTimeCharge() { *acc_ += watch_.ElapsedSeconds(); }
-  ActiveTimeCharge(const ActiveTimeCharge&) = delete;
-  ActiveTimeCharge& operator=(const ActiveTimeCharge&) = delete;
-
- private:
-  Stopwatch watch_;
-  double* acc_;
-};
-
-}  // namespace
-
 /// Whole-query phase machine. Coarse phases (resolution, index ensure) run
 /// as single steps; the NTA phase delegates one round per Step to the inner
 /// NtaExecution. Everything needed to continue after a park — the resolved
@@ -214,7 +173,10 @@ struct QueryExecution::Impl {
   }
 
   Status StepEnsureIndex() {
-    DE_RETURN_NOT_OK(ValidateGroup(system->inference()->model(), group));
+    // Validated before the index ensure: the §4.6 fresh-scan path reads
+    // activation rows with unchecked indexing.
+    DE_RETURN_NOT_OK(
+        ValidateNeuronGroup(system->inference()->model(), group));
     const bool has_target_id =
         spec.kind == QuerySpec::Kind::kMostSimilar && spec.target_id >= 0;
     if (has_target_id && static_cast<uint64_t>(spec.target_id) >=
@@ -363,14 +325,6 @@ Status QueryExecution::Step() {
     im.phase = Impl::Phase::kDone;
   }
   return s;
-}
-
-Status QueryExecution::RunUntil(const std::function<bool()>& should_yield) {
-  while (!done()) {
-    DE_RETURN_NOT_OK(Step());
-    if (!done() && should_yield && should_yield()) return Status::OK();
-  }
-  return Status::OK();
 }
 
 Result<TopKResult> QueryExecution::Run() {

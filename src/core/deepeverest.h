@@ -82,10 +82,6 @@ class QueryExecution {
   /// True once the query finished (answer ready or terminal error).
   bool done() const;
 
-  /// Steps until done() or until `should_yield` returns true between
-  /// steps. Returns OK when yielding; otherwise the terminal status.
-  Status RunUntil(const std::function<bool()>& should_yield);
-
   /// Steps to completion and returns the final result.
   Result<TopKResult> Run();
 

@@ -15,9 +15,7 @@ namespace {
 const persist::SegmentInfo* IndexSegment(
     const persist::SnapshotManifest& manifest, int layer) {
   for (const persist::SegmentInfo& seg : manifest.segments) {
-    if (seg.layer == layer && seg.kind == persist::SegmentKind::kIndex) {
-      return &seg;
-    }
+    if (seg.layer == layer) return &seg;
   }
   return nullptr;
 }
@@ -107,7 +105,6 @@ uint32_t IndexManager::LoadCommitted(
     const persist::SnapshotManifest& manifest) {
   uint32_t loaded = 0;
   for (const persist::SegmentInfo& seg : manifest.segments) {
-    if (seg.kind != persist::SegmentKind::kIndex) continue;
     if (!IsLoaded(seg.layer)) {
       Result<LayerIndex> index = ReadCommitted(manifest, seg.layer);
       if (!index.ok()) continue;
@@ -314,7 +311,7 @@ Result<uint64_t> IndexManager::PersistedBytes() const {
   DE_RETURN_NOT_OK(manifest.status());
   uint64_t total = 0;
   for (const persist::SegmentInfo& seg : manifest->segments) {
-    if (seg.kind == persist::SegmentKind::kIndex) total += seg.bytes;
+    total += seg.bytes;
   }
   return total;
 }

@@ -55,6 +55,11 @@ class TopKSet {
 
   const std::vector<ResultEntry>& entries() const { return entries_; }
 
+  /// Whether value `a` ranks ahead of `b`, or (unless `strict`) level with it.
+  bool Beats(double a, double b, bool strict) const {
+    return Better(a, b) || (!strict && a == b);
+  }
+
  private:
   bool Better(double a, double b) const {
     return smaller_is_better_ ? a < b : a > b;
@@ -68,14 +73,6 @@ class TopKSet {
   bool smaller_is_better_;
   std::vector<ResultEntry> entries_;  // sorted best-first
 };
-
-Status ValidateOptions(const NtaOptions& options) {
-  if (options.k < 1) return Status::InvalidArgument("k must be >= 1");
-  if (!(options.theta > 0.0) || options.theta > 1.0) {
-    return Status::InvalidArgument("theta must be in (0, 1]");
-  }
-  return Status::OK();
-}
 
 /// Per-query activation state: every input this query has claimed for
 /// evaluation, with its group activations once evaluated. Flat, so a round
@@ -170,11 +167,12 @@ class RunState {
   size_t evaluated_ = 0;
 };
 
-/// Per-neuron cursor over the similarity-ordered MAI entries (§4.7.1),
-/// checkpointed between rounds.
+/// Per-neuron cursor over the MAI entries, checkpointed between rounds:
+/// similarity-ordered for most-similar queries (§4.7.1), rank order
+/// (descending activation) for highest queries.
 struct MaiCursor {
   size_t gi = 0;                // position within the group
-  std::vector<uint32_t> order;  // MAI ranks sorted by |act - s| asc
+  std::vector<uint32_t> order;  // MAI ranks by |act - s| asc; empty = ranks
   size_t next = 0;
   bool seen_highest = false;  // H_i: consumed the rank-0 (max act) entry
   double min_seen = kInf;
@@ -251,21 +249,6 @@ Status EvaluateGroup(nn::InferenceEngine* inference, const NeuronGroup& group,
   return Status::OK();
 }
 
-/// Charges a Step's wall time to the execution's active-time accumulator on
-/// every exit path, so `wall_seconds` covers exactly the time spent
-/// stepping — parked intervals between Step calls cost the query nothing.
-class ActiveTimeCharge {
- public:
-  explicit ActiveTimeCharge(double* acc) : acc_(acc) {}
-  ~ActiveTimeCharge() { *acc_ += watch_.ElapsedSeconds(); }
-  ActiveTimeCharge(const ActiveTimeCharge&) = delete;
-  ActiveTimeCharge& operator=(const ActiveTimeCharge&) = delete;
-
- private:
-  Stopwatch watch_;
-  double* acc_;
-};
-
 }  // namespace
 
 /// All checkpointed state of one NTA query. Every former loop local of the
@@ -273,19 +256,28 @@ class ActiveTimeCharge {
 /// complete checkpoint: the candidate set, the threshold inputs (MAI
 /// cursors / partition bounds), the round counter, and the IQA/receipt
 /// bookkeeping all survive a park and a cross-thread handoff.
+///
+/// Every round runs one skeleton (StepRound): claim candidates, evaluate
+/// them in one batch, update the top-k, compute the threshold, test for
+/// termination. A phase supplies only where the candidates come from and,
+/// with the query kind, which threshold rule bounds the unseen inputs:
+///  - kMai: lockstep sweeps over the MAI cursors (§4.7.1), similarity
+///    ordered for most-similar queries and in descending activation (TA
+///    sorted access) for highest queries;
+///  - kPartitions: one partition per neuron per round, in each neuron's
+///    partition order (by dPar, eq. 2, for most-similar; highest first for
+///    highest).
 struct NtaExecution::Impl {
   enum class Phase {
-    kPrologue,          // most-similar: target evaluation + cursor setup
-    kMaiRound,          // most-similar MAI fast-path round (§4.7.1)
-    kPartitionRound,    // most-similar partition round (§4.4)
-    kHighestMaiRound,   // highest phase A round: lockstep MAI descent
-    kHighestPartition,  // highest phase B round: one whole partition
+    kPrologue,    // most-similar: target evaluation + cursor setup
+    kMai,         // MAI cursor rounds
+    kPartitions,  // partition rounds (§4.4)
     kDone,
   };
 
   Impl(nn::InferenceEngine* inference_in, const LayerIndex* index_in,
        QueryContext* ctx_in, const NeuronGroup& group_in,
-       const NtaOptions& options_in, bool is_highest)
+       const NtaOptions& options_in, bool highest_in)
       : inference(inference_in),
         index(index_in),
         ctx(ctx_in),
@@ -293,11 +285,33 @@ struct NtaExecution::Impl {
         options(options_in),
         dist(options_in.dist != nullptr ? options_in.dist : L2Distance()),
         g(group_in.neurons.size()),
+        highest(highest_in),
+        use_mai(options_in.use_mai && index_in->has_mai()),
+        mai_count(index_in->mai_count()),
         start_receipt(ctx_in->receipt),
         num_partitions(index_in->num_partitions()),
         state(g),
-        top(options_in.k, /*smaller_is_better=*/!is_highest),
-        uppers(g) {}
+        top(options_in.k, /*smaller_is_better=*/!highest_in),
+        round_members(g),
+        per_neuron(g) {
+    if (!highest) return;
+    // A highest query needs no prologue. Sorted access reads every neuron's
+    // MAI first (exact values, descending), then whole partitions, highest
+    // first; the MAI already covers partition 0.
+    ord.assign(g, {});
+    for (std::vector<uint32_t>& list : ord) {
+      for (int pid = use_mai ? 1 : 0; pid < num_partitions; ++pid) {
+        list.push_back(static_cast<uint32_t>(pid));
+      }
+    }
+    if (use_mai) {
+      cursors.resize(g);
+      for (size_t gi = 0; gi < g; ++gi) cursors[gi].gi = gi;
+      phase = Phase::kMai;
+    } else {
+      EnterPartitions();
+    }
+  }
 
   // --- immutable query shape ----------------------------------------------
   nn::InferenceEngine* inference;
@@ -307,6 +321,9 @@ struct NtaExecution::Impl {
   NtaOptions options;
   DistancePtr dist;
   size_t g;
+  bool highest;
+  bool use_mai;
+  uint32_t mai_count;
   nn::InferenceReceipt start_receipt;
   int num_partitions;
   bool has_target_id = false;
@@ -322,36 +339,26 @@ struct NtaExecution::Impl {
   int64_t rounds = 0;
   bool finished = false;  // threshold met or user early stop
   bool terminated_early = false;
-  double last_threshold = 0.0;
   double active_seconds = 0.0;
 
-  // Most-similar MAI fast path (§4.7.1).
+  // MAI cursors: most-similar only for neurons whose MAI contains the
+  // target's activation, highest for every neuron (indexed by position).
   std::vector<MaiCursor> cursors;
 
-  // Most-similar partition loop (§4.4), built lazily on phase entry.
-  bool partitions_ready = false;
+  // Partition rounds (§4.4): each neuron's partition order, and for
+  // most-similar the seen activation range per neuron.
   std::vector<std::vector<uint32_t>> ord;
+  size_t partition_round = 0;  // rounds of `ord` claimed so far
+  size_t max_rounds = 0;
   std::vector<double> min_bound;
   std::vector<double> max_bound;
   std::vector<bool> seen_first;
   std::vector<bool> seen_last;
-  std::vector<std::vector<uint32_t>> round_members;
-  size_t partition_round = 0;
-  size_t max_rounds = 0;
-
-  // Highest cursors: phase A sorted-access position per neuron, phase B's
-  // next whole partition.
-  bool use_mai = false;
-  uint32_t mai_count = 0;
-  std::vector<size_t> mai_next;
-  std::vector<int> next_partition;
-  int next_pid = 0;
 
   // Scratch reused across rounds (capacity persists; contents per-round).
-  std::vector<double> min_dists;
+  std::vector<std::vector<uint32_t>> round_members;
   std::vector<double> offer_values;
-  std::vector<double> uppers;
-  std::vector<uint32_t> members;
+  std::vector<double> per_neuron;
 
   Status Evaluate() { return EvaluateGroup(inference, group, ctx, &state); }
 
@@ -362,79 +369,217 @@ struct NtaExecution::Impl {
   // once: it is claimed, and so evaluated, at most once per query. (The
   // most-similar target row is evaluated by the prologue and never
   // offered.)
-  template <typename AggregateFn>
-  void OfferNewly(AggregateFn aggregate) {
+  void OfferNewly() {
     const size_t n = state.evaluated() - offered;
     if (n == 0) return;
     offer_values.resize(n);
-    aggregate(state.rows_from(offered), n, offer_values.data());
+    const float* rows = state.rows_from(offered);
+    if (highest) {
+      dist->AggregateValuesMany(rows, g, n, g, offer_values.data());
+    } else {
+      dist->AggregateAbsDiffMany(rows, g, n, target_acts.data(), g,
+                                 offer_values.data());
+    }
     const uint32_t* ids = state.ids_from(offered);
     for (size_t r = 0; r < n; ++r) top.Offer(ids[r], offer_values[r]);
     offered = state.evaluated();
   }
 
-  void OfferNewlyMostSimilar() {
-    OfferNewly([this](const float* rows, size_t n, double* out) {
-      dist->AggregateAbsDiffMany(rows, g, n, target_acts.data(), g, out);
-    });
-  }
-
-  void OfferNewlyHighest() {
-    OfferNewly([this](const float* rows, size_t n, double* out) {
-      dist->AggregateValuesMany(rows, g, n, g, out);
-    });
-  }
-
-  void EmitProgress(double threshold) {
-    last_threshold = threshold;
-    if (finished || !ctx->on_progress) return;
+  // Eq. 4 (exact) generalised by eq. 6 (θ-approximation): the query is done
+  // once the k-th value is at least as good as the θ-relaxed threshold.
+  // Tie-complete mode requires a *strict* beat, so inputs tied with the
+  // k-th value are all evaluated (canonical-result guarantee). A round that
+  // does not finish the query reports its progress instead.
+  void CheckTermination(double t) {
+    const double kth = top.WorstValue();
+    const double bound = highest ? options.theta * t : t / options.theta;
+    if (top.full() && top.Beats(kth, bound, options.tie_complete)) {
+      finished = true;
+      terminated_early = true;
+      return;
+    }
+    if (!ctx->on_progress) return;
     NtaProgress progress;
     progress.round = rounds;
-    progress.threshold = threshold;
-    progress.kth_value = top.WorstValue();
+    progress.threshold = t;
+    progress.kth_value = kth;
     if (top.full()) {
       progress.theta_guarantee =
-          top.WorstValue() <= threshold
+          (highest && t <= 0.0) || top.Beats(kth, t, /*strict=*/false)
               ? 1.0
-              : std::min(1.0, threshold / top.WorstValue());
+              : std::min(1.0, highest ? kth / t : t / kth);
     }
     for (const ResultEntry& e : top.entries()) {
-      if (e.value <= threshold) progress.confirmed.push_back(e);
+      if (top.Beats(e.value, t, /*strict=*/false)) {
+        progress.confirmed.push_back(e);
+      }
     }
     if (!ctx->on_progress(progress)) finished = true;  // user early stop
   }
 
-  void CheckTermination(double threshold) {
-    // Eq. 4 (exact) generalised by eq. 6 (θ-approximation). Tie-complete
-    // mode requires a *strict* beat, so inputs tied with the k-th value are
-    // all evaluated (canonical-result guarantee).
-    if (!top.full()) return;
-    const double bound = threshold / options.theta;
-    const bool met = options.tie_complete ? top.WorstValue() < bound
-                                          : top.WorstValue() <= bound;
-    if (met) {
-      finished = true;
-      terminated_early = true;
+  // --- candidate sources ----------------------------------------------------
+
+  // Lockstep sweeps: each sweep consumes every cursor's next MAI entry
+  // (extending that neuron's seen range), and sweeps continue until the
+  // batch of not-yet-computed inputs reaches the batch size. Checking
+  // fullness only between sweeps keeps every neuron's boundary current —
+  // this reproduces the paper's Figure 4 trace exactly. The batch is the
+  // run state's pending rows: Claim() dedups against every input already
+  // evaluated or queued.
+  void ClaimFromMai() {
+    bool any_left = true;
+    while (static_cast<int>(state.pending()) < inference->batch_size() &&
+           any_left) {
+      any_left = false;
+      for (MaiCursor& cursor : cursors) {
+        if (cursor.next >= mai_count) continue;
+        const uint32_t rank = cursor.order.empty()
+                                  ? static_cast<uint32_t>(cursor.next)
+                                  : cursor.order[cursor.next];
+        const MaiEntry& entry =
+            index->MaiEntries(group.neurons[cursor.gi])[rank];
+        ++cursor.next;
+        if (cursor.next < mai_count) any_left = true;
+        cursor.min_seen =
+            std::min(cursor.min_seen, static_cast<double>(entry.activation));
+        cursor.max_seen =
+            std::max(cursor.max_seen, static_cast<double>(entry.activation));
+        if (rank == 0) cursor.seen_highest = true;
+        state.Claim(entry.input_id);
+      }
     }
+  }
+
+  bool MaiExhausted() const {
+    for (const MaiCursor& cursor : cursors) {
+      if (cursor.next < mai_count) return false;
+    }
+    return true;
+  }
+
+  // Step 4(a): this round's partition of every neuron; the union of their
+  // not-yet-evaluated members becomes the pending batch. Neurons may have
+  // different numbers of non-empty partitions (equi-width partitioning of
+  // skewed values leaves gaps); a neuron whose order is exhausted simply
+  // sits out later rounds.
+  void ClaimFromPartitions() {
+    const size_t c = partition_round++;
+    for (size_t gi = 0; gi < g; ++gi) {
+      round_members[gi].clear();
+      if (c >= ord[gi].size()) continue;  // neuron exhausted
+      index->GetInputIds(group.neurons[gi], ord[gi][c], &round_members[gi]);
+      for (uint32_t id : round_members[gi]) state.Claim(id);
+    }
+  }
+
+  // Enters the partition rounds. Step 3 (most-similar): order each neuron's
+  // non-empty partitions by dPar (eq. 2); a highest query's order was fixed
+  // at Begin.
+  void EnterPartitions() {
+    phase = Phase::kPartitions;
+    if (!highest) {
+      ord.assign(g, {});
+      for (size_t gi = 0; gi < g; ++gi) {
+        const int64_t neuron = group.neurons[gi];
+        const double s = target_acts[gi];
+        std::vector<std::pair<double, uint32_t>> keyed;
+        keyed.reserve(static_cast<size_t>(num_partitions));
+        for (int pid = 0; pid < num_partitions; ++pid) {
+          const double lo =
+              index->LowerBound(neuron, static_cast<uint32_t>(pid));
+          const double hi =
+              index->UpperBound(neuron, static_cast<uint32_t>(pid));
+          if (lo > hi) continue;  // empty partition
+          double d_par = 0.0;
+          if (s > hi) {
+            d_par = s - hi;
+          } else if (s < lo) {
+            d_par = lo - s;
+          }
+          keyed.emplace_back(d_par, static_cast<uint32_t>(pid));
+        }
+        std::sort(keyed.begin(), keyed.end());
+        ord[gi].reserve(keyed.size());
+        for (const auto& [d_par, pid] : keyed) ord[gi].push_back(pid);
+      }
+      min_bound.assign(g, kInf);
+      max_bound.assign(g, -kInf);
+      seen_first.assign(g, false);
+      seen_last.assign(g, false);
+    }
+    for (const auto& list : ord) max_rounds = std::max(max_rounds, list.size());
+  }
+
+  // --- threshold rules ------------------------------------------------------
+
+  // Most-similar over MAI cursors: neurons whose MAI does not contain s
+  // contribute 0; participating neurons use min(|minB - s|, H_i * |maxB - s|).
+  double MaiSimilarityThreshold() {
+    std::fill(per_neuron.begin(), per_neuron.end(), 0.0);
+    for (const MaiCursor& cursor : cursors) {
+      const double s = target_acts[cursor.gi];
+      double md = 0.0;
+      if (cursor.min_seen != kInf) {
+        const double low = std::abs(cursor.min_seen - s);
+        md = cursor.seen_highest
+                 ? low
+                 : std::min(low, std::abs(cursor.max_seen - s));
+      }
+      per_neuron[cursor.gi] = md;
+    }
+    return dist->Aggregate(per_neuron.data(), g);
+  }
+
+  // Step 4(c), most-similar over partitions: extend each neuron's contiguous
+  // seen range with the round's activations and compute the threshold from
+  // the indicator-weighted boundary distances.
+  double PartitionSimilarityThreshold() {
+    const size_t c = partition_round - 1;
+    for (size_t gi = 0; gi < g; ++gi) {
+      if (c >= ord[gi].size()) continue;  // neuron exhausted
+      for (uint32_t id : round_members[gi]) {
+        const double act = state.Row(id)[gi];
+        min_bound[gi] = std::min(min_bound[gi], act);
+        max_bound[gi] = std::max(max_bound[gi], act);
+      }
+      if (ord[gi][c] == 0) seen_first[gi] = true;
+      if (ord[gi][c] == static_cast<uint32_t>(num_partitions - 1)) {
+        seen_last[gi] = true;
+      }
+    }
+    for (size_t gi = 0; gi < g; ++gi) {
+      const double s = target_acts[gi];
+      const double low = seen_last[gi] ? kInf : std::abs(min_bound[gi] - s);
+      const double high = seen_first[gi] ? kInf : std::abs(max_bound[gi] - s);
+      per_neuron[gi] = std::min(low, high);
+    }
+    return dist->Aggregate(per_neuron.data(), g);
+  }
+
+  // Highest: the aggregate of every neuron's upper bound on an unseen
+  // input's activation (activations assumed non-negative).
+  double HighestThreshold() {
+    for (size_t gi = 0; gi < g; ++gi) {
+      per_neuron[gi] = std::max(UpperOf(gi), 0.0);
+    }
+    return dist->Aggregate(per_neuron.data(), g);
   }
 
   // The upper bound on any unseen input's activation for neuron gi: the
   // next unconsumed MAI entry, else the max upper bound over the remaining
-  // unprocessed partitions, else 0 (all inputs seen; activations assumed
-  // non-negative). Taking the max — not the first non-empty partition's
-  // bound — keeps the threshold sound even if incremental merges leave the
-  // remaining partitions only approximately ordered.
+  // unprocessed partitions, else 0 (all inputs seen). Taking the max — not
+  // the first non-empty partition's bound — keeps the threshold sound even
+  // if incremental merges leave the remaining partitions only approximately
+  // ordered.
   double UpperOf(size_t gi) const {
-    if (use_mai && mai_next[gi] < mai_count) {
-      return index->MaiEntries(group.neurons[gi])[mai_next[gi]].activation;
+    if (!cursors.empty() && cursors[gi].next < mai_count) {
+      return index->MaiEntries(group.neurons[gi])[cursors[gi].next].activation;
     }
     double best = 0.0;
     bool found = false;
-    for (int pid = next_partition[gi]; pid < num_partitions; ++pid) {
-      const double lo =
-          index->LowerBound(group.neurons[gi], static_cast<uint32_t>(pid));
-      const double hi =
-          index->UpperBound(group.neurons[gi], static_cast<uint32_t>(pid));
+    for (size_t c = partition_round; c < ord[gi].size(); ++c) {
+      const double lo = index->LowerBound(group.neurons[gi], ord[gi][c]);
+      const double hi = index->UpperBound(group.neurons[gi], ord[gi][c]);
       if (lo > hi) continue;  // empty
       if (!found || hi > best) best = hi;
       found = true;
@@ -442,38 +587,7 @@ struct NtaExecution::Impl {
     return found ? best : 0.0;
   }
 
-  void CheckAndProgressHighest() {
-    for (size_t gi = 0; gi < g; ++gi) uppers[gi] = std::max(UpperOf(gi), 0.0);
-    const double threshold = dist->Aggregate(uppers.data(), g);
-    last_threshold = threshold;
-    // Tie-complete mode requires a strict beat (see CheckTermination).
-    const double bound = options.theta * threshold;
-    const bool met = options.tie_complete ? top.WorstValue() > bound
-                                          : top.WorstValue() >= bound;
-    if (top.full() && met) {
-      finished = true;
-      terminated_early = true;
-      return;
-    }
-    if (ctx->on_progress) {
-      NtaProgress progress;
-      progress.round = rounds;
-      progress.threshold = threshold;
-      progress.kth_value = top.WorstValue();
-      if (top.full() && threshold > 0.0) {
-        progress.theta_guarantee =
-            std::min(1.0, top.WorstValue() / threshold);
-      } else if (top.full()) {
-        progress.theta_guarantee = 1.0;
-      }
-      for (const ResultEntry& e : top.entries()) {
-        if (e.value >= progress.threshold) progress.confirmed.push_back(e);
-      }
-      if (!ctx->on_progress(progress)) finished = true;
-    }
-  }
-
-  // --- step bodies: each runs one unit of work and sets the next phase ----
+  // --- steps: each runs one unit of work and sets the next phase ----------
 
   Status StepPrologue() {
     DE_RETURN_NOT_OK(ctx->CheckRunnable());
@@ -491,8 +605,7 @@ struct NtaExecution::Impl {
     }
     // MAI fast path (§4.7.1): build the similarity-ordered cursor of every
     // neuron whose MAI contains the target's activation.
-    if (options.use_mai && index->has_mai()) {
-      const uint32_t count = index->mai_count();
+    if (use_mai) {
       for (size_t gi = 0; gi < g; ++gi) {
         const int64_t neuron = group.neurons[gi];
         const float lo = index->LowerBound(neuron, 0);
@@ -501,7 +614,7 @@ struct NtaExecution::Impl {
         if (target_acts[gi] < lo) continue;  // s not in MAI(i)
         MaiCursor cursor;
         cursor.gi = gi;
-        cursor.order.resize(count);
+        cursor.order.resize(mai_count);
         std::iota(cursor.order.begin(), cursor.order.end(), 0u);
         const MaiEntry* entries = index->MaiEntries(neuron);
         const double s = target_acts[gi];
@@ -515,12 +628,20 @@ struct NtaExecution::Impl {
         cursors.push_back(std::move(cursor));
       }
     }
-    min_dists.assign(g, 0.0);
-    phase = cursors.empty() ? Phase::kPartitionRound : Phase::kMaiRound;
+    if (cursors.empty()) {
+      EnterPartitions();
+    } else {
+      phase = Phase::kMai;
+    }
     return Status::OK();
   }
 
-  Status StepMaiRound() {
+  // One NTA round (Algorithm 1, step 4), whatever the phase.
+  Status StepRound() {
+    if (phase == Phase::kPartitions && partition_round >= max_rounds) {
+      phase = Phase::kDone;  // no partition left to read
+      return Status::OK();
+    }
     // Cooperative deadline/cancellation check between rounds: an expired
     // context aborts here, within one round of the expiry — and a resumed
     // execution re-validates before doing any work.
@@ -528,250 +649,31 @@ struct NtaExecution::Impl {
     SpanScope round_span(ctx->trace.get(), "nta.round");
     const int64_t inputs_before = ctx->receipt.inputs_run;
     const int64_t hits_before = state.iqa_hits;
-    // Build a global toRun set by advancing every participating
-    // neuron's similarity-ordered cursor in lockstep sweeps: each sweep
-    // consumes the next most similar MAI entry per neuron (extending
-    // that neuron's own seen range), and sweeps continue until the
-    // batch of not-yet-computed inputs reaches the batch size. Checking
-    // fullness only between sweeps keeps every neuron's boundary
-    // current — this reproduces the paper's Figure 4 trace exactly. The
-    // batch is the run state's pending rows: Claim() dedups against every
-    // input already evaluated or queued.
-    bool any_left = true;
-    while (static_cast<int>(state.pending()) < inference->batch_size() &&
-           any_left) {
-      any_left = false;
-      for (MaiCursor& cursor : cursors) {
-        if (cursor.next >= cursor.order.size()) continue;
-        const MaiEntry* entries = index->MaiEntries(group.neurons[cursor.gi]);
-        const uint32_t rank = cursor.order[cursor.next];
-        const MaiEntry& entry = entries[rank];
-        ++cursor.next;
-        if (cursor.next < cursor.order.size()) any_left = true;
-        cursor.min_seen =
-            std::min(cursor.min_seen, static_cast<double>(entry.activation));
-        cursor.max_seen =
-            std::max(cursor.max_seen, static_cast<double>(entry.activation));
-        if (rank == 0) cursor.seen_highest = true;
-        state.Claim(entry.input_id);
-      }
+    if (phase == Phase::kMai) {
+      ClaimFromMai();
+    } else {
+      ClaimFromPartitions();
     }
-
-    const bool exhausted = [&] {
-      for (const MaiCursor& cursor : cursors) {
-        if (cursor.next < cursor.order.size()) return false;
-      }
-      return true;
-    }();
-
+    // Step 4(b): batched inference for the claimed batch, update top.
     const size_t candidates = state.pending();
     DE_RETURN_NOT_OK(Evaluate());
-    OfferNewlyMostSimilar();
+    OfferNewly();
     ++rounds;
-
-    // Threshold: neurons whose MAI does not contain s contribute 0;
-    // participating neurons use min(|minB - s|, H_i * |maxB - s|).
-    std::fill(min_dists.begin(), min_dists.end(), 0.0);
-    for (const MaiCursor& cursor : cursors) {
-      const double s = target_acts[cursor.gi];
-      double md = 0.0;
-      if (cursor.min_seen != kInf) {
-        const double low = std::abs(cursor.min_seen - s);
-        md = cursor.seen_highest
-                 ? low
-                 : std::min(low, std::abs(cursor.max_seen - s));
-      }
-      min_dists[cursor.gi] = md;
-    }
-    const double t = dist->Aggregate(min_dists.data(), g);
+    const double t = highest                 ? HighestThreshold()
+                     : phase == Phase::kMai ? MaiSimilarityThreshold()
+                                            : PartitionSimilarityThreshold();
     round_span.AddInt("round", rounds);
     round_span.AddInt("candidates", static_cast<int64_t>(candidates));
     round_span.AddInt("inputs_run", ctx->receipt.inputs_run - inputs_before);
     round_span.AddInt("iqa_hits", state.iqa_hits - hits_before);
     round_span.AddDouble("threshold", t);
     CheckTermination(t);
-    EmitProgress(t);
-    if (finished) {
+    if (finished ||
+        (phase == Phase::kPartitions && partition_round >= max_rounds)) {
       phase = Phase::kDone;
-    } else if (exhausted) {
-      phase = Phase::kPartitionRound;  // fall back to the partition loop
+    } else if (phase == Phase::kMai && MaiExhausted()) {
+      EnterPartitions();  // fall back to the partition loop
     }
-    return Status::OK();
-  }
-
-  void InitPartitions() {
-    partitions_ready = true;
-    // Step 3: order each neuron's partitions by dPar (eq. 2).
-    ord.assign(g, {});
-    for (size_t gi = 0; gi < g; ++gi) {
-      const int64_t neuron = group.neurons[gi];
-      const double s = target_acts[gi];
-      std::vector<std::pair<double, uint32_t>> keyed;
-      keyed.reserve(static_cast<size_t>(num_partitions));
-      for (int pid = 0; pid < num_partitions; ++pid) {
-        const double lo =
-            index->LowerBound(neuron, static_cast<uint32_t>(pid));
-        const double hi =
-            index->UpperBound(neuron, static_cast<uint32_t>(pid));
-        if (lo > hi) continue;  // empty partition
-        double d_par = 0.0;
-        if (s > hi) {
-          d_par = s - hi;
-        } else if (s < lo) {
-          d_par = lo - s;
-        }
-        keyed.emplace_back(d_par, static_cast<uint32_t>(pid));
-      }
-      std::sort(keyed.begin(), keyed.end());
-      ord[gi].reserve(keyed.size());
-      for (const auto& [d_par, pid] : keyed) ord[gi].push_back(pid);
-    }
-    min_bound.assign(g, kInf);
-    max_bound.assign(g, -kInf);
-    seen_first.assign(g, false);
-    seen_last.assign(g, false);
-    round_members.assign(g, {});
-    // Neurons may have different numbers of non-empty partitions (equi-width
-    // partitioning of skewed values leaves gaps); a neuron whose list is
-    // exhausted simply sits out later rounds.
-    max_rounds = 0;
-    for (const auto& list : ord) max_rounds = std::max(max_rounds, list.size());
-  }
-
-  Status StepPartitionRound() {
-    if (!partitions_ready) InitPartitions();
-    if (finished || partition_round >= max_rounds) {
-      phase = Phase::kDone;
-      return Status::OK();
-    }
-    DE_RETURN_NOT_OK(ctx->CheckRunnable());
-    SpanScope round_span(ctx->trace.get(), "nta.round");
-    const int64_t inputs_before = ctx->receipt.inputs_run;
-    const int64_t hits_before = state.iqa_hits;
-    const size_t c = partition_round;
-    // Step 4(a): gather this round's partitions; the union of their
-    // not-yet-evaluated members becomes the pending batch.
-    for (size_t gi = 0; gi < g; ++gi) {
-      round_members[gi].clear();
-      if (c >= ord[gi].size()) continue;  // neuron exhausted
-      index->GetInputIds(group.neurons[gi], ord[gi][c], &round_members[gi]);
-      for (uint32_t id : round_members[gi]) state.Claim(id);
-    }
-    // Step 4(b): batched inference for the union, update top.
-    const size_t candidates = state.pending();
-    DE_RETURN_NOT_OK(Evaluate());
-    OfferNewlyMostSimilar();
-    ++rounds;
-
-    // Step 4(c): extend each neuron's contiguous seen range and compute
-    // the threshold from the indicator-weighted boundary distances.
-    for (size_t gi = 0; gi < g; ++gi) {
-      if (c >= ord[gi].size()) continue;  // neuron exhausted
-      for (uint32_t id : round_members[gi]) {
-        const double act = state.Row(id)[gi];
-        min_bound[gi] = std::min(min_bound[gi], act);
-        max_bound[gi] = std::max(max_bound[gi], act);
-      }
-      if (ord[gi][c] == 0) seen_first[gi] = true;
-      if (ord[gi][c] == static_cast<uint32_t>(num_partitions - 1)) {
-        seen_last[gi] = true;
-      }
-    }
-    for (size_t gi = 0; gi < g; ++gi) {
-      const double s = target_acts[gi];
-      const double low = seen_last[gi] ? kInf : std::abs(min_bound[gi] - s);
-      const double high = seen_first[gi] ? kInf : std::abs(max_bound[gi] - s);
-      min_dists[gi] = std::min(low, high);
-    }
-    const double t = dist->Aggregate(min_dists.data(), g);
-    round_span.AddInt("round", rounds);
-    round_span.AddInt("candidates", static_cast<int64_t>(candidates));
-    round_span.AddInt("inputs_run", ctx->receipt.inputs_run - inputs_before);
-    round_span.AddInt("iqa_hits", state.iqa_hits - hits_before);
-    round_span.AddDouble("threshold", t);
-    CheckTermination(t);
-    EmitProgress(t);
-    ++partition_round;
-    if (finished || partition_round >= max_rounds) phase = Phase::kDone;
-    return Status::OK();
-  }
-
-  // Highest phase A: consume MAI entries globally in descending activation
-  // order (classic TA parallel sorted access).
-  Status StepHighestMaiRound() {
-    // Between-rounds deadline/cancellation check (see StepMaiRound).
-    DE_RETURN_NOT_OK(ctx->CheckRunnable());
-    SpanScope round_span(ctx->trace.get(), "nta.round");
-    const int64_t inputs_before = ctx->receipt.inputs_run;
-    const int64_t hits_before = state.iqa_hits;
-    // Lockstep sorted access: each sweep consumes the next highest MAI
-    // entry of every neuron; sweeps continue until the batch of uncomputed
-    // inputs is full.
-    bool any_left = true;
-    while (static_cast<int>(state.pending()) < inference->batch_size() &&
-           any_left) {
-      any_left = false;
-      for (size_t gi = 0; gi < g; ++gi) {
-        if (mai_next[gi] >= mai_count) continue;
-        const MaiEntry& entry =
-            index->MaiEntries(group.neurons[gi])[mai_next[gi]];
-        ++mai_next[gi];
-        if (mai_next[gi] < mai_count) any_left = true;
-        state.Claim(entry.input_id);
-      }
-    }
-    bool exhausted = true;
-    for (size_t gi = 0; gi < g; ++gi) {
-      if (mai_next[gi] < mai_count) exhausted = false;
-    }
-    const size_t candidates = state.pending();
-    DE_RETURN_NOT_OK(Evaluate());
-    OfferNewlyHighest();
-    ++rounds;
-    CheckAndProgressHighest();
-    round_span.AddInt("round", rounds);
-    round_span.AddInt("candidates", static_cast<int64_t>(candidates));
-    round_span.AddInt("inputs_run", ctx->receipt.inputs_run - inputs_before);
-    round_span.AddInt("iqa_hits", state.iqa_hits - hits_before);
-    round_span.AddDouble("threshold", last_threshold);
-    if (finished) {
-      phase = Phase::kDone;
-    } else if (exhausted) {
-      phase = Phase::kHighestPartition;
-    }
-    return Status::OK();
-  }
-
-  // Highest phase B: whole partitions, highest first.
-  Status StepHighestPartitionRound() {
-    if (finished || next_pid >= num_partitions) {
-      phase = Phase::kDone;
-      return Status::OK();
-    }
-    DE_RETURN_NOT_OK(ctx->CheckRunnable());
-    SpanScope round_span(ctx->trace.get(), "nta.round");
-    const int64_t inputs_before = ctx->receipt.inputs_run;
-    const int64_t hits_before = state.iqa_hits;
-    const int pid = next_pid;
-    for (size_t gi = 0; gi < g; ++gi) {
-      members.clear();
-      index->GetInputIds(group.neurons[gi], static_cast<uint32_t>(pid),
-                         &members);
-      for (uint32_t id : members) state.Claim(id);
-      next_partition[gi] = pid + 1;
-    }
-    const size_t candidates = state.pending();
-    DE_RETURN_NOT_OK(Evaluate());
-    OfferNewlyHighest();
-    ++rounds;
-    CheckAndProgressHighest();
-    round_span.AddInt("round", rounds);
-    round_span.AddInt("candidates", static_cast<int64_t>(candidates));
-    round_span.AddInt("inputs_run", ctx->receipt.inputs_run - inputs_before);
-    round_span.AddInt("iqa_hits", state.iqa_hits - hits_before);
-    round_span.AddDouble("threshold", last_threshold);
-    ++next_pid;
-    if (finished || next_pid >= num_partitions) phase = Phase::kDone;
     return Status::OK();
   }
 };
@@ -787,40 +689,14 @@ Status NtaExecution::Step() {
   Impl& im = *impl_;
   if (im.phase == Impl::Phase::kDone) return im.error;
   ActiveTimeCharge charge(&im.active_seconds);
-  Status s = Status::OK();
-  switch (im.phase) {
-    case Impl::Phase::kPrologue:
-      s = im.StepPrologue();
-      break;
-    case Impl::Phase::kMaiRound:
-      s = im.StepMaiRound();
-      break;
-    case Impl::Phase::kPartitionRound:
-      s = im.StepPartitionRound();
-      break;
-    case Impl::Phase::kHighestMaiRound:
-      s = im.StepHighestMaiRound();
-      break;
-    case Impl::Phase::kHighestPartition:
-      s = im.StepHighestPartitionRound();
-      break;
-    case Impl::Phase::kDone:
-      break;
-  }
+  const Status s =
+      im.phase == Impl::Phase::kPrologue ? im.StepPrologue() : im.StepRound();
   if (!s.ok()) {
     // A failed step finishes the execution; TakeResult() reports the error.
     im.error = s;
     im.phase = Impl::Phase::kDone;
   }
   return s;
-}
-
-Status NtaExecution::RunUntil(const std::function<bool()>& should_yield) {
-  while (!done()) {
-    DE_RETURN_NOT_OK(Step());
-    if (!done() && should_yield && should_yield()) return Status::OK();
-  }
-  return Status::OK();
 }
 
 Result<TopKResult> NtaExecution::Run() {
@@ -856,14 +732,30 @@ Result<TopKResult> NtaExecution::TakeResult() {
   return result;
 }
 
-Status NtaEngine::ValidateGroup(const NeuronGroup& group) const {
+Status ValidateNeuronGroup(const nn::Model& model, const NeuronGroup& group) {
   if (group.neurons.empty()) {
     return Status::InvalidArgument("neuron group is empty");
   }
-  if (group.layer < 0 || group.layer >= inference_->model().num_layers()) {
+  if (group.layer < 0 || group.layer >= model.num_layers()) {
     return Status::OutOfRange("layer " + std::to_string(group.layer) +
                               " out of range");
   }
+  const int64_t layer_neurons = model.NeuronCount(group.layer);
+  for (int64_t n : group.neurons) {
+    if (n < 0 || n >= layer_neurons) {
+      return Status::OutOfRange("neuron " + std::to_string(n) +
+                                " out of range for layer " +
+                                std::to_string(group.layer));
+    }
+  }
+  return Status::OK();
+}
+
+Result<std::unique_ptr<NtaExecution>> NtaEngine::Begin(
+    const NeuronGroup& group, const NtaOptions& options, QueryContext* ctx,
+    bool highest, const uint32_t* target_id,
+    const std::vector<float>* target_acts) {
+  DE_RETURN_NOT_OK(ValidateNeuronGroup(inference_->model(), group));
   const int64_t layer_neurons = inference_->model().NeuronCount(group.layer);
   if (layer_neurons != index_->num_neurons()) {
     return Status::FailedPrecondition(
@@ -876,74 +768,46 @@ Status NtaEngine::ValidateGroup(const NeuronGroup& group) const {
   if (index_->num_inputs() > inference_->dataset().size()) {
     return Status::FailedPrecondition("index built for a different dataset");
   }
-  for (int64_t n : group.neurons) {
-    if (n < 0 || n >= layer_neurons) {
-      return Status::OutOfRange("neuron " + std::to_string(n) +
-                                " out of range for layer " +
-                                std::to_string(group.layer));
-    }
+  if (target_id != nullptr && *target_id >= inference_->dataset().size()) {
+    return Status::OutOfRange("target input " + std::to_string(*target_id) +
+                              " out of range");
   }
-  return Status::OK();
+  if (target_acts != nullptr && target_acts->size() != group.neurons.size()) {
+    return Status::InvalidArgument("target activation count mismatch");
+  }
+  if (options.k < 1) return Status::InvalidArgument("k must be >= 1");
+  if (!(options.theta > 0.0) || options.theta > 1.0) {
+    return Status::InvalidArgument("theta must be in (0, 1]");
+  }
+  if (ctx == nullptr) {
+    return Status::InvalidArgument(
+        "a QueryContext is required to begin an execution");
+  }
+  std::unique_ptr<NtaExecution::Impl> impl(new NtaExecution::Impl(
+      inference_, index_, ctx, group, options, highest));
+  if (target_id != nullptr) {
+    impl->has_target_id = true;
+    impl->target_id = *target_id;
+  }
+  if (target_acts != nullptr) impl->target_acts = *target_acts;
+  return std::unique_ptr<NtaExecution>(new NtaExecution(std::move(impl)));
 }
 
 Result<std::unique_ptr<NtaExecution>> NtaEngine::BeginMostSimilarTo(
     const NeuronGroup& group, uint32_t target_id, const NtaOptions& options,
     QueryContext* ctx) {
-  DE_RETURN_NOT_OK(ValidateGroup(group));
-  if (target_id >= inference_->dataset().size()) {
-    return Status::OutOfRange("target input " + std::to_string(target_id) +
-                              " out of range");
-  }
-  DE_RETURN_NOT_OK(ValidateOptions(options));
-  if (ctx == nullptr) {
-    return Status::InvalidArgument(
-        "a QueryContext is required to begin an execution");
-  }
-  std::unique_ptr<NtaExecution::Impl> impl(new NtaExecution::Impl(
-      inference_, index_, ctx, group, options, /*is_highest=*/false));
-  impl->has_target_id = true;
-  impl->target_id = target_id;
-  return std::unique_ptr<NtaExecution>(new NtaExecution(std::move(impl)));
+  return Begin(group, options, ctx, /*highest=*/false, &target_id, nullptr);
 }
 
 Result<std::unique_ptr<NtaExecution>> NtaEngine::BeginMostSimilar(
     const NeuronGroup& group, const std::vector<float>& target_acts,
     const NtaOptions& options, QueryContext* ctx) {
-  DE_RETURN_NOT_OK(ValidateGroup(group));
-  if (target_acts.size() != group.neurons.size()) {
-    return Status::InvalidArgument("target activation count mismatch");
-  }
-  DE_RETURN_NOT_OK(ValidateOptions(options));
-  if (ctx == nullptr) {
-    return Status::InvalidArgument(
-        "a QueryContext is required to begin an execution");
-  }
-  std::unique_ptr<NtaExecution::Impl> impl(new NtaExecution::Impl(
-      inference_, index_, ctx, group, options, /*is_highest=*/false));
-  impl->target_acts = target_acts;
-  return std::unique_ptr<NtaExecution>(new NtaExecution(std::move(impl)));
+  return Begin(group, options, ctx, /*highest=*/false, nullptr, &target_acts);
 }
 
 Result<std::unique_ptr<NtaExecution>> NtaEngine::BeginHighest(
     const NeuronGroup& group, const NtaOptions& options, QueryContext* ctx) {
-  DE_RETURN_NOT_OK(ValidateGroup(group));
-  DE_RETURN_NOT_OK(ValidateOptions(options));
-  if (ctx == nullptr) {
-    return Status::InvalidArgument(
-        "a QueryContext is required to begin an execution");
-  }
-  std::unique_ptr<NtaExecution::Impl> impl(new NtaExecution::Impl(
-      inference_, index_, ctx, group, options, /*is_highest=*/true));
-  // Per-neuron sorted access position: MAI entries consumed first (exact
-  // values, descending), then whole partitions.
-  impl->use_mai = options.use_mai && index_->has_mai();
-  impl->mai_count = index_->mai_count();
-  impl->mai_next.assign(impl->g, 0);
-  impl->next_partition.assign(impl->g, impl->use_mai ? 1 : 0);
-  impl->next_pid = impl->use_mai ? 1 : 0;
-  impl->phase = impl->use_mai ? NtaExecution::Impl::Phase::kHighestMaiRound
-                              : NtaExecution::Impl::Phase::kHighestPartition;
-  return std::unique_ptr<NtaExecution>(new NtaExecution(std::move(impl)));
+  return Begin(group, options, ctx, /*highest=*/true, nullptr, nullptr);
 }
 
 Result<TopKResult> NtaEngine::MostSimilarTo(const NeuronGroup& group,

@@ -1,7 +1,6 @@
 #ifndef DEEPEVEREST_CORE_NTA_H_
 #define DEEPEVEREST_CORE_NTA_H_
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -44,6 +43,11 @@ struct NtaOptions {
   bool tie_complete = false;
 };
 
+/// Checks `group` against the model: non-empty, an existing layer, every
+/// neuron inside that layer. DeepEverest runs it before the fresh-scan path
+/// reads activation rows unchecked; NtaEngine adds its index-shape checks.
+Status ValidateNeuronGroup(const nn::Model& model, const NeuronGroup& group);
+
 class NtaEngine;
 
 /// \brief One in-flight NTA query as a first-class, resumable object: the
@@ -82,10 +86,6 @@ class NtaExecution {
   /// True once the query finished — answer complete, early-terminated,
   /// stopped by the progress sink, or failed.
   bool done() const;
-
-  /// Steps until done() or until `should_yield` returns true between
-  /// rounds. Returns OK when yielding; otherwise the terminal status.
-  Status RunUntil(const std::function<bool()>& should_yield);
 
   /// Steps to completion and returns the final result.
   Result<TopKResult> Run();
@@ -167,7 +167,13 @@ class NtaEngine {
                              QueryContext* ctx = nullptr);
 
  private:
-  Status ValidateGroup(const NeuronGroup& group) const;
+  /// The one validate-and-construct path behind every Begin*(): a highest
+  /// query has no target, a most-similar query exactly one of `target_id`
+  /// and `target_acts`.
+  Result<std::unique_ptr<NtaExecution>> Begin(
+      const NeuronGroup& group, const NtaOptions& options, QueryContext* ctx,
+      bool highest, const uint32_t* target_id,
+      const std::vector<float>* target_acts);
 
   nn::InferenceEngine* inference_;
   const LayerIndex* index_;

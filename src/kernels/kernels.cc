@@ -89,7 +89,6 @@ constexpr KernelTable kScalarTable = {
     internal::SelectEqScalar,
     internal::NonZeroMaskScalar,
     internal::CompactScalar,
-    internal::DequantRowScalar,
     "scalar",
 };
 

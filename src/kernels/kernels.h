@@ -11,9 +11,8 @@ namespace kernels {
 ///
 /// Everything on a per-candidate path — batched distance aggregation over
 /// row blocks, bulk bit-unpacking and selection of NPI partition ids,
-/// zero-dropping of IQA rows, 8-bit dequantisation — runs through one
-/// KernelTable of plain function
-/// pointers. Two tables exist: a portable scalar one and an AVX2 one
+/// zero-dropping of IQA rows — runs through one KernelTable of plain
+/// function pointers. Two tables exist: a portable scalar one and an AVX2 one
 /// (compiled in its own translation unit with -mavx2 -ffp-contract=off).
 /// Which table serves the process is decided exactly once, on first use,
 /// from cpuid plus the DEEPEVEREST_KERNELS environment override; after that
@@ -83,10 +82,6 @@ struct KernelTable {
   /// `out`.
   using CompactFn = void (*)(const float* in, size_t n, const uint64_t* words,
                              size_t count, float* out);
-  /// out[i] = min_value[i] + scale[i] * codes[i]: one quantised row decoded
-  /// against the per-neuron ranges (QuantizedActivationMatrix layout).
-  using DequantRowFn = void (*)(const uint8_t* codes, const float* min_value,
-                                const float* scale, size_t n, float* out);
 
   AbsDiffAggFn abs_diff_agg[kNumAggKinds];
   ValueAggFn value_agg[kNumAggKinds];
@@ -94,7 +89,6 @@ struct KernelTable {
   SelectEqFn select_eq;
   NonZeroMaskFn nonzero_mask;
   CompactFn compact;
-  DequantRowFn dequant_row;
   const char* name;
 };
 

@@ -508,29 +508,6 @@ void CompactAvx2(const float* in, size_t n, const uint64_t* words,
   internal::CompactFromScalar(in, n, words, i, out + k);
 }
 
-// ---------------------------------------------------------------------------
-// Quantised row decode: zero-extend 8 codes, convert, multiply by the
-// per-neuron scale, add the per-neuron min. vmulps/vaddps are the same IEEE
-// single-precision ops the scalar body uses, so decode is bit-identical.
-// ---------------------------------------------------------------------------
-
-void DequantRowAvx2(const uint8_t* codes, const float* min_value,
-                    const float* scale, size_t n, float* out) {
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m128i bytes =
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(codes + i));
-    const __m256 f = _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(bytes));
-    const __m256 scaled = _mm256_mul_ps(_mm256_loadu_ps(scale + i), f);
-    _mm256_storeu_ps(out + i,
-                     _mm256_add_ps(_mm256_loadu_ps(min_value + i), scaled));
-  }
-  if (i < n) {
-    internal::DequantRowScalar(codes + i, min_value + i, scale + i, n - i,
-                               out + i);
-  }
-}
-
 constexpr KernelTable kAvx2Table = {
     {AbsDiffAggL1Avx2, AbsDiffAggL2Avx2, AbsDiffAggLInfAvx2,
      AbsDiffAggWL2Avx2},
@@ -539,7 +516,6 @@ constexpr KernelTable kAvx2Table = {
     SelectEqAvx2,
     NonZeroMaskAvx2,
     CompactAvx2,
-    DequantRowAvx2,
     "avx2",
 };
 

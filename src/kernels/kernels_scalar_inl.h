@@ -187,13 +187,6 @@ inline void CompactScalar(const float* in, size_t n, const uint64_t* words,
   CompactFromScalar(in, n, words, 0, out);
 }
 
-inline void DequantRowScalar(const uint8_t* codes, const float* min_value,
-                             const float* scale, size_t n, float* out) {
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = min_value[i] + scale[i] * static_cast<float>(codes[i]);
-  }
-}
-
 }  // namespace internal
 }  // namespace kernels
 }  // namespace deepeverest

@@ -108,7 +108,7 @@ Result<SnapshotManifest> ReadManifest(storage::FileStore* store,
     DE_RETURN_NOT_OK(reader.ReadU32(&seg.crc));
     DE_RETURN_NOT_OK(reader.ReadU32(&seg.watermark));
     seg.layer = layer;
-    if (kind > static_cast<uint8_t>(SegmentKind::kQuantizedActs)) {
+    if (kind != static_cast<uint8_t>(SegmentKind::kIndex)) {
       return Status::IOError("unknown snapshot segment kind " +
                              std::to_string(kind));
     }

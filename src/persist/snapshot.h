@@ -15,11 +15,11 @@
 namespace deepeverest {
 namespace persist {
 
-/// What a snapshot segment holds. Today only serialized NPI/MAI index state;
-/// the kind byte keeps the format open for quantized-activation segments.
+/// What a snapshot segment holds: serialized NPI/MAI index state, the only
+/// kind. The manifest keeps a kind byte per segment so the format can grow
+/// another; a manifest naming any other kind fails to load.
 enum class SegmentKind : uint8_t {
   kIndex = 0,
-  kQuantizedActs = 1,
 };
 
 /// One per-layer segment as recorded in the manifest.

@@ -132,31 +132,6 @@ TEST(NtaExecutionTest, BeginRequiresContext) {
   EXPECT_EQ(begun.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(NtaExecutionTest, RunUntilSlicesThenRunFinishes) {
-  TinySystem sys(60, 37, /*batch_size=*/8);
-  const int layer = sys.model->activation_layers()[1];
-  auto index = BuildIndexFor(sys.engine.get(), layer, LayerIndexConfig{4, 0.2});
-  ASSERT_TRUE(index.ok());
-  const NeuronGroup group{layer, {0, 4}};
-
-  NtaEngine nta(sys.engine.get(), &index.value());
-  const auto reference = nta.MostSimilarTo(group, 3, ExactOptions(8));
-  ASSERT_TRUE(reference.ok());
-
-  QueryContext ctx;
-  auto begun = nta.BeginMostSimilarTo(group, 3, ExactOptions(8), &ctx);
-  ASSERT_TRUE(begun.ok());
-  // Time-sliced: run at most two steps per "episode", as a preemptive
-  // scheduler would between parks.
-  while (!(*begun)->done()) {
-    int budget = 2;
-    DE_ASSERT_OK((*begun)->RunUntil([&budget] { return --budget < 0; }));
-  }
-  auto sliced = (*begun)->TakeResult();
-  ASSERT_TRUE(sliced.ok());
-  ExpectIdentical(reference.value(), sliced.value());
-}
-
 TEST(NtaExecutionTest, StepsSplitAcrossThreadsAreBitIdentical) {
   // The park/resume ownership handoff in miniature: each step runs on a
   // fresh thread (strictly serialized, as the service's mutex serializes

@@ -75,7 +75,6 @@ TEST(KernelDispatchTest, ScalarTableAlwaysAvailable) {
   EXPECT_NE(table.select_eq, nullptr);
   EXPECT_NE(table.nonzero_mask, nullptr);
   EXPECT_NE(table.compact, nullptr);
-  EXPECT_NE(table.dequant_row, nullptr);
 }
 
 }  // namespace

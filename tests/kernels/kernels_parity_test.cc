@@ -334,32 +334,6 @@ TEST(KernelsNonZeroTest, MaskAndCompactMatchReference) {
   }
 }
 
-TEST_F(KernelsParityTest, DequantRowAllLengths) {
-  const KernelTable& scalar = GetKernelTable(DispatchMode::kScalar);
-  const KernelTable& avx2 = GetKernelTable(DispatchMode::kAvx2);
-  Rng rng(31);
-  for (const size_t n : kLengths) {
-    std::vector<uint8_t> codes(n);
-    std::vector<float> minv(n);
-    std::vector<float> scale(n);
-    for (size_t i = 0; i < n; ++i) {
-      codes[i] = static_cast<uint8_t>(rng.NextUint64() & 0xff);
-      minv[i] = static_cast<float>(rng.NextDouble() * 4.0 - 2.0);
-      scale[i] = static_cast<float>(rng.NextDouble() / 255.0);
-    }
-    std::vector<float> out_scalar(n);
-    std::vector<float> out_avx2(n);
-    scalar.dequant_row(codes.data(), minv.data(), scale.data(), n,
-                       out_scalar.data());
-    avx2.dequant_row(codes.data(), minv.data(), scale.data(), n,
-                     out_avx2.data());
-    EXPECT_EQ(std::memcmp(out_scalar.data(), out_avx2.data(),
-                          n * sizeof(float)),
-              0)
-        << "n=" << n;
-  }
-}
-
 }  // namespace
 }  // namespace kernels
 }  // namespace deepeverest

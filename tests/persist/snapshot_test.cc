@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "persist/format.h"
 #include "testing/test_util.h"
 
 namespace deepeverest {
@@ -189,6 +190,32 @@ TEST(SnapshotTest, BitFlippedManifestFailsLoad) {
   const std::string path = store->root() + "/" + ManifestKeyFor("m");
   const auto size = std::filesystem::file_size(path);
   FlipByteAt(path, static_cast<size_t>(size) / 2);
+  EXPECT_FALSE(LoadSnapshot(&store.value(), "m").ok());
+}
+
+TEST(SnapshotTest, UnknownSegmentKindFailsLoad) {
+  TempDir dir("snap-kind");
+  auto store = storage::FileStore::Open(dir.path());
+  ASSERT_TRUE(store.ok());
+  DE_ASSERT_OK(WriteState(&store.value(), 20));
+  const std::string key = ManifestKeyFor("m");
+  auto blob = store->Read(key);
+  ASSERT_TRUE(blob.ok());
+  auto payload = UnwrapChecksum(blob.value(), "manifest");
+  ASSERT_TRUE(payload.ok());
+  // The first segment's kind byte follows magic, version, generation, the
+  // model and dataset strings ("m", "d": u64 length + 1 byte each), the
+  // dataset size, the creation time, the segment count and its layer.
+  const size_t kind_at = 4 + 4 + 4 + 9 + 9 + 4 + 8 + 4 + 4;
+  ASSERT_EQ(payload->at(kind_at), 0u);  // SegmentKind::kIndex
+  payload->at(kind_at) = 1;  // no segment kind has this value
+  DE_ASSERT_OK(store->Write(key, WrapChecksum(payload.value()), true));
+  const auto manifest = ReadManifest(&store.value(), "m");
+  ASSERT_FALSE(manifest.ok());
+  EXPECT_EQ(manifest.status().code(), StatusCode::kIOError);
+  EXPECT_NE(manifest.status().message().find("segment kind 1"),
+            std::string::npos)
+      << manifest.status().ToString();
   EXPECT_FALSE(LoadSnapshot(&store.value(), "m").ok());
 }
 
