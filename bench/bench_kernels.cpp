@@ -11,7 +11,9 @@
 // Exit status: 0 on success, 1 on any parity mismatch (CI fails the smoke).
 //
 // The bulk-unpack and fused-select rows run over one packed array of
-// DE_BENCH_KERNEL_COUNT values and report values/s.
+// DE_BENCH_KERNEL_COUNT values and report values/s. The conv2d_hwc rows run
+// each MiniVgg convolution shape (3x3 kernel) over a batch of 64 images and
+// report multiply-accumulates/s.
 //
 // Env knobs (the default block is L2-cache-resident on purpose: NTA rounds
 // feed the aggregation kernels blocks bounded by the inference batch size,
@@ -57,6 +59,9 @@ size_t EnvSize(const char* name, size_t fallback) {
   return static_cast<size_t>(parsed);
 }
 
+/// Images per timed conv2d_hwc call: one inference batch.
+constexpr size_t kConvBatch = 64;
+
 double NowSeconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -66,7 +71,7 @@ double NowSeconds() {
 struct Result {
   std::string kernel;
   std::string mode;
-  double items_per_s = 0.0;  // rows/s for agg kernels, values/s otherwise
+  double items_per_s = 0.0;  // rows/s for agg, MAC/s for conv, else values/s
   double gb_per_s = 0.0;     // (bytes read + bytes written) / best time
   double best_seconds = 0.0;
 };
@@ -286,6 +291,57 @@ int main() {
         check_parity("pack_nonzero", BitEqualF(packed_scalar, packed));
       }
       packed.resize(row.size());
+    }
+  }
+
+  // ---- convolution: the four MiniVgg conv layers, one batch of images ----
+  {
+    struct ConvShape {
+      size_t height, width, in_channels, out_channels;
+    };
+    const ConvShape conv_shapes[] = {
+        {32, 32, 3, 8}, {16, 16, 8, 12}, {8, 8, 12, 16}, {4, 4, 16, 24}};
+    const size_t kernel = 3;
+    for (const ConvShape& cs : conv_shapes) {
+      const size_t in_size = cs.height * cs.width * cs.in_channels;
+      const size_t out_size = cs.height * cs.width * cs.out_channels;
+      // Post-ReLU-like inputs: non-negative, about half exact zeros.
+      std::vector<float> images(kConvBatch * in_size);
+      for (float& v : images) v = (rng() & 1) != 0 ? 0.0f : std::abs(dist(rng));
+      std::vector<float> conv_weights(kernel * kernel * cs.in_channels *
+                                      cs.out_channels);
+      for (float& v : conv_weights) v = dist(rng) * 0.1f;
+      std::vector<float> bias(cs.out_channels);
+      for (float& v : bias) v = dist(rng) * 0.1f;
+      std::vector<float> conv_out(kConvBatch * out_size), conv_out_scalar;
+      const double macs = static_cast<double>(kConvBatch) * cs.height *
+                          cs.width * kernel * kernel * cs.in_channels *
+                          cs.out_channels;
+      const double conv_bytes =
+          static_cast<double>(kConvBatch) * (in_size + out_size) *
+              sizeof(float) +
+          static_cast<double>(conv_weights.size()) * sizeof(float);
+      const std::string name =
+          "conv2d_hwc_" + std::to_string(cs.height) + "x" +
+          std::to_string(cs.width) + "x" + std::to_string(cs.in_channels) +
+          "_to_" + std::to_string(cs.out_channels);
+      for (size_t m = 0; m < num_modes; ++m) {
+        const KernelTable& table = GetKernelTable(modes[m]);
+        results.push_back(Time(name, table.name, reps, macs, conv_bytes, [&] {
+          for (size_t b = 0; b < kConvBatch; ++b) {
+            table.conv2d_hwc(images.data() + b * in_size, cs.height, cs.width,
+                             cs.in_channels, conv_weights.data(), bias.data(),
+                             cs.out_channels, kernel,
+                             conv_out.data() + b * out_size);
+          }
+        }));
+        times[name][table.name] = results.back().best_seconds;
+        if (m == 0) {
+          conv_out_scalar = conv_out;
+        } else {
+          check_parity(name.c_str(), BitEqualF(conv_out_scalar, conv_out));
+        }
+      }
     }
   }
 

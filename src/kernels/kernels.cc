@@ -89,6 +89,7 @@ constexpr KernelTable kScalarTable = {
     internal::SelectEqScalar,
     internal::NonZeroMaskScalar,
     internal::CompactScalar,
+    internal::Conv2dHwcScalar,
     "scalar",
 };
 

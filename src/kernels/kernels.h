@@ -11,7 +11,8 @@ namespace kernels {
 ///
 /// Everything on a per-candidate path — batched distance aggregation over
 /// row blocks, bulk bit-unpacking and selection of NPI partition ids,
-/// zero-dropping of IQA rows — runs through one KernelTable of plain
+/// zero-dropping of IQA rows, and the convolution and dense layers of DNN
+/// inference (conv2d_hwc) — runs through one KernelTable of plain
 /// function pointers. Two tables exist: a portable scalar one and an AVX2 one
 /// (compiled in its own translation unit with -mavx2 -ffp-contract=off).
 /// Which table serves the process is decided exactly once, on first use,
@@ -23,7 +24,10 @@ namespace kernels {
 /// returns results bit-identical to the scalar table. The AVX2 aggregation
 /// kernels keep one *row per SIMD lane* and walk columns sequentially, so
 /// each row's floating-point op order matches the scalar loop exactly; FMA
-/// contraction is disabled in both kernel TUs. The seeded parity suite
+/// contraction is disabled in both kernel TUs. conv2d_hwc keeps one output
+/// channel per float lane and follows the per-output op order documented
+/// at Conv2dHwcFn, so the register blocking only changes how many outputs
+/// are in flight, not any output's sequence of ops. The seeded parity suite
 /// (tests/kernels/) pins this, which is what lets the §4.6 fresh-scan
 /// reference stay bit-equal to the service path under either dispatch mode.
 
@@ -82,6 +86,23 @@ struct KernelTable {
   /// `out`.
   using CompactFn = void (*)(const float* in, size_t n, const uint64_t* words,
                              size_t count, float* out);
+  /// Stride-1, "same"-padded 2-D convolution of one HWC image: `in` is
+  /// height x width x in_channels, `weights` is kernel x kernel x
+  /// in_channels x out_channels (row-major), `bias` has out_channels
+  /// entries and `out` receives height x width x out_channels. `kernel`
+  /// must be odd. A dense layer is the 1x1 kernel over a 1x1 image.
+  ///
+  /// Op-order contract, identical in both tables, which is what makes every
+  /// activation bit-identical across dispatch modes: each output starts
+  /// from its bias; taps are visited in (kh, kw) row-major order, and a tap
+  /// that falls outside the image is skipped, never zero-padded (a padded
+  /// tap would turn a -0.0f sum into +0.0f); within a tap, input channels
+  /// are walked in ascending order; each step is one float multiply
+  /// followed by one float add, never fused.
+  using Conv2dHwcFn = void (*)(const float* in, size_t height, size_t width,
+                               size_t in_channels, const float* weights,
+                               const float* bias, size_t out_channels,
+                               size_t kernel, float* out);
 
   AbsDiffAggFn abs_diff_agg[kNumAggKinds];
   ValueAggFn value_agg[kNumAggKinds];
@@ -89,6 +110,7 @@ struct KernelTable {
   SelectEqFn select_eq;
   NonZeroMaskFn nonzero_mask;
   CompactFn compact;
+  Conv2dHwcFn conv2d_hwc;
   const char* name;
 };
 

@@ -15,13 +15,17 @@
 //    selection (vmaxpd picks the second operand on ties, which flips the
 //    sign bit when -0.0 meets +0.0);
 //  - row tails and non-SIMD widths run the shared scalar bodies from
-//    kernels_scalar_inl.h.
+//    kernels_scalar_inl.h;
+//  - the convolution keeps one output per float lane and gives each lane
+//    the scalar op order (bias, in-bounds taps row-major, channels
+//    ascending, mul then add); channel tails are masked lanes, not scalar.
 #include "kernels/kernels.h"
 
 #if defined(__AVX2__)
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/logging.h"
@@ -508,6 +512,184 @@ void CompactAvx2(const float* in, size_t n, const uint64_t* words,
   internal::CompactFromScalar(in, n, words, i, out + k);
 }
 
+// ---------------------------------------------------------------------------
+// Convolution. Output channels are cut into chunks of up to kConvMaxVecs
+// 8-lane vectors; the last vector of a chunk is masked when the chunk ends
+// in the middle of one (the masked-out weight and bias lanes load as zero and
+// are never stored). Within a chunk, a block of P output pixels x NV vectors
+// of accumulators stays in registers for the whole reduction, and every
+// weight row is loaded once per block and reused by all P pixels.
+//
+// One lane is one output, and each lane runs exactly the scalar op order:
+// bias, in-bounds taps in (kh, kw) row-major order, input channels
+// ascending, _mm256_mul_ps then _mm256_add_ps (no FMA: the TU is built
+// with -ffp-contract=off and never calls an fmadd intrinsic). A block needs
+// its pixels to share the in-bounds tap ranges, so the image is cut into
+// regions that do: each of the `pad` border rows (and columns) on either
+// side alone, and the interior rows (columns) together. Each region's
+// pixels run in row-major order in blocks of P, and the last r < P pixels
+// in one block of r.
+// ---------------------------------------------------------------------------
+
+constexpr int kConvMaxVecs = 4;
+
+/// Pixels per block for NV accumulator vectors per pixel: P x NV
+/// accumulators plus NV weight vectors and one broadcast fit the 16 ymm
+/// registers (NV = 4 leaves the weights as memory operands).
+template <int NV>
+constexpr int ConvBlockPixels() {
+  return NV == 1 ? 8 : NV == 2 ? 6 : NV == 3 ? 4 : 3;
+}
+
+struct ConvGeometry {
+  size_t in_row;      // input floats per image row: width * ic
+  size_t w_kh;        // weight floats per kh step: kernel * ic * oc
+  size_t oc;          // row stride of the weights and of the output
+  size_t span;        // (kw_hi - kw_lo) * ic: one kh step's reduction length
+  size_t kh_count;    // kh_hi - kh_lo
+  __m256i tail_mask;  // lanes of the chunk's last vector that are live
+};
+
+/// Outputs of P pixels for one chunk of NV vectors. src[p] points at pixel
+/// p's input for its first in-bounds tap (kh_lo, kw_lo) and `weights` at
+/// that tap's first weight row (already offset to the chunk's channel).
+/// For one kh, taps kw_lo .. kw_hi - 1 read one contiguous run of `span`
+/// input floats, and their weight rows are consecutive too, so (kw, i)
+/// ascending is one walk of j over that run. The pixel and vector loops are
+/// unrolled by pragma so that acc[][] and wv[] live in registers.
+template <int NV, int P>
+inline void ConvBlock(const ConvGeometry& g, const __m256 bias[NV],
+                      const float* const src[P], const float* weights,
+                      float* const dst[P]) {
+  __m256 acc[P][NV];
+#pragma GCC unroll 16
+  for (int p = 0; p < P; ++p) {
+#pragma GCC unroll 4
+    for (int k = 0; k < NV; ++k) acc[p][k] = bias[k];
+  }
+  for (size_t kh = 0; kh < g.kh_count; ++kh) {
+    const float* px[P];
+#pragma GCC unroll 16
+    for (int p = 0; p < P; ++p) px[p] = src[p] + kh * g.in_row;
+    const float* wrow = weights + kh * g.w_kh;
+    for (size_t j = 0; j < g.span; ++j, wrow += g.oc) {
+      __m256 wv[NV];
+#pragma GCC unroll 4
+      for (int k = 0; k + 1 < NV; ++k) wv[k] = _mm256_loadu_ps(wrow + 8 * k);
+      wv[NV - 1] = _mm256_maskload_ps(wrow + 8 * (NV - 1), g.tail_mask);
+#pragma GCC unroll 16
+      for (int p = 0; p < P; ++p) {
+        const __m256 v = _mm256_broadcast_ss(px[p] + j);
+#pragma GCC unroll 4
+        for (int k = 0; k < NV; ++k) {
+          acc[p][k] = _mm256_add_ps(acc[p][k], _mm256_mul_ps(v, wv[k]));
+        }
+      }
+    }
+  }
+#pragma GCC unroll 16
+  for (int p = 0; p < P; ++p) {
+#pragma GCC unroll 4
+    for (int k = 0; k + 1 < NV; ++k) {
+      _mm256_storeu_ps(dst[p] + 8 * k, acc[p][k]);
+    }
+    _mm256_maskstore_ps(dst[p] + 8 * (NV - 1), g.tail_mask, acc[p][NV - 1]);
+  }
+}
+
+/// ConvBlock over the first n (1 <= n <= P) pixels of src / dst.
+template <int NV, int P>
+inline void ConvBlockUpTo(int n, const ConvGeometry& g, const __m256 bias[NV],
+                          const float* const src[], const float* weights,
+                          float* const dst[]) {
+  if constexpr (P > 1) {
+    if (n < P) {
+      ConvBlockUpTo<NV, P - 1>(n, g, bias, src, weights, dst);
+      return;
+    }
+  }
+  ConvBlock<NV, P>(g, bias, src, weights, dst);
+}
+
+/// The whole image for one chunk of NV vectors, the last of which has
+/// `tail` (1..8) live lanes; `weights`, `bias` and `out` are already offset
+/// to the chunk's first channel. No vector crosses this function's
+/// boundary, so the compiler clears the upper ymm halves on return and the
+/// SSE code of the callers pays no AVX-SSE transition.
+template <int NV>
+void ConvChunk(const float* in, size_t height, size_t width, size_t ic,
+               const float* weights, const float* bias, size_t oc,
+               size_t kernel, int tail, float* out) {
+  constexpr int P = ConvBlockPixels<NV>();
+  const __m256i tail_mask = _mm256_cmpgt_epi32(
+      _mm256_set1_epi32(tail), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  __m256 bv[NV];
+  for (int k = 0; k + 1 < NV; ++k) bv[k] = _mm256_loadu_ps(bias + 8 * k);
+  bv[NV - 1] = _mm256_maskload_ps(bias + 8 * (NV - 1), tail_mask);
+  const size_t pad = kernel / 2;
+  // Splits [0, n) into runs whose pixels share their in-bounds tap range
+  // [lo, hi) along that axis: the border positions one by one, the
+  // interior in one run. `fn(begin, end, lo, hi)` gets each run.
+  const auto for_each_run = [pad, kernel](size_t n, auto fn) {
+    const auto tap_lo = [pad](size_t x) { return pad > x ? pad - x : 0; };
+    const auto tap_hi = [pad, kernel, n](size_t x) {
+      return std::min(kernel, n + pad - x);
+    };
+    size_t x = 0;
+    while (x < n) {
+      size_t end = x + 1;
+      while (end < n && tap_lo(end) == tap_lo(x) && tap_hi(end) == tap_hi(x)) {
+        ++end;
+      }
+      fn(x, end, tap_lo(x), tap_hi(x));
+      x = end;
+    }
+  };
+  for_each_run(height, [&](size_t h0, size_t h1, size_t kh_lo, size_t kh_hi) {
+    for_each_run(width, [&](size_t w0, size_t w1, size_t kw_lo, size_t kw_hi) {
+      ConvGeometry g;
+      g.in_row = width * ic;
+      g.w_kh = kernel * ic * oc;
+      g.oc = oc;
+      g.span = (kw_hi - kw_lo) * ic;
+      g.kh_count = kh_hi - kh_lo;
+      g.tail_mask = tail_mask;
+      const float* wstart = weights + (kh_lo * kernel + kw_lo) * ic * oc;
+      const size_t cols = w1 - w0;
+      const size_t count = (h1 - h0) * cols;
+      for (size_t first = 0; first < count; first += P) {
+        const int n = static_cast<int>(std::min<size_t>(P, count - first));
+        const float* src[P];
+        float* dst[P];
+        for (int p = 0; p < n; ++p) {
+          const size_t h = h0 + (first + p) / cols;
+          const size_t w = w0 + (first + p) % cols;
+          src[p] = in + ((h + kh_lo - pad) * width + w + kw_lo - pad) * ic;
+          dst[p] = out + (h * width + w) * oc;
+        }
+        ConvBlockUpTo<NV, P>(n, g, bv, src, wstart, dst);
+      }
+    });
+  });
+}
+
+void Conv2dHwcAvx2(const float* in, size_t height, size_t width,
+                   size_t in_channels, const float* weights, const float* bias,
+                   size_t out_channels, size_t kernel, float* out) {
+  using ChunkFn = void (*)(const float*, size_t, size_t, size_t, const float*,
+                           const float*, size_t, size_t, int, float*);
+  constexpr ChunkFn kChunkFns[kConvMaxVecs] = {ConvChunk<1>, ConvChunk<2>,
+                                               ConvChunk<3>, ConvChunk<4>};
+  const size_t chunk = 8 * kConvMaxVecs;
+  for (size_t c0 = 0; c0 < out_channels; c0 += chunk) {
+    const size_t live = std::min(chunk, out_channels - c0);
+    const size_t nv = (live + 7) / 8;
+    kChunkFns[nv - 1](in, height, width, in_channels, weights + c0, bias + c0,
+                      out_channels, kernel,
+                      static_cast<int>(live - 8 * (nv - 1)), out + c0);
+  }
+}
+
 constexpr KernelTable kAvx2Table = {
     {AbsDiffAggL1Avx2, AbsDiffAggL2Avx2, AbsDiffAggLInfAvx2,
      AbsDiffAggWL2Avx2},
@@ -516,6 +698,7 @@ constexpr KernelTable kAvx2Table = {
     SelectEqAvx2,
     NonZeroMaskAvx2,
     CompactAvx2,
+    Conv2dHwcAvx2,
     "avx2",
 };
 

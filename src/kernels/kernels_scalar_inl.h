@@ -169,8 +169,9 @@ inline size_t NonZeroMaskScalar(const float* in, size_t n, uint64_t* words) {
 
 /// Copies the set-bit values of in[begin, n) to out; `begin` need not be
 /// word-aligned. Returns how many it copied.
-inline size_t CompactFromScalar(const float* in, size_t n, const uint64_t* words,
-                                size_t begin, float* out) {
+inline size_t CompactFromScalar(const float* in, size_t n,
+                                const uint64_t* words, size_t begin,
+                                float* out) {
   size_t k = 0;
   for (size_t w = begin / 64; w * 64 < n; ++w) {
     uint64_t bits = words[w];
@@ -185,6 +186,40 @@ inline size_t CompactFromScalar(const float* in, size_t n, const uint64_t* words
 inline void CompactScalar(const float* in, size_t n, const uint64_t* words,
                           size_t /*count*/, float* out) {
   CompactFromScalar(in, n, words, 0, out);
+}
+
+/// One output pixel at a time, in the canonical op order (see
+/// KernelTable::Conv2dHwcFn): bias, then the in-bounds taps [lo, hi) in
+/// (kh, kw) row-major order, input channels ascending, one multiply then
+/// one add per step.
+inline void Conv2dHwcScalar(const float* in, size_t height, size_t width,
+                            size_t in_channels, const float* weights,
+                            const float* bias, size_t out_channels,
+                            size_t kernel, float* out) {
+  const size_t pad = kernel / 2;
+  const size_t ic = in_channels;
+  const size_t oc = out_channels;
+  for (size_t h = 0; h < height; ++h) {
+    const size_t kh_lo = pad > h ? pad - h : 0;
+    const size_t kh_hi = std::min(kernel, height + pad - h);
+    for (size_t w = 0; w < width; ++w) {
+      const size_t kw_lo = pad > w ? pad - w : 0;
+      const size_t kw_hi = std::min(kernel, width + pad - w);
+      float* o = out + (h * width + w) * oc;
+      for (size_t c = 0; c < oc; ++c) o[c] = bias[c];
+      for (size_t kh = kh_lo; kh < kh_hi; ++kh) {
+        for (size_t kw = kw_lo; kw < kw_hi; ++kw) {
+          const float* src = in + ((h + kh - pad) * width + w + kw - pad) * ic;
+          const float* tap = weights + (kh * kernel + kw) * ic * oc;
+          for (size_t i = 0; i < ic; ++i) {
+            const float v = src[i];
+            const float* wrow = tap + i * oc;
+            for (size_t c = 0; c < oc; ++c) o[c] += v * wrow[c];
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace internal

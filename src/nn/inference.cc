@@ -13,6 +13,15 @@ Status InferenceEngine::ComputeLayer(const std::vector<uint32_t>& input_ids,
                                      std::vector<std::vector<float>>* rows,
                                      InferenceReceipt* receipt) {
   rows->clear();
+  // Every id is checked before any inference runs: a bad id anywhere in the
+  // request leaves `rows` empty and the stats and the receipt unchanged.
+  for (const uint32_t id : input_ids) {
+    if (id >= dataset_->size()) {
+      return Status::OutOfRange("inputID " + std::to_string(id) +
+                                " out of range [0, " +
+                                std::to_string(dataset_->size()) + ")");
+    }
+  }
   rows->reserve(input_ids.size());
   if (input_ids.empty()) return Status::OK();
   const int64_t macs = model_->CumulativeMacs(layer);
@@ -24,14 +33,9 @@ Status InferenceEngine::ComputeLayer(const std::vector<uint32_t>& input_ids,
         std::min(pos + static_cast<size_t>(batch_size_), input_ids.size());
     const int64_t batch_n = static_cast<int64_t>(batch_end - pos);
     for (size_t i = pos; i < batch_end; ++i) {
-      const uint32_t id = input_ids[i];
-      if (id >= dataset_->size()) {
-        return Status::OutOfRange("inputID " + std::to_string(id) +
-                                  " out of range [0, " +
-                                  std::to_string(dataset_->size()) + ")");
-      }
       Tensor out;
-      DE_RETURN_NOT_OK(model_->ForwardTo(dataset_->input(id), layer, &out));
+      DE_RETURN_NOT_OK(
+          model_->ForwardTo(dataset_->input(input_ids[i]), layer, &out));
       rows->push_back(std::move(out.vec()));
     }
     const double batch_seconds =

@@ -6,6 +6,7 @@
 
 #include "kernels/kernels.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <utility>
@@ -329,6 +330,121 @@ TEST(KernelsNonZeroTest, MaskAndCompactMatchReference) {
         uint32_t after = 0;
         std::memcpy(&after, &out.back(), sizeof(after));
         EXPECT_EQ(after, guard) << table->name << " wrote past count";
+      }
+    }
+  }
+}
+
+// The convolution loop nn::Conv2D::Forward ran before it moved into the
+// kernel table, kept verbatim as the op-order reference: bias first, taps
+// in (kh, kw) row-major order with out-of-bounds taps skipped, input
+// channels ascending, one multiply then one add per step.
+void ReferenceConv2dHwc(const float* in, int64_t height, int64_t width,
+                        int ic, const float* weights, const float* bias,
+                        int oc, int kernel, float* o) {
+  const int pad = kernel / 2;
+  for (int64_t h = 0; h < height; ++h) {
+    for (int64_t w = 0; w < width; ++w) {
+      float* out_px = o + (h * width + w) * oc;
+      for (int c = 0; c < oc; ++c) out_px[c] = bias[static_cast<size_t>(c)];
+      for (int kh = 0; kh < kernel; ++kh) {
+        const int64_t ih = h + kh - pad;
+        if (ih < 0 || ih >= height) continue;
+        for (int kw = 0; kw < kernel; ++kw) {
+          const int64_t iw = w + kw - pad;
+          if (iw < 0 || iw >= width) continue;
+          const float* in_px = in + (ih * width + iw) * ic;
+          const float* wbase =
+              weights + (static_cast<size_t>(kh) * kernel + kw) * ic * oc;
+          for (int i = 0; i < ic; ++i) {
+            const float v = in_px[i];
+            const float* wrow = wbase + static_cast<size_t>(i) * oc;
+            for (int c = 0; c < oc; ++c) out_px[c] += v * wrow[c];
+          }
+        }
+      }
+    }
+  }
+}
+
+// Values that stress bit-exactness: exact zeros of both signs, subnormals
+// and ordinary magnitudes. `relu_like` drops the negatives, as a post-ReLU
+// activation map would.
+float ConvValue(Rng* rng, bool relu_like) {
+  const double dice = rng->NextDouble();
+  float v;
+  if (dice < 0.15) {
+    v = 0.0f;
+  } else if (dice < 0.25) {
+    v = -0.0f;
+  } else if (dice < 0.30) {
+    v = static_cast<float>(rng->NextDouble() + 0.5) * 1e-39f;  // subnormal
+  } else {
+    v = static_cast<float>(rng->NextGaussian());
+  }
+  return relu_like ? std::max(v, 0.0f) : v;
+}
+
+// Every (oc, kernel, height, width) of the grid below, with a seeded pick of
+// the input channel count and four value profiles cycled through: generic;
+// ReLU-like inputs; a -0.0f image under a -0.0f bias and positive weights,
+// where a zero-padded tap would turn a -0.0f output into +0.0f; and tiny
+// weights whose products with the subnormal inputs underflow. The small and
+// odd sizes cover images narrower than a pixel block and every masked
+// channel tail.
+TEST(KernelsConv2dTest, BothTablesBitIdenticalToReferenceLoop) {
+  std::vector<const KernelTable*> tables = {
+      &GetKernelTable(DispatchMode::kScalar)};
+  if (Avx2Supported()) tables.push_back(&GetKernelTable(DispatchMode::kAvx2));
+  Rng rng(1717);
+  const uint32_t guard = 0x7fc0dead;  // a NaN no kernel computes
+  const int kInChannels[] = {1, 2, 3, 8, 12, 17};
+  int profile = 0;
+  for (int oc = 1; oc <= 33; ++oc) {
+    for (const int kernel : {1, 3, 5}) {
+      for (const int height : {1, 2, 3, 5, 8, 17}) {
+        for (const int width : {1, 2, 3, 5, 8, 17}) {
+          const int ic = kInChannels[rng.NextUint64() % 6];
+          profile = (profile + 1) % 4;
+          std::vector<float> in(static_cast<size_t>(height) * width * ic);
+          std::vector<float> weights(static_cast<size_t>(kernel) * kernel *
+                                     ic * oc);
+          std::vector<float> bias(static_cast<size_t>(oc));
+          for (float& v : in) v = ConvValue(&rng, profile == 1);
+          for (float& v : weights) v = ConvValue(&rng, false);
+          for (float& v : bias) v = ConvValue(&rng, false);
+          if (profile == 2) {
+            // Every in-bounds product is -0.0f, so every output is -0.0f
+            // unless a tap outside the image adds a +0.0f.
+            for (float& v : in) v = -0.0f;
+            for (float& v : weights) v = std::abs(v);
+            for (float& v : bias) v = -0.0f;
+          }
+          if (profile == 3) {
+            for (float& v : weights) v *= 1e-30f;
+          }
+          const size_t n_out = static_cast<size_t>(height) * width * oc;
+          const size_t bytes = n_out * sizeof(float);
+          std::vector<float> want(n_out);
+          ReferenceConv2dHwc(in.data(), height, width, ic, weights.data(),
+                             bias.data(), oc, kernel, want.data());
+          for (const KernelTable* table : tables) {
+            std::vector<float> got(n_out + 1);
+            std::memcpy(&got.back(), &guard, sizeof(guard));
+            table->conv2d_hwc(in.data(), static_cast<size_t>(height),
+                              static_cast<size_t>(width),
+                              static_cast<size_t>(ic), weights.data(),
+                              bias.data(), static_cast<size_t>(oc),
+                              static_cast<size_t>(kernel), got.data());
+            ASSERT_EQ(std::memcmp(got.data(), want.data(), bytes), 0)
+                << table->name << " oc=" << oc << " ic=" << ic
+                << " kernel=" << kernel << " h=" << height << " w=" << width
+                << " profile=" << profile;
+            uint32_t after = 0;
+            std::memcpy(&after, &got.back(), sizeof(after));
+            ASSERT_EQ(after, guard) << table->name << " wrote past out";
+          }
+        }
       }
     }
   }

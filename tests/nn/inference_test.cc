@@ -57,6 +57,24 @@ TEST(InferenceEngineTest, OutOfRangeInputId) {
   TinySystem sys(10, 5);
   std::vector<std::vector<float>> rows;
   EXPECT_TRUE(sys.engine->ComputeLayer({99}, 0, &rows).IsOutOfRange());
+
+  // A valid id ahead of the bad one must not run either: the whole request
+  // is rejected before any inference, so nothing is left in `rows` and
+  // neither the stats nor the receipt count a forward pass.
+  DE_ASSERT_OK(sys.engine->ComputeLayer({1, 2}, 0, &rows));
+  const InferenceStats before = sys.engine->stats();
+  InferenceReceipt receipt;
+  EXPECT_TRUE(
+      sys.engine->ComputeLayer({0, 99}, 0, &rows, &receipt).IsOutOfRange());
+  EXPECT_TRUE(rows.empty());
+  const InferenceStats after = sys.engine->stats();
+  EXPECT_EQ(after.inputs_run, before.inputs_run);
+  EXPECT_EQ(after.batches_run, before.batches_run);
+  EXPECT_EQ(after.macs, before.macs);
+  EXPECT_EQ(after.simulated_gpu_seconds, before.simulated_gpu_seconds);
+  EXPECT_EQ(after.wall_seconds, before.wall_seconds);
+  EXPECT_EQ(receipt.inputs_run, 0);
+  EXPECT_EQ(receipt.batches_run, 0.0);
 }
 
 TEST(InferenceEngineTest, ComputeAllLayersMatchesPerLayer) {
