@@ -182,8 +182,6 @@ void WriteServiceStatsFields(const service::ServiceStats& stats,
   w->Double(stats.p90_latency_seconds);
   w->Key("p99_latency_seconds");
   w->Double(stats.p99_latency_seconds);
-  w->Key("qos_enabled");
-  w->Bool(stats.qos_enabled);
   w->Key("num_workers");
   w->Int(stats.num_workers);
   w->Key("uptime_seconds");

@@ -21,8 +21,7 @@ BatchingInferenceScheduler::BatchingInferenceScheduler(
                                              : engine->batch_size()),
       linger_{LingerNanos(options.interactive_linger_seconds),
               LingerNanos(options.linger_seconds),
-              LingerNanos(options.best_effort_linger_seconds)},
-      qos_aware_(options.qos_aware) {
+              LingerNanos(options.best_effort_linger_seconds)} {
   DE_CHECK_GT(batch_size_, 0);
   const int n = options.num_dispatchers > 0 ? options.num_dispatchers : 1;
   dispatchers_.reserve(static_cast<size_t>(n));
@@ -81,7 +80,7 @@ Status BatchingInferenceScheduler::ComputeLayer(
       return Status::FailedPrecondition("batch scheduler is shutting down");
     }
     request.arrival = Clock::now();
-    request.flush_at = request.arrival + LingerFor(qos);
+    request.flush_at = request.arrival + linger_[QosIndex(qos)];
     LayerQueue& queue = pending_[layer];
     queue.requests.push_back(&request);
     queue.pending_inputs += input_ids.size();
@@ -120,8 +119,7 @@ void BatchingInferenceScheduler::DispatcherLoop() {
     // oldest head — FIFO across equal-class layers, so sustained full-batch
     // traffic on one layer cannot starve an expired partial request on
     // another (hot layers keep presenting newer heads while a waiting
-    // head's arrival stays fixed). With qos_aware off, class is ignored and
-    // selection is pure oldest-head, the pre-QoS behaviour.
+    // head's arrival stays fixed).
     const Clock::time_point now = Clock::now();
     bool has_ready = false;
     int ready_layer = 0;
@@ -144,7 +142,6 @@ void BatchingInferenceScheduler::DispatcherLoop() {
           best_class = QosIndex(request->qos);
         }
       }
-      if (!qos_aware_) best_class = QosIndex(QosClass::kBatch);
       const bool full =
           queue.pending_inputs >= static_cast<size_t>(batch_size_);
       if (full || stopping_ || now >= deadline) {
@@ -176,7 +173,7 @@ void BatchingInferenceScheduler::DispatcherLoop() {
     const int layer = ready_layer;
     if (ready_is_partial && !stopping_) {
       ++stats_.linger_flushes;
-      if (qos_aware_ && ready_class == QosIndex(QosClass::kInteractive)) {
+      if (ready_class == QosIndex(QosClass::kInteractive)) {
         ++stats_.sealed_by_interactive;
       }
     }

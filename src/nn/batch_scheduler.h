@@ -22,9 +22,9 @@ struct BatchSchedulerOptions {
   /// throughput-optimal batch the whole system is configured around).
   int max_batch_size = 0;
   /// How long a partial batch waits for other queries' inputs before being
-  /// flushed anyway, for kBatch-class requests (and for every request when
-  /// `qos_aware` is off). The window trades a little latency for batch
-  /// fill; it should stay well below one batch's device time.
+  /// flushed anyway, for kBatch-class requests. The window trades a little
+  /// latency for batch fill; it should stay well below one batch's device
+  /// time.
   double linger_seconds = 5e-4;
   /// Linger for kInteractive requests. The default 0 means an interactive
   /// request never waits out a window: it is dispatched as soon as a
@@ -38,11 +38,6 @@ struct BatchSchedulerOptions {
   /// models one device stream: with n dispatchers, n batches overlap their
   /// (simulated) device time, as n CUDA streams would.
   int num_dispatchers = 1;
-  /// When false, the request QoS class is ignored for scheduling: every
-  /// request lingers `linger_seconds` and ready layers dispatch purely
-  /// oldest-head — the pre-QoS behaviour, kept as the control arm of the
-  /// QoS benchmarks. Per-class stats are still recorded.
-  bool qos_aware = true;
 };
 
 /// \brief Per-QoS-class scheduler counters (monotonic since construction).
@@ -193,17 +188,11 @@ class BatchingInferenceScheduler {
   void RunBatch(int layer, std::vector<uint32_t> batch_ids,
                 std::vector<Slice> slices) REQUIRES(mu_);
 
-  std::chrono::nanoseconds LingerFor(QosClass qos) const {
-    return qos_aware_ ? linger_[QosIndex(qos)]
-                      : linger_[QosIndex(QosClass::kBatch)];
-  }
-
   InferenceEngine* engine_;
   // Derived from BatchSchedulerOptions at construction; the options struct
   // itself is not kept (nothing may change after the dispatchers start).
   int batch_size_;
   std::array<std::chrono::nanoseconds, kNumQosClasses> linger_;
-  bool qos_aware_;
 
   mutable common::Mutex mu_;
   common::CondVar work_cv_;  // wakes dispatchers

@@ -1,7 +1,6 @@
 #include "service/query_service.h"
 
 #include <algorithm>
-#include <map>
 #include <sstream>
 #include <utility>
 
@@ -52,182 +51,88 @@ void EmitSlowQueryLog(const PendingQuery& pending, const Status& status,
   DE_LOG_WARNING << line.str();
 }
 
-/// Flat session round-robin, FIFO within a session — the pre-QoS dispatch
-/// (PR 1): every class is equal, deadlines do not reorder anything.
-class SessionRoundRobinPolicy : public DispatchPolicy {
- public:
-  void Enqueue(PendingQuery pending) override {
-    const uint64_t session = pending.query.session_id;
-    auto& queue = queues_[session];
-    if (queue.empty()) rotor_.push_back(session);
-    queue.push_back(std::move(pending));
-    ++size_;
-  }
+}  // namespace
 
-  PendingQuery PopNext() override {
-    const uint64_t session = rotor_.front();
-    rotor_.pop_front();
-    auto it = queues_.find(session);
-    DE_CHECK(it != queues_.end() && !it->second.empty());
-    PendingQuery pending = std::move(it->second.front());
-    it->second.pop_front();
-    if (it->second.empty()) {
-      queues_.erase(it);
-    } else {
-      rotor_.push_back(session);
-    }
+void QosQueue::Enqueue(PendingQuery pending) {
+  Lane& lane = lanes_[QosIndex(pending.query.qos)];
+  const uint64_t session = pending.query.session_id;
+  ++session_depth_[session];
+  ++size_;
+  if (pending.ctx->has_deadline()) {
+    lane.edf.emplace(pending.ctx->deadline(), std::move(pending));
+    return;
+  }
+  lane.weights[session] = std::max(1, pending.query.weight);
+  auto& queue = lane.sessions[session];
+  if (queue.empty()) lane.rotor.push_back(session);
+  queue.push_back(std::move(pending));
+}
+
+PendingQuery QosQueue::PopNext() {
+  for (Lane& lane : lanes_) {
+    if (lane.empty()) continue;
+    PendingQuery pending = PopFromLane(&lane);
+    auto depth = session_depth_.find(pending.query.session_id);
+    DE_CHECK(depth != session_depth_.end());
+    if (--depth->second == 0) session_depth_.erase(depth);
     --size_;
     return pending;
   }
-
-  size_t size() const override { return size_; }
-
-  size_t QueuedForSession(uint64_t session) const override {
-    auto it = queues_.find(session);
-    return it == queues_.end() ? 0 : it->second.size();
-  }
-
-  size_t ActiveSessions() const override { return queues_.size(); }
-
-  std::vector<PendingQuery> DrainAll() override {
-    std::vector<PendingQuery> all;
-    all.reserve(size_);
-    for (auto& [session, queue] : queues_) {
-      for (PendingQuery& pending : queue) all.push_back(std::move(pending));
-    }
-    queues_.clear();
-    rotor_.clear();
-    size_ = 0;
-    return all;
-  }
-
- private:
-  std::map<uint64_t, std::deque<PendingQuery>> queues_;
-  std::deque<uint64_t> rotor_;
-  size_t size_ = 0;
-};
-
-/// QoS dispatch: strict class priority (interactive > batch > best_effort).
-/// Within a class, deadline-carrying queries run first in
-/// earliest-deadline-first order (a deadline is a stronger statement of
-/// urgency than queue position); deadline-free queries are served weighted
-/// round-robin across the class's sessions, FIFO within a session.
-class QosDispatchPolicy : public DispatchPolicy {
- public:
-  void Enqueue(PendingQuery pending) override {
-    Lane& lane = lanes_[QosIndex(pending.query.qos)];
-    const uint64_t session = pending.query.session_id;
-    ++session_depth_[session];
-    ++size_;
-    if (pending.ctx->has_deadline()) {
-      lane.edf.emplace(pending.ctx->deadline(), std::move(pending));
-      return;
-    }
-    lane.weights[session] = std::max(1, pending.query.weight);
-    auto& queue = lane.sessions[session];
-    if (queue.empty()) lane.rotor.push_back(session);
-    queue.push_back(std::move(pending));
-  }
-
-  PendingQuery PopNext() override {
-    for (Lane& lane : lanes_) {
-      if (lane.empty()) continue;
-      PendingQuery pending = PopFromLane(&lane);
-      auto depth = session_depth_.find(pending.query.session_id);
-      DE_CHECK(depth != session_depth_.end());
-      if (--depth->second == 0) session_depth_.erase(depth);
-      --size_;
-      return pending;
-    }
-    DE_CHECK(false) << "PopNext on an empty dispatch policy";
-    return PendingQuery{};
-  }
-
-  size_t size() const override { return size_; }
-
-  size_t QueuedForSession(uint64_t session) const override {
-    auto it = session_depth_.find(session);
-    return it == session_depth_.end() ? 0 : it->second;
-  }
-
-  size_t ActiveSessions() const override { return session_depth_.size(); }
-
-  std::vector<PendingQuery> DrainAll() override {
-    std::vector<PendingQuery> all;
-    all.reserve(size_);
-    for (Lane& lane : lanes_) {
-      for (auto& [deadline, pending] : lane.edf) {
-        all.push_back(std::move(pending));
-      }
-      lane.edf.clear();
-      for (auto& [session, queue] : lane.sessions) {
-        for (PendingQuery& pending : queue) all.push_back(std::move(pending));
-      }
-      lane.sessions.clear();
-      lane.rotor.clear();
-      lane.weights.clear();
-      lane.credits = 0;
-    }
-    session_depth_.clear();
-    size_ = 0;
-    return all;
-  }
-
- private:
-  struct Lane {
-    /// Deadline-carrying queries, ordered by absolute deadline (EDF).
-    std::multimap<core::QueryContext::Clock::time_point, PendingQuery> edf;
-    /// Deadline-free queries: per-session FIFO + weighted round-robin.
-    std::map<uint64_t, std::deque<PendingQuery>> sessions;
-    std::deque<uint64_t> rotor;       // sessions with queued work, in turn
-    std::map<uint64_t, int> weights;  // last submitted weight per session
-    int credits = 0;  // dispatches left in the front session's turn
-
-    bool empty() const { return edf.empty() && rotor.empty(); }
-  };
-
-  PendingQuery PopFromLane(Lane* lane) {
-    if (!lane->edf.empty()) {
-      auto it = lane->edf.begin();
-      PendingQuery pending = std::move(it->second);
-      lane->edf.erase(it);
-      return pending;
-    }
-    const uint64_t session = lane->rotor.front();
-    if (lane->credits == 0) lane->credits = lane->weights[session];
-    auto it = lane->sessions.find(session);
-    DE_CHECK(it != lane->sessions.end() && !it->second.empty());
-    PendingQuery pending = std::move(it->second.front());
-    it->second.pop_front();
-    --lane->credits;
-    if (it->second.empty()) {
-      lane->sessions.erase(it);
-      lane->weights.erase(session);
-      lane->rotor.pop_front();
-      lane->credits = 0;
-    } else if (lane->credits == 0) {
-      lane->rotor.pop_front();
-      lane->rotor.push_back(session);
-    }
-    return pending;
-  }
-
-  std::array<Lane, kNumQosClasses> lanes_;
-  /// Queued queries per session across all lanes (admission bound +
-  /// active-session reporting).
-  std::map<uint64_t, size_t> session_depth_;
-  size_t size_ = 0;
-};
-
-/// The dispatch policy QueryServiceOptions selects (see
-/// QueryServiceOptions::dispatch_policy).
-std::unique_ptr<DispatchPolicy> MakePolicy(const QueryServiceOptions& options) {
-  if (options.dispatch_policy) return options.dispatch_policy();
-  if (options.enable_qos) return std::make_unique<QosDispatchPolicy>();
-  return std::make_unique<SessionRoundRobinPolicy>();
+  DE_CHECK(false) << "PopNext on an empty admission queue";
+  return PendingQuery{};
 }
 
-}  // namespace
+size_t QosQueue::QueuedForSession(uint64_t session) const {
+  auto it = session_depth_.find(session);
+  return it == session_depth_.end() ? 0 : it->second;
+}
+
+std::vector<PendingQuery> QosQueue::DrainAll() {
+  std::vector<PendingQuery> all;
+  all.reserve(size_);
+  for (Lane& lane : lanes_) {
+    for (auto& [deadline, pending] : lane.edf) {
+      all.push_back(std::move(pending));
+    }
+    lane.edf.clear();
+    for (auto& [session, queue] : lane.sessions) {
+      for (PendingQuery& pending : queue) all.push_back(std::move(pending));
+    }
+    lane.sessions.clear();
+    lane.rotor.clear();
+    lane.weights.clear();
+    lane.credits = 0;
+  }
+  session_depth_.clear();
+  size_ = 0;
+  return all;
+}
+
+PendingQuery QosQueue::PopFromLane(Lane* lane) {
+  if (!lane->edf.empty()) {
+    auto it = lane->edf.begin();
+    PendingQuery pending = std::move(it->second);
+    lane->edf.erase(it);
+    return pending;
+  }
+  const uint64_t session = lane->rotor.front();
+  if (lane->credits == 0) lane->credits = lane->weights[session];
+  auto it = lane->sessions.find(session);
+  DE_CHECK(it != lane->sessions.end() && !it->second.empty());
+  PendingQuery pending = std::move(it->second.front());
+  it->second.pop_front();
+  --lane->credits;
+  if (it->second.empty()) {
+    lane->sessions.erase(it);
+    lane->weights.erase(session);
+    lane->rotor.pop_front();
+    lane->credits = 0;
+  } else if (lane->credits == 0) {
+    lane->rotor.pop_front();
+    lane->rotor.push_back(session);
+  }
+  return pending;
+}
 
 Result<std::unique_ptr<QueryService>> QueryService::Create(
     core::DeepEverest* engine, const QueryServiceOptions& options) {
@@ -255,13 +160,7 @@ QueryService::QueryService(core::DeepEverest* engine,
                            const QueryServiceOptions& options)
     : engine_(engine),
       options_(options),
-      trace_ring_(options.trace_ring_capacity),
-      policy_(MakePolicy(options)) {
-  // Park-and-switch relies on strict class priority (the pop after a park
-  // must yield the waiting interactive query); a custom policy makes no
-  // such promise, so preemption is gated on the built-in QoS policy.
-  preemption_enabled_ = options_.enable_preemption && options_.enable_qos &&
-                        !options_.dispatch_policy;
+      trace_ring_(options.trace_ring_capacity) {
   // With a single worker at most one query is ever in flight, so batches
   // could never be shared — skip the scheduler rather than pay its linger
   // window on every partial round.
@@ -272,7 +171,6 @@ QueryService::QueryService(core::DeepEverest* engine,
         options_.interactive_batch_linger_seconds;
     scheduler_options.best_effort_linger_seconds =
         options_.best_effort_batch_linger_seconds;
-    scheduler_options.qos_aware = options_.enable_qos;
     scheduler_options.num_dispatchers = options_.batch_dispatchers > 0
                                             ? options_.batch_dispatchers
                                             : options_.num_workers;
@@ -332,14 +230,14 @@ Result<Submission> QueryService::SubmitWithControl(core::QuerySpec spec) {
     if (stopping_) {
       return Status::FailedPrecondition("query service is shutting down");
     }
-    if (policy_->size() >= options_.max_queue_depth) {
+    if (queue_.size() >= options_.max_queue_depth) {
       rejected_queue_full_.fetch_add(1, std::memory_order_relaxed);
       return Status::ResourceExhausted(
-          "admission queue full (" + std::to_string(policy_->size()) +
+          "admission queue full (" + std::to_string(queue_.size()) +
           " queued)");
     }
     if (options_.max_queued_per_session > 0 &&
-        policy_->QueuedForSession(pending.query.session_id) >=
+        queue_.QueuedForSession(pending.query.session_id) >=
             options_.max_queued_per_session) {
       rejected_session_limit_.fetch_add(1, std::memory_order_relaxed);
       return Status::ResourceExhausted(
@@ -358,7 +256,7 @@ Result<Submission> QueryService::SubmitWithControl(core::QuerySpec spec) {
     pending.wait.Reset();
     const bool interactive =
         pending.query.qos == QosClass::kInteractive;
-    policy_->Enqueue(std::move(pending));
+    queue_.Enqueue(std::move(pending));
     // The preemption hint: workers poll this between NTA rounds. Written
     // only with mu_ held (here and in PopLocked), so it can never drift
     // from the queue's actual interactive backlog.
@@ -398,7 +296,7 @@ void QueryService::CountOutcome(const Result<core::TopKResult>& result,
 }
 
 PendingQuery QueryService::PopLocked() {
-  PendingQuery pending = policy_->PopNext();
+  PendingQuery pending = queue_.PopNext();
   if (pending.query.qos == QosClass::kInteractive) {
     interactive_waiting_.fetch_add(-1, std::memory_order_relaxed);
   }
@@ -419,8 +317,8 @@ void QueryService::WorkerLoop() {
       common::MutexLock lock(&mu_);
       // Explicit wait loop (not a predicate lambda) so the thread-safety
       // analysis sees the guarded reads happen with mu_ held.
-      while (!stopping_ && policy_->size() == 0) work_cv_.Wait(&mu_);
-      if (policy_->size() == 0) return;  // stopping, queue drained/cancelled
+      while (!stopping_ && queue_.size() == 0) work_cv_.Wait(&mu_);
+      if (queue_.size() == 0) return;  // stopping, queue drained/cancelled
       pending = PopLocked();
       ++inflight_;
     }
@@ -434,9 +332,9 @@ void QueryService::WorkerLoop() {
     {
       common::MutexLock lock(&mu_);
       --inflight_;
-      // Parked queries keep policy_->size() > 0, so Drain() correctly
+      // Parked queries keep queue_.size() > 0, so Drain() correctly
       // keeps waiting until they are resumed and finished.
-      if (policy_->size() == 0 && inflight_ == 0) idle_cv_.NotifyAll();
+      if (queue_.size() == 0 && inflight_ == 0) idle_cv_.NotifyAll();
     }
   }
 }
@@ -502,7 +400,7 @@ bool QueryService::ProcessPending(PendingQuery* pending) {
 
   core::QueryExecution* const execution = pending->execution.get();
   const bool preemptible =
-      preemption_enabled_ && qos != QosClass::kInteractive;
+      options_.enable_preemption && qos != QosClass::kInteractive;
   while (!execution->done()) {
     // Step errors (including between-rounds deadline/cancellation aborts)
     // surface through done() + TakeResult(), so the loop needs no separate
@@ -542,10 +440,10 @@ bool QueryService::TryParkAndSwitch(PendingQuery* pending,
   ++parked_;
   parked_total_.fetch_add(1, std::memory_order_relaxed);
   preemptions_.fetch_add(1, std::memory_order_relaxed);
-  policy_->Enqueue(std::move(*pending));
+  queue_.Enqueue(std::move(*pending));
   // Enqueue + pop under the same hold: the queue's net size is unchanged
   // (no wakeup needed, none lost), and because the interactive counter is
-  // positive under this same lock and the QoS policy serves strict class
+  // positive under this same lock and the QosQueue serves strict class
   // priority, this pop is guaranteed to yield an interactive query — never
   // the non-interactive one just parked.
   *pending = PopLocked();
@@ -596,7 +494,7 @@ void QueryService::CompletePending(PendingQuery* pending,
 
 void QueryService::Drain() {
   common::MutexLock lock(&mu_);
-  while (policy_->size() != 0 || inflight_ != 0) idle_cv_.Wait(&mu_);
+  while (queue_.size() != 0 || inflight_ != 0) idle_cv_.Wait(&mu_);
 }
 
 void QueryService::Shutdown() {
@@ -612,7 +510,7 @@ void QueryService::Shutdown() {
       const Result<core::TopKResult> cancelled =
           Result<core::TopKResult>(Status::Cancelled("query service shut "
                                                      "down"));
-      for (PendingQuery& pending : policy_->DrainAll()) {
+      for (PendingQuery& pending : queue_.DrainAll()) {
         pending.execution.reset();  // closes any open NTA trace span
         pending.ctx->set_lifecycle(core::QueryContext::Lifecycle::kFinished);
         pending.promise.set_value(cancelled);
@@ -648,9 +546,9 @@ ServiceStats QueryService::Snapshot() const {
     // Parked queries occupy dispatch-queue slots (max_queue_depth counts
     // them) but report separately: queue_depth is queries that have not
     // started yet.
-    stats.queue_depth = policy_->size() - parked_;
+    stats.queue_depth = queue_.size() - parked_;
     stats.inflight = inflight_;
-    stats.active_sessions = policy_->ActiveSessions();
+    stats.active_sessions = queue_.ActiveSessions();
     stats.parked = parked_;
   }
   stats.parked_total = parked_total_.load(std::memory_order_relaxed);
@@ -666,7 +564,6 @@ ServiceStats QueryService::Snapshot() const {
         totals_.latency.BucketCount(i);
   }
   stats.approx_latency_sum_seconds = totals_.latency.ApproxSumSeconds();
-  stats.qos_enabled = options_.enable_qos;
   stats.num_workers = options_.num_workers;
   stats.uptime_seconds = uptime_.ElapsedSeconds();
   stats.worker_busy_seconds =

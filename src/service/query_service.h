@@ -5,7 +5,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -25,8 +24,6 @@
 
 namespace deepeverest {
 namespace service {
-
-class DispatchPolicy;
 
 // The service consumes the one canonical query type, core::QuerySpec —
 // the same struct QL parsing and the JSON wire decoder produce. Its
@@ -68,15 +65,6 @@ struct QueryServiceOptions {
   /// unbatched service gets from its workers.
   int batch_dispatchers = 0;
 
-  /// QoS-aware scheduling end to end: strict class priority at dispatch
-  /// (interactive > batch > best_effort), earliest-deadline-first for
-  /// deadline-carrying queries and weighted round-robin across sessions
-  /// within a class, and per-class batch linger in the inference scheduler.
-  /// Off restores the flat session round-robin and uniform linger of the
-  /// pre-QoS service — the control arm of bench_service_qos. Deadline
-  /// *enforcement* (queued-past-deadline rejection, mid-query abort) stays
-  /// on either way; only prioritisation changes.
-  bool enable_qos = true;
   /// Batch linger for interactive-class inference (see
   /// BatchSchedulerOptions::interactive_linger_seconds). The default 0
   /// means interactive requests flush immediately and seal any partial
@@ -91,22 +79,8 @@ struct QueryServiceOptions {
   /// interactive query, and the parked query resumes later on any worker.
   /// Interactive tail latency becomes independent of bulk round length;
   /// results are unaffected (executions are checkpointed between rounds and
-  /// bit-identical to an uninterrupted run). Effective only with the
-  /// built-in QoS dispatch policy (`enable_qos` on, no custom
-  /// `dispatch_policy`) — a custom policy defines its own ordering, and the
-  /// park-and-switch handoff relies on strict class priority to guarantee
-  /// the freed worker picks up the interactive query.
+  /// bit-identical to an uninterrupted run).
   bool enable_preemption = true;
-
-  /// Pluggable dispatch ordering: when set, replaces the built-in policy
-  /// that `enable_qos` would otherwise select. Only the admission-queue
-  /// ordering is overridden — `enable_qos` still governs the batch
-  /// scheduler's class-awareness (per-class linger, sealing) and the
-  /// `qos_enabled` flag reported in ServiceStats, so a class-aware custom
-  /// policy should keep `enable_qos = true`. The factory is invoked once
-  /// at service creation; the policy is called only under the service lock
-  /// (it needs no internal synchronisation). See DispatchPolicy.
-  std::function<std::unique_ptr<DispatchPolicy>()> dispatch_policy;
 
   /// How many finished queries' traces are kept for `GET /v1/trace/<id>`
   /// (a fixed ring: newest wins). 0 keeps none. Every query is traced
@@ -121,15 +95,15 @@ struct QueryServiceOptions {
 };
 
 /// \brief One admitted query: created at admission (Submit), owned by the
-/// dispatch policy until a worker claims it. The context carries the
+/// admission queue until a worker claims it. The context carries the
 /// query's QoS class, absolute deadline, receipt, and scheduler plumbing
 /// through every layer below the service.
 ///
 /// Ownership protocol (what makes park/resume race-free): a PendingQuery —
 /// and with it the single-owner `execution` state object — is owned by
-/// exactly one party at any instant: the dispatch policy (under
+/// exactly one party at any instant: the QosQueue (under
 /// QueryService::mu_) or the one worker that popped it. Handoffs happen
-/// only by moving the struct into/out of the policy with mu_ held, so the
+/// only by moving the struct into/out of the queue with mu_ held, so the
 /// mutex orders every park → resume transition; no field here needs its own
 /// lock, and a resuming worker (any worker) sees all of the previous
 /// owner's writes.
@@ -170,32 +144,52 @@ struct Submission {
   std::shared_ptr<core::QueryContext> context;
 };
 
-/// \brief Ordering of the admission queue: which admitted query a freed
-/// worker runs next.
+/// \brief The admission queue: which admitted query a freed worker runs
+/// next.
 ///
-/// Implementations are plugged into the QueryService (see
-/// QueryServiceOptions::dispatch_policy); every method is invoked with the
-/// service mutex held, so policies need no locking of their own. The
-/// service ships two: the flat session round-robin (PR 1 behaviour,
-/// `enable_qos = false`) and the QoS policy — strict class priority, EDF
-/// for deadline-carrying queries within a class, weighted round-robin
-/// across the class's sessions otherwise.
-class DispatchPolicy {
+/// Strict class priority (interactive > batch > best_effort). Within a
+/// class, deadline-carrying queries run first in earliest-deadline-first
+/// order (a deadline is a stronger statement of urgency than queue
+/// position); deadline-free queries are served weighted round-robin across
+/// the class's sessions, FIFO within a session. With every query in one
+/// class, weight 1 and no deadline, this is flat session round-robin.
+/// Every method is invoked with the service mutex held, so the queue needs
+/// no locking of its own.
+class QosQueue {
  public:
-  virtual ~DispatchPolicy() = default;
-
-  virtual void Enqueue(PendingQuery pending) = 0;
+  void Enqueue(PendingQuery pending);
   /// Next query to run. Only called when size() > 0.
-  virtual PendingQuery PopNext() = 0;
+  PendingQuery PopNext();
   /// Queries currently queued (all classes and sessions).
-  virtual size_t size() const = 0;
+  size_t size() const { return size_; }
   /// Queued queries of `session` (admission enforces the per-session bound
   /// against this).
-  virtual size_t QueuedForSession(uint64_t session) const = 0;
+  size_t QueuedForSession(uint64_t session) const;
   /// Sessions with at least one queued query.
-  virtual size_t ActiveSessions() const = 0;
+  size_t ActiveSessions() const { return session_depth_.size(); }
   /// Removes and returns everything still queued (shutdown cancellation).
-  virtual std::vector<PendingQuery> DrainAll() = 0;
+  std::vector<PendingQuery> DrainAll();
+
+ private:
+  struct Lane {
+    /// Deadline-carrying queries, ordered by absolute deadline (EDF).
+    std::multimap<core::QueryContext::Clock::time_point, PendingQuery> edf;
+    /// Deadline-free queries: per-session FIFO + weighted round-robin.
+    std::map<uint64_t, std::deque<PendingQuery>> sessions;
+    std::deque<uint64_t> rotor;       // sessions with queued work, in turn
+    std::map<uint64_t, int> weights;  // last submitted weight per session
+    int credits = 0;  // dispatches left in the front session's turn
+
+    bool empty() const { return edf.empty() && rotor.empty(); }
+  };
+
+  PendingQuery PopFromLane(Lane* lane);
+
+  std::array<Lane, kNumQosClasses> lanes_;
+  /// Queued queries per session across all lanes (admission bound +
+  /// active-session reporting).
+  std::map<uint64_t, size_t> session_depth_;
+  size_t size_ = 0;
 };
 
 /// \brief Concurrent query service over a DeepEverest engine: a fixed
@@ -203,12 +197,12 @@ class DispatchPolicy {
 ///
 /// Clients Submit() queries and receive futures. Admission applies
 /// backpressure (global + per-session queue bounds); dispatch follows the
-/// configured DispatchPolicy — by default strict QoS class priority
-/// (interactive > batch > best_effort) with EDF for deadline-carrying
-/// queries and weighted round-robin across sessions within a class, FIFO
-/// within a session. Every query gets a core::QueryContext at admission
-/// (class, absolute deadline, cancellation, receipt) that is threaded
-/// through the engine down to the batch scheduler. Results are
+/// QosQueue — strict QoS class priority (interactive > batch >
+/// best_effort) with EDF for deadline-carrying queries and weighted
+/// round-robin across sessions within a class, FIFO within a session.
+/// Every query gets a core::QueryContext at admission (class, absolute
+/// deadline, cancellation, receipt) that is threaded through the engine
+/// down to the batch scheduler. Results are
 /// identical to sequential execution on the same engine — the core it
 /// drives (IndexManager, IqaCache, InferenceEngine, FileStore) is
 /// concurrency-safe, and inference is deterministic, so only scheduling
@@ -336,17 +330,13 @@ class QueryService {
   /// the HTTP front-end's `GET /v1/trace/<id>`).
   TraceRing trace_ring_;
 
-  /// Preemption active: option on AND the built-in QoS policy is in use
-  /// (see QueryServiceOptions::enable_preemption).
-  bool preemption_enabled_ = false;
-
   mutable common::Mutex mu_;
   common::CondVar work_cv_;  // signals workers
   common::CondVar idle_cv_;  // signals Drain()
   bool stopping_ GUARDED_BY(mu_) = false;
-  std::unique_ptr<DispatchPolicy> policy_ GUARDED_BY(mu_);
+  QosQueue queue_ GUARDED_BY(mu_);
   size_t inflight_ GUARDED_BY(mu_) = 0;
-  /// Parked queries currently sitting in the dispatch queue (subtracted
+  /// Parked queries currently sitting in the admission queue (subtracted
   /// from its size() for queue-depth reporting; they already started).
   size_t parked_ GUARDED_BY(mu_) = 0;
 

@@ -183,10 +183,8 @@ struct ServiceStats {
   std::vector<int64_t> latency_buckets;
   double approx_latency_sum_seconds = 0.0;
 
-  /// QoS: whether class-aware dispatch/batching is on, and the per-class
-  /// counter slices (always populated; with QoS off every query still
-  /// records under its declared class).
-  bool qos_enabled = false;
+  /// Per-QoS-class counter slices: every query records under its declared
+  /// class.
   std::array<QosClassStats, kNumQosClasses> per_class{};
 
   // Worker pool.

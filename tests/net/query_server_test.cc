@@ -643,7 +643,6 @@ TEST(QueryServerTest, StatsEndpointReportsPerModelSections) {
   ASSERT_NE(section, nullptr);
   EXPECT_EQ(section->Find("submitted")->int_value(), 1);
   EXPECT_EQ(section->Find("completed")->int_value(), 1);
-  EXPECT_TRUE(section->Find("qos_enabled")->bool_value());
   const JsonValue* per_class = section->Find("per_class");
   ASSERT_NE(per_class, nullptr);
   ASSERT_EQ(per_class->array_items().size(),

@@ -329,30 +329,29 @@ TEST(BatchSchedulerTest, PerClassStatsSplitSharedBatches) {
             batch.inputs_dispatched + interactive.inputs_dispatched);
 }
 
-// qos_aware = false restores uniform lingering: an interactive request
-// behaves exactly like a batch one (and in particular cannot seal).
-TEST(BatchSchedulerTest, QosUnawareModeIgnoresClassForScheduling) {
+// A batch-class request lingers its full window: a partial batch waits the
+// whole `linger_seconds`, leaves through one linger flush, and seals
+// nothing (only interactive requests seal).
+TEST(BatchSchedulerTest, BatchRequestLingersFullWindowWithoutSealing) {
   TinySystem sys(40, 910, /*batch_size=*/16);
   const int layer = sys.model->activation_layers()[0];
   BatchSchedulerOptions options;
   options.linger_seconds = 0.02;
   options.interactive_linger_seconds = 0.0;
-  options.qos_aware = false;
   BatchingInferenceScheduler scheduler(sys.engine.get(), options);
 
   Stopwatch watch;
   std::vector<std::vector<float>> rows;
   ASSERT_TRUE(scheduler
                   .ComputeLayer(Ids(0, 3), layer, &rows, nullptr,
-                                QosClass::kInteractive)
+                                QosClass::kBatch)
                   .ok());
-  // The partial batch had to wait out the uniform window.
+  // The partial batch had to wait out the window.
   EXPECT_GE(watch.ElapsedSeconds(), 0.02);
   const BatchSchedulerStats stats = scheduler.stats();
   EXPECT_EQ(stats.sealed_by_interactive, 0);
   EXPECT_EQ(stats.linger_flushes, 1);
-  // Per-class accounting still works in unaware mode.
-  EXPECT_EQ(stats.per_class[QosIndex(QosClass::kInteractive)].requests, 1);
+  EXPECT_EQ(stats.per_class[QosIndex(QosClass::kBatch)].requests, 1);
 }
 
 TEST(BatchSchedulerTest, ManyThreadsManyLayersStress) {

@@ -5,9 +5,11 @@
 // with mixed classes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <future>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/deepeverest.h"
@@ -311,35 +313,42 @@ TEST(QosServiceTest, InFlightDeadlineAbortsBetweenRounds) {
       stats.per_class[QosIndex(QosClass::kInteractive)].deadline_exceeded, 1);
 }
 
-// Mixed classes still complete (and count correctly) with QoS disabled —
-// the legacy flat round-robin policy remains a valid configuration.
-TEST(QosServiceTest, MixedClassesCompleteWithQosDisabled) {
+// Flat session round-robin is the QoS queue with every query in one class:
+// weight-1, deadline-free batch queries from three sessions, submitted
+// A A A B B B C C C behind a blocker, dispatch A B C A B C A B C.
+TEST(QosServiceTest, OneClassIsFlatRoundRobinOverSessions) {
   QosFixture fix(40, 96);
-  ASSERT_TRUE(fix.engine->PreprocessAllLayers().ok());
+  fix.MakeQueriesSlow(0.02);
   QueryServiceOptions options;
-  options.num_workers = 2;
+  options.num_workers = 1;
   options.max_queue_depth = 64;
-  options.enable_qos = false;
   auto service = QueryService::Create(fix.engine.get(), options);
   ASSERT_TRUE(service.ok());
 
-  std::vector<Future> futures;
-  for (int i = 0; i < 12; ++i) {
-    futures.push_back(MustSubmit(
-        service->get(),
-        fix.MakeQuery(static_cast<uint64_t>(i % 3),
-                      static_cast<QosClass>(i % kNumQosClasses))));
+  Future blocker =
+      MustSubmit(service->get(), fix.MakeQuery(99, QosClass::kBatch));
+  WaitUntilInFlight(service->get());
+  std::vector<std::pair<uint64_t, Future>> queued;
+  for (uint64_t session = 1; session <= 3; ++session) {
+    for (int i = 0; i < 3; ++i) {
+      queued.emplace_back(
+          session,
+          MustSubmit(service->get(), fix.MakeQuery(session, QosClass::kBatch)));
+    }
   }
-  for (Future& future : futures) EXPECT_TRUE(future.get().ok());
+  (*service)->Drain();
 
-  const ServiceStats stats = (*service)->Snapshot();
-  EXPECT_FALSE(stats.qos_enabled);
-  EXPECT_EQ(stats.completed, 12);
-  int64_t per_class_completed = 0;
-  for (const QosClassStats& cls : stats.per_class) {
-    per_class_completed += cls.completed;
+  ASSERT_TRUE(blocker.get().ok());
+  std::vector<std::pair<double, uint64_t>> by_wait;
+  for (auto& [session, future] : queued) {
+    auto result = future.get();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    by_wait.emplace_back(result->stats.queue_seconds, session);
   }
-  EXPECT_EQ(per_class_completed, 12);  // classes still recorded
+  std::sort(by_wait.begin(), by_wait.end());
+  std::vector<uint64_t> order;
+  for (const auto& [wait, session] : by_wait) order.push_back(session);
+  EXPECT_EQ(order, (std::vector<uint64_t>{1, 2, 3, 1, 2, 3, 1, 2, 3}));
 }
 
 // Submit racing Drain() and Shutdown() with mixed classes and deadlines:
