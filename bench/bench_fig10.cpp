@@ -6,8 +6,9 @@
 // Expected shape: the two methods' totals are comparable — DeepEverest's
 // index computation + small writes cost about as much as PreprocessAll's
 // large writes.
-#include <benchmark/benchmark.h>
-
+//
+// Self-contained (no Google Benchmark): each system runs once, front to
+// back. DE_BENCH_INPUTS sets the dataset size (bench/bench_common.h).
 #include <iostream>
 
 #include "bench/bench_common.h"
@@ -31,12 +32,7 @@ struct SystemResult {
   Cumulative preprocess_all;
 };
 
-std::vector<SystemResult>& Results() {
-  static auto& results = *new std::vector<SystemResult>();
-  return results;
-}
-
-void RunSystem(const bench::System& system) {
+SystemResult RunSystem(const bench::System& system) {
   SystemResult result;
   result.system = system.name;
 
@@ -118,31 +114,19 @@ void RunSystem(const bench::System& system) {
       result.preprocess_all.persist.push_back(persist);
     }
   }
-  Results().push_back(std::move(result));
+  return result;
 }
 
 }  // namespace
 }  // namespace deepeverest
 
-int main(int argc, char** argv) {
+int main() {
   using namespace deepeverest;  // NOLINT
-  benchmark::Initialize(&argc, argv);
   const bench::Scale scale = bench::GetScale();
   const bench::System vgg = bench::MakeVggSystem(scale);
   const bench::System resnet = bench::MakeResnetSystem(scale);
   for (const bench::System* system : {&vgg, &resnet}) {
-    benchmark::RegisterBenchmark(
-        ("Fig10/" + system->name).c_str(),
-        [system](benchmark::State& state) {
-          for (auto _ : state) RunSystem(*system);
-        })
-        ->Iterations(1)
-        ->Unit(benchmark::kSecond);
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-
-  for (const auto& result : Results()) {
+    const SystemResult result = RunSystem(*system);
     bench_util::PrintBanner(
         std::cout,
         "Figure 10: cumulative preprocessing time (all layers), " +

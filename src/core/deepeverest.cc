@@ -198,12 +198,18 @@ struct QueryExecution::Impl {
     storage::LayerActivationMatrix fresh;
     {
       SpanScope span(ctx->trace.get(), "index.ensure");
+      PreprocessTimings timings;
       DE_ASSIGN_OR_RETURN(index_ref, system->index_manager()->EnsureIndex(
-                                         group.layer, &fresh, nullptr,
+                                         group.layer, &fresh, &timings,
                                          &ctx->receipt));
       span.AddInt("inputs_run",
                   ctx->receipt.inputs_run - ensure_start.inputs_run);
       span.AddInt("built", fresh.num_inputs > 0 ? 1 : 0);
+      if (fresh.num_inputs > 0) {
+        // Sort & partition vs the snapshot commit that persists it.
+        span.AddDouble("index_s", timings.index_seconds);
+        span.AddDouble("commit_s", timings.persist_seconds);
+      }
     }
     // Pin the dataset version this query answers over. Candidates only ever
     // come from the pinned index, so the result covers exactly the prefix

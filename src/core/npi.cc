@@ -1,9 +1,13 @@
 #include "core/npi.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <numeric>
+#include <system_error>
+#include <thread>
 
 namespace deepeverest {
 namespace core {
@@ -11,6 +15,116 @@ namespace core {
 namespace {
 constexpr uint32_t kMagic = 0xDEE71DE8;
 constexpr float kInf = std::numeric_limits<float>::infinity();
+// Floats per transposed column block (256 KB): a block and its neurons'
+// sort keys stay in cache while each neuron is ordered.
+constexpr size_t kBlockFloats = 64 * 1024;
+
+// Radix key of an activation: keys ascend as values descend. -0.0 takes
+// +0.0's key because the two compare equal, so their tie breaks by id.
+uint32_t DescendingKey(float v) {
+  if (v == 0.0f) v = 0.0f;
+  uint32_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return (bits & 0x80000000u) != 0 ? bits : ~bits & 0x7FFFFFFFu;
+}
+
+// Per-thread scratch of the column pass: one transposed block plus the two
+// key arrays the radix sort ping-pongs between.
+struct ColumnScratch {
+  std::vector<float> block;
+  std::vector<uint64_t> keys;
+  std::vector<uint64_t> tmp;
+};
+
+// Stable LSD radix sort of `scratch->keys` by their high 32 bits, 8-bit
+// digits, skipping any digit every key shares. Keys whose low halves
+// ascend on entry keep that order among equal high halves. Returns the
+// sorted buffer (keys or tmp).
+const uint64_t* RadixSortHigh(ColumnScratch* scratch) {
+  const size_t n = scratch->keys.size();
+  uint32_t counts[4][256] = {};
+  for (const uint64_t key : scratch->keys) {
+    for (int d = 0; d < 4; ++d) ++counts[d][(key >> (32 + 8 * d)) & 0xFF];
+  }
+  uint64_t* src = scratch->keys.data();
+  uint64_t* dst = scratch->tmp.data();
+  for (int d = 0; d < 4; ++d) {
+    const int shift = 32 + 8 * d;
+    uint32_t* count = counts[d];
+    if (count[(src[0] >> shift) & 0xFF] == n) continue;
+    uint32_t offset = 0;
+    for (int digit = 0; digit < 256; ++digit) {
+      const uint32_t c = count[digit];
+      count[digit] = offset;
+      offset += c;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      dst[count[(src[i] >> shift) & 0xFF]++] = src[i];
+    }
+    std::swap(src, dst);
+  }
+  return src;
+}
+
+// Calls column_fn(neuron, column, scratch) once per neuron, where column[i]
+// is input i's activation. Neurons go in blocks over min(cores, blocks)
+// threads (inline for one block). A block's neuron count is a multiple of
+// 64 / gcd(num_inputs * pid_bits, 64), so its packed-PID range starts on a
+// word and no two threads write the same word. Rejects NaN activations.
+template <typename ColumnFn>
+Status ForEachColumn(const storage::LayerActivationMatrix& acts, int pid_bits,
+                     const ColumnFn& column_fn) {
+  const size_t n = acts.num_inputs;
+  const size_t neurons = acts.num_neurons;
+  const size_t cols = std::max<size_t>(1, kBlockFloats / n);
+  const size_t align =
+      64 / std::gcd(n * static_cast<size_t>(pid_bits), size_t{64});
+  const size_t block = (cols + align - 1) / align * align;
+  const size_t num_blocks = (neurons + block - 1) / block;
+  std::atomic<size_t> next_block{0};
+  std::atomic<bool> has_nan{false};
+  const auto worker = [&] {
+    ColumnScratch scratch;
+    for (size_t b = next_block++; b < num_blocks && !has_nan;
+         b = next_block++) {
+      const size_t block_end = std::min(neurons, (b + 1) * block);
+      for (size_t first = b * block; first < block_end; first += cols) {
+        const size_t width = std::min(cols, block_end - first);
+        scratch.block.resize(width * n);
+        bool nan = false;
+        for (size_t i = 0; i < n; ++i) {
+          const float* row = acts.Row(static_cast<uint32_t>(i)) + first;
+          for (size_t j = 0; j < width; ++j) {
+            scratch.block[j * n + i] = row[j];
+            nan |= std::isnan(row[j]);
+          }
+        }
+        if (nan) {
+          has_nan = true;
+          return;
+        }
+        for (size_t j = 0; j < width; ++j) {
+          column_fn(static_cast<int64_t>(first + j),
+                    scratch.block.data() + j * n, &scratch);
+        }
+      }
+    }
+  };
+  const size_t num_threads = std::min<size_t>(
+      std::max(1u, std::thread::hardware_concurrency()), num_blocks);
+  std::vector<std::thread> threads;
+  for (size_t t = 1; t < num_threads; ++t) {
+    try {
+      threads.emplace_back(worker);
+    } catch (const std::system_error&) {
+      break;  // out of threads: the workers already started take every block
+    }
+  }
+  worker();
+  for (std::thread& thread : threads) thread.join();
+  if (has_nan) return Status::InvalidArgument("NaN activation");
+  return Status::OK();
+}
 }  // namespace
 
 Result<LayerIndex> LayerIndex::Build(
@@ -92,38 +206,41 @@ Result<LayerIndex> LayerIndex::Build(
   index.mai_.resize(static_cast<size_t>(index.num_neurons_) *
                     index.mai_count_);
 
-  // Reused scratch: inputIDs sorted by activation descending (ties by id so
-  // builds are deterministic).
-  std::vector<uint32_t> order(acts.num_inputs);
-  for (int64_t neuron = 0; neuron < index.num_neurons_; ++neuron) {
-    std::iota(order.begin(), order.end(), 0u);
-    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-      const float va = acts.At(a, static_cast<uint64_t>(neuron));
-      const float vb = acts.At(b, static_cast<uint64_t>(neuron));
-      if (va != vb) return va > vb;
-      return a < b;
-    });
-
-    size_t rank = 0;
-    for (int pid = 0; pid < num_partitions; ++pid) {
-      const size_t bound_idx = index.BoundIndex(neuron, static_cast<uint32_t>(pid));
-      for (uint32_t j = 0; j < sizes[static_cast<size_t>(pid)]; ++j, ++rank) {
-        const uint32_t input_id = order[rank];
-        const float act = acts.At(input_id, static_cast<uint64_t>(neuron));
-        index.pids_.Set(
-            static_cast<size_t>(neuron) * index.num_inputs_ + input_id,
-            static_cast<uint64_t>(pid));
-        // Descending order: first member is the upper bound, last the lower.
-        if (j == 0) index.upper_[bound_idx] = act;
-        index.lower_[bound_idx] = act;
-        if (pid == 0 && index.mai_count_ > 0) {
-          index.mai_[static_cast<size_t>(neuron) * index.mai_count_ + j] =
-              MaiEntry{act, input_id};
+  // Per neuron: input ids by (activation desc, id asc) from one radix sort
+  // of (key << 32 | id), then partitions by rank. Bounds and MAI entries
+  // keep the column's float, never the key.
+  const uint32_t n = acts.num_inputs;
+  DE_RETURN_NOT_OK(ForEachColumn(
+      acts, index.pids_.bits_per_value(),
+      [&](int64_t neuron, const float* column, ColumnScratch* scratch) {
+        scratch->keys.resize(n);
+        scratch->tmp.resize(n);
+        for (uint32_t id = 0; id < n; ++id) {
+          scratch->keys[id] = uint64_t{DescendingKey(column[id])} << 32 | id;
         }
-      }
-    }
-    DE_CHECK_EQ(rank, static_cast<size_t>(acts.num_inputs));
-  }
+        const uint64_t* order = RadixSortHigh(scratch);
+        size_t rank = 0;
+        for (int pid = 0; pid < num_partitions; ++pid) {
+          const size_t bound_idx =
+              index.BoundIndex(neuron, static_cast<uint32_t>(pid));
+          for (uint32_t j = 0; j < sizes[static_cast<size_t>(pid)];
+               ++j, ++rank) {
+            const uint32_t input_id = static_cast<uint32_t>(order[rank]);
+            const float act = column[input_id];
+            index.pids_.Set(static_cast<size_t>(neuron) * n + input_id,
+                            static_cast<uint64_t>(pid));
+            // Descending order: first member is the upper bound, last the
+            // lower.
+            if (j == 0) index.upper_[bound_idx] = act;
+            index.lower_[bound_idx] = act;
+            if (pid == 0 && index.mai_count_ > 0) {
+              index.mai_[static_cast<size_t>(neuron) * index.mai_count_ + j] =
+                  MaiEntry{act, input_id};
+            }
+          }
+        }
+        DE_CHECK_EQ(rank, static_cast<size_t>(n));
+      }));
   return index;
 }
 
@@ -148,32 +265,43 @@ Result<LayerIndex> LayerIndex::BuildEquiWidth(
   index.upper_.assign(
       static_cast<size_t>(index.num_neurons_) * num_partitions, -kInf);
 
-  for (int64_t neuron = 0; neuron < index.num_neurons_; ++neuron) {
-    // Value range for this neuron; partition 0 covers the highest slice.
-    float lo = acts.At(0, static_cast<uint64_t>(neuron));
-    float hi = lo;
-    for (uint32_t id = 1; id < acts.num_inputs; ++id) {
-      const float v = acts.At(id, static_cast<uint64_t>(neuron));
-      lo = std::min(lo, v);
-      hi = std::max(hi, v);
-    }
-    const float width = hi - lo;
-    for (uint32_t id = 0; id < acts.num_inputs; ++id) {
-      const float v = acts.At(id, static_cast<uint64_t>(neuron));
-      int pid = 0;
-      if (width > 0.0f) {
-        // Highest values -> partition 0.
-        pid = static_cast<int>((hi - v) / width *
-                               static_cast<float>(num_partitions));
-        pid = std::min(pid, num_partitions - 1);
-      }
-      index.pids_.Set(static_cast<size_t>(neuron) * index.num_inputs_ + id,
-                      static_cast<uint64_t>(pid));
-      const size_t bound_idx =
-          index.BoundIndex(neuron, static_cast<uint32_t>(pid));
-      index.lower_[bound_idx] = std::min(index.lower_[bound_idx], v);
-      index.upper_[bound_idx] = std::max(index.upper_[bound_idx], v);
-    }
+  const uint32_t n = acts.num_inputs;
+  std::atomic<bool> infinite_range{false};
+  DE_RETURN_NOT_OK(ForEachColumn(
+      acts, index.pids_.bits_per_value(),
+      [&](int64_t neuron, const float* column, ColumnScratch*) {
+        // Value range for this neuron; partition 0 covers the highest slice.
+        float lo = column[0];
+        float hi = lo;
+        for (uint32_t id = 1; id < n; ++id) {
+          lo = std::min(lo, column[id]);
+          hi = std::max(hi, column[id]);
+        }
+        const float width = hi - lo;
+        if (!std::isfinite(width)) {
+          infinite_range = true;
+          return;
+        }
+        for (uint32_t id = 0; id < n; ++id) {
+          const float v = column[id];
+          int pid = 0;
+          if (width > 0.0f) {
+            // Highest values -> partition 0.
+            pid = static_cast<int>((hi - v) / width *
+                                   static_cast<float>(num_partitions));
+            pid = std::min(pid, num_partitions - 1);
+          }
+          index.pids_.Set(static_cast<size_t>(neuron) * n + id,
+                          static_cast<uint64_t>(pid));
+          const size_t bound_idx =
+              index.BoundIndex(neuron, static_cast<uint32_t>(pid));
+          index.lower_[bound_idx] = std::min(index.lower_[bound_idx], v);
+          index.upper_[bound_idx] = std::max(index.upper_[bound_idx], v);
+        }
+      }));
+  if (infinite_range) {
+    return Status::InvalidArgument(
+        "equi-width partitioning needs a finite activation range");
   }
   return index;
 }

@@ -5,7 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "common/rng.h"
+#include "common/trace.h"
 #include "core/nta.h"
 #include "nn/layers.h"
 #include "testing/test_util.h"
@@ -354,6 +359,67 @@ TEST(DeepEverestQueryContextTest, ReceiptAccumulatesQueryCostIncludingBuild) {
   ASSERT_TRUE(warm.ok());
   EXPECT_EQ(warm->stats.inputs_run, warm_ctx.receipt.inputs_run);
   EXPECT_LT(warm->stats.inputs_run, 40);
+}
+
+/// The attrs of the trace's single "index.ensure" span.
+std::vector<TraceAttr> EnsureSpanAttrs(const Trace& trace) {
+  std::vector<TraceAttr> attrs;
+  int found = 0;
+  for (const TraceSpan& span : trace.Snapshot().spans) {
+    if (span.name != "index.ensure") continue;
+    ++found;
+    attrs = span.attrs;
+  }
+  EXPECT_EQ(found, 1);
+  return attrs;
+}
+
+const TraceAttr* FindAttr(const std::vector<TraceAttr>& attrs,
+                          const std::string& key) {
+  for (const TraceAttr& attr : attrs) {
+    if (attr.key == key) return &attr;
+  }
+  return nullptr;
+}
+
+TEST(DeepEverestQueryContextTest, EnsureSpanSplitsBuildFromCommit) {
+  TinySystem sys(40, 52, 8);
+  TempDir dir("de");
+  auto store = storage::FileStore::Open(dir.path());
+  ASSERT_TRUE(store.ok());
+  auto de = DeepEverest::Create(sys.model.get(), &sys.dataset, &store.value(),
+                                SmallOptions());
+  ASSERT_TRUE(de.ok());
+  QuerySpec spec;
+  spec.kind = QuerySpec::Kind::kHighest;
+  spec.k = 5;
+  spec.layer = sys.model->activation_layers()[0];
+  spec.neurons = {0, 2};
+
+  // Cold: the span carries the sort & partition time and the snapshot
+  // commit time as separate seconds.
+  QueryContext cold_ctx;
+  cold_ctx.trace = std::make_shared<Trace>(Trace::NextId());
+  ASSERT_TRUE((*de)->ExecuteSpec(spec, &cold_ctx).ok());
+  const std::vector<TraceAttr> cold = EnsureSpanAttrs(*cold_ctx.trace);
+  ASSERT_NE(FindAttr(cold, "built"), nullptr);
+  EXPECT_EQ(FindAttr(cold, "built")->int_value, 1);
+  for (const char* key : {"index_s", "commit_s"}) {
+    const TraceAttr* attr = FindAttr(cold, key);
+    ASSERT_NE(attr, nullptr) << key;
+    EXPECT_FALSE(attr->is_int) << key;
+    EXPECT_GT(attr->double_value, 0.0) << key;
+  }
+
+  // Warm: nothing was built, so neither split is reported.
+  QueryContext warm_ctx;
+  warm_ctx.trace = std::make_shared<Trace>(Trace::NextId());
+  ASSERT_TRUE((*de)->ExecuteSpec(spec, &warm_ctx).ok());
+  const std::vector<TraceAttr> warm = EnsureSpanAttrs(*warm_ctx.trace);
+  ASSERT_NE(FindAttr(warm, "built"), nullptr);
+  EXPECT_EQ(FindAttr(warm, "built")->int_value, 0);
+  EXPECT_EQ(FindAttr(warm, "index_s"), nullptr);
+  EXPECT_EQ(FindAttr(warm, "commit_s"), nullptr);
 }
 
 }  // namespace

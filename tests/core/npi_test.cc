@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "testing/test_util.h"
 
 namespace deepeverest {
@@ -244,6 +246,28 @@ TEST(NpiTest, RejectsInvalidConfigs) {
   EXPECT_FALSE(LayerIndex::Build(m, LayerIndexConfig{4, 1.5}).ok());
   storage::LayerActivationMatrix empty;
   EXPECT_FALSE(LayerIndex::Build(empty, LayerIndexConfig{4, 0.0}).ok());
+
+  // A NaN activation has no place in a value order: both schemes reject it.
+  auto with_nan = Figure1Matrix();
+  with_nan.MutableRow(3)[1] = std::numeric_limits<float>::quiet_NaN();
+  for (const PartitionScheme scheme :
+       {PartitionScheme::kEquiDepth, PartitionScheme::kEquiWidth}) {
+    LayerIndexConfig config{2, 0.0};
+    config.scheme = scheme;
+    auto index = LayerIndex::Build(with_nan, config);
+    ASSERT_FALSE(index.ok());
+    EXPECT_EQ(index.status().code(), StatusCode::kInvalidArgument);
+  }
+  // Equal-width ranges over an infinite range are undefined; equi-depth
+  // orders infinities like any other value.
+  auto with_inf = Figure1Matrix();
+  with_inf.MutableRow(3)[1] = std::numeric_limits<float>::infinity();
+  LayerIndexConfig equi_width{2, 0.0};
+  equi_width.scheme = PartitionScheme::kEquiWidth;
+  auto rejected = LayerIndex::Build(with_inf, equi_width);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(LayerIndex::Build(with_inf, LayerIndexConfig{2, 0.0}).ok());
 }
 
 TEST(NpiTest, TiesBrokenDeterministically) {
