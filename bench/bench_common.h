@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "core/nta.h"
 #include "data/dataset.h"
 #include "nn/inference.h"
 #include "nn/model_zoo.h"
@@ -120,6 +121,22 @@ inline double Median(std::vector<double> values) {
   const size_t mid = values.size() / 2;
   if (values.size() % 2 == 1) return values[mid];
   return 0.5 * (values[mid - 1] + values[mid]);
+}
+
+/// Begin + Run of one NTA query over dataset input `target_id` (-1 for a
+/// highest query); a null `ctx` runs with a default context.
+inline Result<core::TopKResult> RunNta(core::NtaEngine* nta,
+                                       const core::NeuronGroup& group,
+                                       core::QuerySpec::Kind kind,
+                                       int64_t target_id,
+                                       const core::NtaOptions& options,
+                                       core::QueryContext* ctx = nullptr) {
+  core::QueryContext local_ctx;
+  if (ctx == nullptr) ctx = &local_ctx;
+  DE_ASSIGN_OR_RETURN(
+      std::unique_ptr<core::NtaExecution> execution,
+      nta->Begin(group, kind, target_id, {}, options, ctx));
+  return execution->Run();
 }
 
 /// A scratch directory removed at destruction.

@@ -12,7 +12,7 @@
 #include <iostream>
 #include <map>
 
-#include "baselines/query_engine.h"
+#include "baselines/layer_scan_engine.h"
 #include "bench/bench_common.h"
 #include "bench_util/query_gen.h"
 #include "bench_util/report.h"
@@ -73,11 +73,17 @@ void RunSequence(const bench::System& system, const std::string& label,
         core::QueryContext with_ctx;
         with_ctx.iqa = &cache;
         Stopwatch with_watch;
-        DE_CHECK(nta.MostSimilarTo(group, target, options, &with_ctx).ok());
+        DE_CHECK(bench::RunNta(&nta, group,
+                               core::QuerySpec::Kind::kMostSimilar, target,
+                               options, &with_ctx)
+                     .ok());
         const double with_iqa = with_watch.ElapsedSeconds();
 
         Stopwatch without_watch;
-        DE_CHECK(nta.MostSimilarTo(group, target, options).ok());
+        DE_CHECK(bench::RunNta(&nta, group,
+                               core::QuerySpec::Kind::kMostSimilar, target,
+                               options)
+                     .ok());
         const double without_iqa = without_watch.ElapsedSeconds();
 
         speedups[q].push_back(without_iqa / with_iqa);

@@ -8,6 +8,7 @@
 // factors that shrink as the group grows (curse of dimensionality).
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <iostream>
 
 #include "baselines/preprocess_all.h"
@@ -87,57 +88,33 @@ void RunConfig(SystemFixture* fixture, QueryType type, LayerDepth depth,
   const int k = 20;
   Rng rng(static_cast<uint64_t>(type) * 1000 +
           static_cast<uint64_t>(depth) * 100 + group_size);
-  std::vector<double> de_times, pa_times, ra_times;
+  // DeepEverest, PreprocessAll, ReprocessAll: the Row's column order.
+  const std::array<core::QueryEngine*, 3> engines = {
+      fixture->de.get(), fixture->preprocess_all.get(),
+      fixture->reprocess_all.get()};
+  std::array<std::vector<double>, 3> times;
   std::vector<double> de_inputs;
   for (int trial = 0; trial < scale.trials; ++trial) {
     auto query = bench_util::GenerateQuery(fixture->generator_engine.get(),
                                            type, depth, group_size, &rng);
     DE_CHECK(query.ok()) << query.status().ToString();
-
-    auto run = [&](auto&& fn) {
+    const core::QuerySpec spec =
+        type == QueryType::kFireMax
+            ? core::HighestQuery(query->group, k)
+            : core::MostSimilarQuery(query->target_id, query->group, k);
+    for (size_t e = 0; e < engines.size(); ++e) {
       Stopwatch watch;
-      auto result = fn();
+      auto result = engines[e]->ExecuteSpec(spec);
       DE_CHECK(result.ok()) << result.status().ToString();
-      return std::make_pair(watch.ElapsedSeconds(),
-                            result->stats.inputs_run);
-    };
-
-    if (type == QueryType::kFireMax) {
-      auto [t_de, in_de] = run(
-          [&] { return fixture->de->TopKHighest(query->group, k); });
-      auto [t_pa, in_pa] = run([&] {
-        return fixture->preprocess_all->TopKHighest(query->group, k, nullptr);
-      });
-      auto [t_ra, in_ra] = run([&] {
-        return fixture->reprocess_all->TopKHighest(query->group, k, nullptr);
-      });
-      de_times.push_back(t_de);
-      pa_times.push_back(t_pa);
-      ra_times.push_back(t_ra);
-      de_inputs.push_back(static_cast<double>(in_de));
-    } else {
-      auto [t_de, in_de] = run([&] {
-        return fixture->de->TopKMostSimilar(query->target_id, query->group, k);
-      });
-      auto [t_pa, in_pa] = run([&] {
-        return fixture->preprocess_all->TopKMostSimilar(query->target_id,
-                                                        query->group, k,
-                                                        nullptr);
-      });
-      auto [t_ra, in_ra] = run([&] {
-        return fixture->reprocess_all->TopKMostSimilar(query->target_id,
-                                                       query->group, k,
-                                                       nullptr);
-      });
-      de_times.push_back(t_de);
-      pa_times.push_back(t_pa);
-      ra_times.push_back(t_ra);
-      de_inputs.push_back(static_cast<double>(in_de));
+      times[e].push_back(watch.ElapsedSeconds());
+      if (e == 0) {
+        de_inputs.push_back(static_cast<double>(result->stats.inputs_run));
+      }
     }
   }
-  row->de_seconds = bench::Median(de_times);
-  row->pa_seconds = bench::Median(pa_times);
-  row->ra_seconds = bench::Median(ra_times);
+  row->de_seconds = bench::Median(times[0]);
+  row->pa_seconds = bench::Median(times[1]);
+  row->ra_seconds = bench::Median(times[2]);
   row->de_inputs = static_cast<int64_t>(bench::Median(de_inputs));
 }
 

@@ -12,6 +12,8 @@
 #include <benchmark/benchmark.h>
 
 #include <iostream>
+#include <memory>
+#include <vector>
 
 #include "baselines/lru_cache.h"
 #include "baselines/preprocess_all.h"
@@ -52,16 +54,10 @@ std::vector<int> Checkpoints(int total) {
   return points;
 }
 
-/// One pre-generated workload query.
-struct WorkloadQuery {
-  core::NeuronGroup group;
-  uint32_t target_id = 0;
-};
-
-std::vector<WorkloadQuery> BuildWorkload(const bench::System& system,
-                                         double p_same, double p_prev,
-                                         double p_new, int num_queries,
-                                         uint64_t seed) {
+std::vector<core::QuerySpec> BuildWorkload(const bench::System& system,
+                                           double p_same, double p_prev,
+                                           double p_new, int num_queries,
+                                           int k, uint64_t seed) {
   auto generator = system.NewEngine();
   bench_util::WorkloadSpec spec;
   spec.p_same = p_same;
@@ -73,37 +69,53 @@ std::vector<WorkloadQuery> BuildWorkload(const bench::System& system,
       bench_util::GenerateLayerSequence(system.model->activation_layers(),
                                         spec);
   Rng rng(seed * 13 + 5);
-  std::vector<WorkloadQuery> queries;
+  std::vector<core::QuerySpec> queries;
   queries.reserve(layers.size());
   for (int layer : layers) {
-    WorkloadQuery query;
-    query.target_id =
+    const uint32_t target_id =
         static_cast<uint32_t>(rng.NextUint64(system.dataset->size()));
     auto group = bench_util::MakeNeuronGroup(
-        generator.get(), query.target_id, layer,
-        bench_util::GroupKind::kRandHigh, /*size=*/3, &rng);
+        generator.get(), target_id, layer, bench_util::GroupKind::kRandHigh,
+        /*size=*/3, &rng);
     DE_CHECK(group.ok()) << group.status().ToString();
-    query.group = *group;
-    queries.push_back(std::move(query));
+    queries.push_back(core::MostSimilarQuery(target_id, *group, k));
   }
   return queries;
 }
 
-/// Runs a workload through one engine-like callable, sampling both wall
-/// time and the modeled-testbed clock at the checkpoints. `modeled_now`
-/// must return the method's total modeled seconds so far (inference +
-/// store traffic), including any preprocessing already performed.
-template <typename QueryFn, typename ModeledFn>
-void RunWorkload(const std::vector<WorkloadQuery>& queries,
-                 double preprocess_wall_seconds, QueryFn&& run,
-                 ModeledFn&& modeled_now, Series* series) {
+/// One method of the comparison: its engine, the inference engine and store
+/// only it uses (so the modeled clock charges it exactly its own work), and
+/// the preprocessing wall time charged before query 0.
+struct Method {
+  core::QueryEngine* engine;
+  const nn::InferenceEngine* inference;
+  const storage::FileStore* store;  // null: no storage traffic
+  double preprocess_seconds;
+};
+
+/// Runs a workload through one method, sampling both wall time and the
+/// modeled-testbed clock at the checkpoints. Modeled time is the method's
+/// simulated-GPU inference so far plus its store traffic at the modeled
+/// reference-disk throughput, preprocessing included.
+void RunWorkload(const std::vector<core::QuerySpec>& queries,
+                 const Method& method, double disk_bytes_per_second,
+                 Series* series) {
+  const auto modeled_now = [&] {
+    double modeled = method.inference->stats().simulated_gpu_seconds;
+    if (method.store != nullptr) {
+      modeled += static_cast<double>(method.store->bytes_written() +
+                                     method.store->bytes_read()) /
+                 disk_bytes_per_second;
+    }
+    return modeled;
+  };
   const std::vector<int> checkpoints = Checkpoints(
       static_cast<int>(queries.size()));
-  double wall = preprocess_wall_seconds;
+  double wall = method.preprocess_seconds;
   size_t next_checkpoint = 0;
   for (size_t q = 0; q < queries.size(); ++q) {
     Stopwatch watch;
-    run(queries[q]);
+    DE_CHECK(method.engine->ExecuteSpec(queries[q]).ok());
     wall += watch.ElapsedSeconds();
     while (next_checkpoint < checkpoints.size() &&
            static_cast<int>(q + 1) == checkpoints[next_checkpoint]) {
@@ -118,10 +130,9 @@ void RunSystemWorkload(const bench::System& system,
                        const std::string& workload_name, double p_same,
                        double p_prev, double p_new) {
   const bench::Scale scale = bench::GetScale();
-  const int k = 20;
-  const std::vector<WorkloadQuery> queries =
-      BuildWorkload(system, p_same, p_prev, p_new, scale.workload_queries,
-                    std::hash<std::string>{}(workload_name) % 1000 + 17);
+  const std::vector<core::QuerySpec> queries = BuildWorkload(
+      system, p_same, p_prev, p_new, scale.workload_queries, /*k=*/20,
+      std::hash<std::string>{}(workload_name) % 1000 + 17);
 
   const uint64_t full_bytes = [&] {
     int64_t total_neurons = 0;
@@ -132,131 +143,62 @@ void RunSystemWorkload(const bench::System& system,
   }();
   const uint64_t budget = full_bytes / 5;  // 20%
 
-  // Modeled clock for a (engine, store) pair: simulated-GPU inference time
-  // plus store traffic at the modeled reference-disk throughput.
-  auto modeled_clock = [&](const nn::InferenceEngine* engine,
-                           const storage::FileStore* store) {
-    return [&, engine, store]() {
-      double modeled = engine->stats().simulated_gpu_seconds;
-      if (store != nullptr) {
-        modeled += static_cast<double>(store->bytes_written() +
-                                       store->bytes_read()) /
-                   system.disk_bytes_per_second;
-      }
-      return modeled;
-    };
+  bench::ScratchDir scratch("fig6");
+  std::vector<std::unique_ptr<storage::FileStore>> stores;
+  const auto open_store = [&](const std::string& name) {
+    auto store = storage::FileStore::Open(scratch.path() + "/" + name);
+    DE_CHECK(store.ok()) << store.status().ToString();
+    stores.push_back(std::make_unique<storage::FileStore>(std::move(*store)));
+    return stores.back().get();
   };
 
-  // --- DeepEverest with incremental indexing (no preprocessing). ---
-  {
-    bench::ScratchDir scratch("fig6-de");
-    auto store = storage::FileStore::Open(scratch.path());
-    DE_CHECK(store.ok());
-    core::DeepEverestOptions options;
-    options.batch_size = system.batch_size;
-    options.storage_budget_fraction = 0.2;
-    auto de = core::DeepEverest::Create(system.model.get(),
-                                        system.dataset.get(), &store.value(),
-                                        options);
-    DE_CHECK(de.ok());
-    system.ApplyCostModel((*de)->inference());
-    Series series{system.name, workload_name, "DeepEverest", {}, {}, 0};
-    RunWorkload(
-        queries, 0.0,
-        [&](const WorkloadQuery& query) {
-          DE_CHECK(
-              (*de)->TopKMostSimilar(query.target_id, query.group, k).ok());
-        },
-        modeled_clock((*de)->inference(), &store.value()), &series);
-    series.storage_bytes = (*de)->PersistedIndexBytes().ValueOr(0);
-    AllSeries().push_back(std::move(series));
-  }
+  // DeepEverest with incremental indexing (no preprocessing).
+  storage::FileStore* de_store = open_store("de");
+  core::DeepEverestOptions options;
+  options.batch_size = system.batch_size;
+  options.storage_budget_fraction = 0.2;
+  auto de = core::DeepEverest::Create(system.model.get(),
+                                      system.dataset.get(), de_store, options);
+  DE_CHECK(de.ok());
+  system.ApplyCostModel((*de)->inference());
 
-  // --- PreprocessAll: full materialisation charged to query 0. ---
-  {
-    bench::ScratchDir scratch("fig6-pa");
-    auto store = storage::FileStore::Open(scratch.path());
-    DE_CHECK(store.ok());
-    auto engine = system.NewEngine();
-    baselines::PreprocessAll engine_pa(engine.get(), &store.value());
-    Stopwatch preprocess_watch;
-    DE_CHECK(engine_pa.Preprocess().ok());
-    const double preprocess_seconds = preprocess_watch.ElapsedSeconds();
-    Series series{system.name, workload_name, "PreprocessAll", {}, {}, 0};
-    RunWorkload(
-        queries, preprocess_seconds,
-        [&](const WorkloadQuery& query) {
-          DE_CHECK(engine_pa
-                       .TopKMostSimilar(query.target_id, query.group, k,
-                                        nullptr)
-                       .ok());
-        },
-        modeled_clock(engine.get(), &store.value()), &series);
-    series.storage_bytes = engine_pa.StorageBytes().ValueOr(0);
-    AllSeries().push_back(std::move(series));
-  }
+  // PreprocessAll: full materialisation charged to query 0.
+  auto pa_inference = system.NewEngine();
+  storage::FileStore* pa_store = open_store("pa");
+  baselines::PreprocessAll preprocess_all(pa_inference.get(), pa_store);
+  Stopwatch pa_watch;
+  DE_CHECK(preprocess_all.Preprocess().ok());
+  const double pa_seconds = pa_watch.ElapsedSeconds();
 
-  // --- ReprocessAll. ---
-  {
-    auto engine = system.NewEngine();
-    baselines::ReprocessAll engine_ra(engine.get());
-    Series series{system.name, workload_name, "ReprocessAll", {}, {}, 0};
-    RunWorkload(
-        queries, 0.0,
-        [&](const WorkloadQuery& query) {
-          DE_CHECK(engine_ra
-                       .TopKMostSimilar(query.target_id, query.group, k,
-                                        nullptr)
-                       .ok());
-        },
-        modeled_clock(engine.get(), nullptr), &series);
-    AllSeries().push_back(std::move(series));
-  }
+  auto ra_inference = system.NewEngine();
+  baselines::ReprocessAll reprocess_all(ra_inference.get());
 
-  // --- LRU Cache (20% budget). ---
-  {
-    bench::ScratchDir scratch("fig6-lru");
-    auto store = storage::FileStore::Open(scratch.path());
-    DE_CHECK(store.ok());
-    auto engine = system.NewEngine();
-    baselines::LruCacheEngine engine_lru(engine.get(), &store.value(),
-                                         budget);
-    Series series{system.name, workload_name, "LRU Cache", {}, {}, 0};
-    RunWorkload(
-        queries, 0.0,
-        [&](const WorkloadQuery& query) {
-          DE_CHECK(engine_lru
-                       .TopKMostSimilar(query.target_id, query.group, k,
-                                        nullptr)
-                       .ok());
-        },
-        modeled_clock(engine.get(), &store.value()), &series);
-    series.storage_bytes = engine_lru.StorageBytes().ValueOr(0);
-    AllSeries().push_back(std::move(series));
-  }
+  // LRU Cache (20% budget).
+  auto lru_inference = system.NewEngine();
+  storage::FileStore* lru_store = open_store("lru");
+  baselines::LruCacheEngine lru(lru_inference.get(), lru_store, budget);
 
-  // --- Priority Cache (MISTIQUE cost model, 20% budget). ---
-  {
-    bench::ScratchDir scratch("fig6-pri");
-    auto store = storage::FileStore::Open(scratch.path());
-    DE_CHECK(store.ok());
-    auto engine = system.NewEngine();
-    baselines::PriorityCacheEngine engine_pri(engine.get(), &store.value(),
-                                              budget);
-    Stopwatch preprocess_watch;
-    DE_CHECK(engine_pri.Preprocess().ok());
-    const double preprocess_seconds = preprocess_watch.ElapsedSeconds();
-    Series series{system.name, workload_name, "Priority Cache", {}, {}, 0};
-    RunWorkload(
-        queries, preprocess_seconds,
-        [&](const WorkloadQuery& query) {
-          DE_CHECK(engine_pri
-                       .TopKMostSimilar(query.target_id, query.group, k,
-                                        nullptr)
-                       .ok());
-        },
-        modeled_clock(engine.get(), &store.value()), &series);
-    series.storage_bytes = engine_pri.StorageBytes().ValueOr(0);
+  // Priority Cache (MISTIQUE cost model, 20% budget).
+  auto pri_inference = system.NewEngine();
+  storage::FileStore* pri_store = open_store("pri");
+  baselines::PriorityCacheEngine priority(pri_inference.get(), pri_store,
+                                          budget);
+  Stopwatch pri_watch;
+  DE_CHECK(priority.Preprocess().ok());
+  const double pri_seconds = pri_watch.ElapsedSeconds();
+
+  const Method methods[] = {
+      {de->get(), (*de)->inference(), de_store, 0.0},
+      {&preprocess_all, pa_inference.get(), pa_store, pa_seconds},
+      {&reprocess_all, ra_inference.get(), nullptr, 0.0},
+      {&lru, lru_inference.get(), lru_store, 0.0},
+      {&priority, pri_inference.get(), pri_store, pri_seconds},
+  };
+  for (const Method& method : methods) {
+    Series series{system.name, workload_name, method.engine->name(), {}, {},
+                  0};
+    RunWorkload(queries, method, system.disk_bytes_per_second, &series);
+    series.storage_bytes = method.engine->StorageBytes().ValueOr(0);
     AllSeries().push_back(std::move(series));
   }
 }

@@ -8,7 +8,7 @@
 #include <iostream>
 #include <map>
 
-#include "baselines/query_engine.h"
+#include "baselines/layer_scan_engine.h"
 #include "bench/bench_common.h"
 #include "bench_util/query_gen.h"
 #include "bench_util/report.h"
@@ -65,7 +65,9 @@ void RunSweep(const bench::System& system) {
         core::NtaOptions options;
         options.k = 20;
         Stopwatch watch;
-        auto result = nta.MostSimilarTo(*group, target, options);
+        auto result = bench::RunNta(&nta, *group,
+                                    core::QuerySpec::Kind::kMostSimilar,
+                                    target, options);
         DE_CHECK(result.ok()) << result.status().ToString();
         walls.push_back(watch.ElapsedSeconds());
         gpus.push_back(result->stats.simulated_gpu_seconds);

@@ -8,7 +8,7 @@
 #include <iostream>
 #include <map>
 
-#include "baselines/query_engine.h"
+#include "baselines/layer_scan_engine.h"
 #include "bench/bench_common.h"
 #include "bench_util/query_gen.h"
 #include "bench_util/report.h"
@@ -68,11 +68,12 @@ void RunSweep(const bench::System& system) {
           core::NtaOptions options;
           options.k = 20;
           Stopwatch watch;
-          if (type == QueryType::kFireMax) {
-            DE_CHECK(nta.Highest(*group, options).ok());
-          } else {
-            DE_CHECK(nta.MostSimilarTo(*group, target, options).ok());
-          }
+          const bool highest = type == QueryType::kFireMax;
+          DE_CHECK(bench::RunNta(&nta, *group,
+                                 highest ? core::QuerySpec::Kind::kHighest
+                                         : core::QuerySpec::Kind::kMostSimilar,
+                                 highest ? -1 : int64_t{target}, options)
+                       .ok());
           times.push_back(watch.ElapsedSeconds());
         }
         const std::string key = system.name + "/" +

@@ -8,7 +8,7 @@
 #include <iostream>
 #include <map>
 
-#include "baselines/query_engine.h"
+#include "baselines/layer_scan_engine.h"
 #include "bench/bench_common.h"
 #include "bench_util/query_gen.h"
 #include "bench_util/report.h"
@@ -83,7 +83,10 @@ void RunSweep(const bench::System& system) {
           core::NtaOptions options;
           options.k = 20;
           Stopwatch watch;
-          DE_CHECK(nta.MostSimilarTo(*group, target, options).ok());
+          DE_CHECK(bench::RunNta(&nta, *group,
+                                 core::QuerySpec::Kind::kMostSimilar, target,
+                                 options)
+                       .ok());
           times.push_back(watch.ElapsedSeconds());
         }
         const std::string key = system.name + "/" +

@@ -172,7 +172,8 @@ int main() {
     std::fprintf(stderr, "engine: %s\n", engine.status().ToString().c_str());
     return 1;
   }
-  auto warmup = (*engine)->TopKHighest(group, k);  // builds the index
+  // Builds the index.
+  auto warmup = (*engine)->ExecuteSpec(core::HighestQuery(group, k));
   if (!warmup.ok()) {
     std::fprintf(stderr, "warmup: %s\n", warmup.status().ToString().c_str());
     return 1;
@@ -192,7 +193,7 @@ int main() {
   std::atomic<int64_t> query_failures{0};
   std::thread querier([&] {
     while (!ingest_done.load(std::memory_order_acquire)) {
-      auto result = (*engine)->TopKHighest(group, k);
+      auto result = (*engine)->ExecuteSpec(core::HighestQuery(group, k));
       if (!result.ok()) {
         std::fprintf(stderr, "query during ingest: %s\n",
                      result.status().ToString().c_str());
@@ -232,7 +233,7 @@ int main() {
 
   // Final answer at the fully applied watermark joins the verification set.
   {
-    auto final_result = (*engine)->TopKHighest(group, k);
+    auto final_result = (*engine)->ExecuteSpec(core::HighestQuery(group, k));
     if (!final_result.ok()) return 1;
     observed.emplace_back(final_result->stats.dataset_version,
                           std::move(final_result.value()));
@@ -260,7 +261,7 @@ int main() {
     auto ref_engine = core::DeepEverest::Create(
         model.get(), &ref_dataset, ref_store.store.get(), EngineOptions());
     if (!ref_engine.ok()) return 1;
-    auto ref = (*ref_engine)->TopKHighest(group, k);
+    auto ref = (*ref_engine)->ExecuteSpec(core::HighestQuery(group, k));
     if (!ref.ok()) return 1;
     if (!SameEntries(*ref, *result)) {
       std::fprintf(stderr,
@@ -303,7 +304,7 @@ int main() {
     restart_seconds = NowSeconds() - t0;
     recovered_layers = (*queue2)->recovered_layers();
     restart_inference_inputs = (*engine2)->inference()->stats().inputs_run;
-    auto recovered = (*engine2)->TopKHighest(group, k);
+    auto recovered = (*engine2)->ExecuteSpec(core::HighestQuery(group, k));
     if (!recovered.ok() ||
         !SameEntries(*recovered, *by_version.rbegin()->second)) {
       std::fprintf(stderr, "restarted engine answers differently\n");

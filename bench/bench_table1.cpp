@@ -9,7 +9,7 @@
 
 #include "baselines/cta.h"
 #include "baselines/kd_tree.h"
-#include "baselines/query_engine.h"
+#include "baselines/layer_scan_engine.h"
 #include "bench/bench_common.h"
 #include "bench_util/query_gen.h"
 #include "bench_util/report.h"
@@ -70,8 +70,11 @@ void BM_Method(benchmark::State& state, const std::string& method) {
     double inference_seconds = 0.0;
     storage::LayerActivationMatrix matrix = ComputeMatrixTimed(
         engine.get(), query.group.layer, &inference_seconds);
-    const std::vector<float> target_acts = baselines::TargetActsFromMatrix(
-        matrix, query.group.neurons, query.target_id);
+    std::vector<float> target_acts;
+    for (const int64_t neuron : query.group.neurons) {
+      target_acts.push_back(
+          matrix.At(query.target_id, static_cast<uint64_t>(neuron)));
+    }
 
     if (method == "ReprocessAll") {
       benchmark::DoNotOptimize(core::ScanMostSimilar(

@@ -8,7 +8,7 @@
 #include <iostream>
 #include <map>
 
-#include "baselines/query_engine.h"
+#include "baselines/layer_scan_engine.h"
 #include "bench/bench_common.h"
 #include "bench_util/query_gen.h"
 #include "bench_util/report.h"
@@ -56,7 +56,9 @@ void RunSweep(const bench::System& system) {
           core::NtaEngine nta(engine.get(), &index.value());
           core::NtaOptions options;
           options.k = 20;
-          auto result = nta.MostSimilarTo(*group, target, options);
+          auto result = bench::RunNta(&nta, *group,
+                                      core::QuerySpec::Kind::kMostSimilar,
+                                      target, options);
           DE_CHECK(result.ok());
           inputs.push_back(static_cast<double>(result->stats.inputs_run));
         }

@@ -38,7 +38,7 @@ int main() {
   core::NeuronGroup group{layer, *top_neurons};
 
   // Warm the index so every run below is NTA-driven.
-  if (!(*de)->TopKHighest(group, 1).ok()) return 1;
+  if (!(*de)->ExecuteSpec(core::HighestQuery(group, 1)).ok()) return 1;
 
   // Exact vs θ-approximate: the approximation may stop earlier (fewer
   // inputs through the DNN) while guaranteeing θ·dist(returned) <=

@@ -3,8 +3,10 @@
 // paper's Figure 5).
 //
 //   ./examples/baseline_comparison
+#include <cmath>
 #include <cstdio>
 #include <iostream>
+#include <vector>
 
 #include "baselines/preprocess_all.h"
 #include "baselines/reprocess_all.h"
@@ -47,44 +49,39 @@ int main() {
   const int k = 20;
 
   // Warm DeepEverest's index so the measured query is the steady state.
-  if (!(*de)->TopKHighest(group, 1).ok()) return 1;
+  if (!(*de)->ExecuteSpec(core::HighestQuery(group, 1)).ok()) return 1;
 
+  // One SimHigh query, asked of every engine the same way.
+  const core::QuerySpec spec = core::MostSimilarQuery(target, group, k);
   bench_util::TablePrinter table(
       {"Method", "Query time", "Inputs through DNN", "Disk storage"});
+  std::vector<core::TopKResult> results;
+  const std::vector<core::QueryEngine*> engines = {de->get(), &preprocess,
+                                                   &reprocess};
+  for (core::QueryEngine* engine : engines) {
+    auto result = engine->ExecuteSpec(spec);
+    if (!result.ok()) return 1;
+    table.AddRow({engine->name(),
+                  bench_util::FormatSeconds(result->stats.wall_seconds),
+                  std::to_string(result->stats.inputs_run),
+                  bench_util::FormatBytes(engine->StorageBytes().ValueOr(0))});
+    results.push_back(std::move(*result));
+  }
 
-  auto de_result = (*de)->TopKMostSimilar(target, group, k);
-  if (!de_result.ok()) return 1;
-  table.AddRow({"DeepEverest (20% budget)",
-                bench_util::FormatSeconds(de_result->stats.wall_seconds),
-                std::to_string(de_result->stats.inputs_run),
-                bench_util::FormatBytes(
-                    (*de)->PersistedIndexBytes().ValueOr(0))});
-
-  auto pa_result = preprocess.TopKMostSimilar(target, group, k, nullptr);
-  if (!pa_result.ok()) return 1;
-  table.AddRow({"PreprocessAll",
-                bench_util::FormatSeconds(pa_result->stats.wall_seconds),
-                std::to_string(pa_result->stats.inputs_run),
-                bench_util::FormatBytes(preprocess.StorageBytes().ValueOr(0))});
-
-  auto ra_result = reprocess.TopKMostSimilar(target, group, k, nullptr);
-  if (!ra_result.ok()) return 1;
-  table.AddRow({"ReprocessAll",
-                bench_util::FormatSeconds(ra_result->stats.wall_seconds),
-                std::to_string(ra_result->stats.inputs_run), "0 B"});
-
-  std::printf("SimHigh query, k=%d, |G|=%zu, layer %d, %u inputs\n\n", k,
-              group.neurons.size(), layer, dataset.size());
+  std::printf("SimHigh query, k=%d, |G|=%zu, layer %d, %u inputs; "
+              "DeepEverest has a 20%% storage budget\n\n",
+              k, group.neurons.size(), layer, dataset.size());
   table.Print(std::cout);
 
-  // Sanity: all three methods agree on the result set values.
-  for (size_t i = 0; i < de_result->entries.size(); ++i) {
-    const double a = de_result->entries[i].value;
-    const double b = pa_result->entries[i].value;
-    const double c = ra_result->entries[i].value;
-    if (std::abs(a - b) > 1e-4 || std::abs(a - c) > 1e-4) {
-      std::fprintf(stderr, "rank %zu mismatch: %f %f %f\n", i, a, b, c);
-      return 1;
+  // Sanity: every method agrees on the result set values.
+  for (const core::TopKResult& result : results) {
+    for (size_t i = 0; i < result.entries.size(); ++i) {
+      const double a = results[0].entries[i].value;
+      const double b = result.entries[i].value;
+      if (std::abs(a - b) > 1e-4) {
+        std::fprintf(stderr, "rank %zu mismatch: %f %f\n", i, a, b);
+        return 1;
+      }
     }
   }
   std::printf("\nAll methods returned identical top-%d distances.\n", k);

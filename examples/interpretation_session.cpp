@@ -60,7 +60,8 @@ int Run() {
     group.layer = layer;
     group.neurons.assign(top_neurons->begin(),
                          top_neurons->begin() + group_size);
-    auto result = (*de)->TopKMostSimilar(image, group, /*k=*/5);
+    auto result =
+        (*de)->ExecuteSpec(core::MostSimilarQuery(image, group, /*k=*/5));
     if (!result.ok()) {
       std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
       return 1;

@@ -48,7 +48,7 @@ int main() {
   //    neurons?") against three neurons of the mid activation layer.
   const int mid_layer = model->activation_layers()[2];
   core::NeuronGroup group{mid_layer, {10, 42, 100}};
-  auto highest = (*de)->TopKHighest(group, /*k=*/5);
+  auto highest = (*de)->ExecuteSpec(core::HighestQuery(group, /*k=*/5));
   if (!highest.ok()) {
     std::fprintf(stderr, "%s\n", highest.status().ToString().c_str());
     return 1;
@@ -72,7 +72,8 @@ int main() {
     return 1;
   }
   group.neurons = *top_neurons;
-  auto similar = (*de)->TopKMostSimilar(/*target_id=*/17, group, /*k=*/5);
+  auto similar = (*de)->ExecuteSpec(
+      core::MostSimilarQuery(/*target_id=*/17, group, /*k=*/5));
   if (!similar.ok()) {
     std::fprintf(stderr, "%s\n", similar.status().ToString().c_str());
     return 1;

@@ -1,8 +1,5 @@
 #include "baselines/lru_cache.h"
 
-#include "common/stopwatch.h"
-#include "core/nta.h"
-
 namespace deepeverest {
 namespace baselines {
 
@@ -59,45 +56,6 @@ Status LruCacheEngine::EvictUntilWithinBudgetLocked() {
     DE_RETURN_NOT_OK(EvictLocked(recency_.back()));
   }
   return Status::OK();
-}
-
-Result<core::TopKResult> LruCacheEngine::TopKHighest(
-    const core::NeuronGroup& group, int k, core::DistancePtr dist) {
-  Stopwatch watch;
-  nn::InferenceReceipt receipt;
-  DE_ASSIGN_OR_RETURN(storage::LayerActivationMatrix matrix,
-                      GetLayer(group.layer, &receipt));
-  core::TopKResult result = core::ScanHighest(
-      matrix, group.neurons, k,
-      dist != nullptr ? dist : core::L2Distance());
-  result.stats.inputs_run = receipt.inputs_run;
-  result.stats.batches_run = receipt.batches_run;
-  result.stats.simulated_gpu_seconds = receipt.simulated_gpu_seconds;
-  result.stats.wall_seconds = watch.ElapsedSeconds();
-  return result;
-}
-
-Result<core::TopKResult> LruCacheEngine::TopKMostSimilar(
-    uint32_t target_id, const core::NeuronGroup& group, int k,
-    core::DistancePtr dist) {
-  if (target_id >= inference_->dataset().size()) {
-    return Status::OutOfRange("target input out of range");
-  }
-  Stopwatch watch;
-  nn::InferenceReceipt receipt;
-  DE_ASSIGN_OR_RETURN(storage::LayerActivationMatrix matrix,
-                      GetLayer(group.layer, &receipt));
-  const std::vector<float> target_acts =
-      TargetActsFromMatrix(matrix, group.neurons, target_id);
-  core::TopKResult result = core::ScanMostSimilar(
-      matrix, group.neurons, target_acts, k,
-      dist != nullptr ? dist : core::L2Distance(),
-      /*exclude_target=*/true, target_id);
-  result.stats.inputs_run = receipt.inputs_run;
-  result.stats.batches_run = receipt.batches_run;
-  result.stats.simulated_gpu_seconds = receipt.simulated_gpu_seconds;
-  result.stats.wall_seconds = watch.ElapsedSeconds();
-  return result;
 }
 
 }  // namespace baselines

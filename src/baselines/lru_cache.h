@@ -6,7 +6,7 @@
 #include <string>
 #include <unordered_map>
 
-#include "baselines/query_engine.h"
+#include "baselines/layer_scan_engine.h"
 #include "common/mutex.h"
 #include "storage/file_store.h"
 
@@ -28,24 +28,16 @@ namespace baselines {
 /// mutex serialises cache bookkeeping), so the engine can serve as a
 /// fallback cache under the concurrent query service. Concurrent misses of
 /// *different* layers serialise on the mutex — acceptable for a baseline.
-class LruCacheEngine : public QueryEngine {
+class LruCacheEngine : public LayerScanEngine {
  public:
   /// Does not take ownership.
   LruCacheEngine(nn::InferenceEngine* inference, storage::FileStore* store,
                  uint64_t budget_bytes)
-      : inference_(inference),
-        store_(store),
+      : LayerScanEngine(inference),
         activations_(store),
         budget_bytes_(budget_bytes) {}
 
   std::string name() const override { return "LRU Cache"; }
-
-  Result<core::TopKResult> TopKHighest(const core::NeuronGroup& group, int k,
-                                       core::DistancePtr dist) override;
-  Result<core::TopKResult> TopKMostSimilar(uint32_t target_id,
-                                           const core::NeuronGroup& group,
-                                           int k,
-                                           core::DistancePtr dist) override;
 
   Result<uint64_t> StorageBytes() const override {
     common::MutexLock lock(&mu_);
@@ -69,16 +61,14 @@ class LruCacheEngine : public QueryEngine {
   /// Returns the layer's activation matrix, via the cache or recomputation,
   /// then updates recency/evictions. A miss's inference cost is charged to
   /// `receipt` (exact per-caller attribution; hits add nothing).
-  Result<storage::LayerActivationMatrix> GetLayer(int layer,
-                                                  nn::InferenceReceipt* receipt);
+  Result<storage::LayerActivationMatrix> GetLayer(
+      int layer, nn::InferenceReceipt* receipt) override;
 
   /// Drops `layer` from cache state and disk.
   Status EvictLocked(int layer) REQUIRES(mu_);
 
   Status EvictUntilWithinBudgetLocked() REQUIRES(mu_);
 
-  nn::InferenceEngine* inference_;
-  storage::FileStore* store_;
   storage::ActivationStore activations_;
   uint64_t budget_bytes_;
 

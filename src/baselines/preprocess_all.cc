@@ -1,7 +1,6 @@
 #include "baselines/preprocess_all.h"
 
 #include "common/stopwatch.h"
-#include "core/nta.h"
 
 namespace deepeverest {
 namespace baselines {
@@ -41,44 +40,13 @@ Status PreprocessAll::Preprocess() {
   return Status::OK();
 }
 
-Result<storage::LayerActivationMatrix> PreprocessAll::LoadLayer(
-    int layer) const {
+Result<storage::LayerActivationMatrix> PreprocessAll::GetLayer(
+    int layer, nn::InferenceReceipt* /*receipt*/) {
   auto result = activations_.Load(inference_->model().name(), layer);
   if (!result.ok() && result.status().IsNotFound()) {
     return Status::FailedPrecondition(
         "PreprocessAll::Preprocess() has not been run");
   }
-  return result;
-}
-
-Result<core::TopKResult> PreprocessAll::TopKHighest(
-    const core::NeuronGroup& group, int k, core::DistancePtr dist) {
-  Stopwatch watch;
-  DE_ASSIGN_OR_RETURN(storage::LayerActivationMatrix matrix,
-                      LoadLayer(group.layer));
-  core::TopKResult result = core::ScanHighest(
-      matrix, group.neurons, k,
-      dist != nullptr ? dist : core::L2Distance());
-  result.stats.wall_seconds = watch.ElapsedSeconds();
-  return result;
-}
-
-Result<core::TopKResult> PreprocessAll::TopKMostSimilar(
-    uint32_t target_id, const core::NeuronGroup& group, int k,
-    core::DistancePtr dist) {
-  Stopwatch watch;
-  DE_ASSIGN_OR_RETURN(storage::LayerActivationMatrix matrix,
-                      LoadLayer(group.layer));
-  if (target_id >= matrix.num_inputs) {
-    return Status::OutOfRange("target input out of range");
-  }
-  const std::vector<float> target_acts =
-      TargetActsFromMatrix(matrix, group.neurons, target_id);
-  core::TopKResult result = core::ScanMostSimilar(
-      matrix, group.neurons, target_acts, k,
-      dist != nullptr ? dist : core::L2Distance(),
-      /*exclude_target=*/true, target_id);
-  result.stats.wall_seconds = watch.ElapsedSeconds();
   return result;
 }
 

@@ -3,7 +3,7 @@
 
 #include <string>
 
-#include "baselines/query_engine.h"
+#include "baselines/layer_scan_engine.h"
 #include "storage/file_store.h"
 
 namespace deepeverest {
@@ -13,23 +13,16 @@ namespace baselines {
 /// activations for every input up front; queries load the stored layer and
 /// scan it. Fastest queries, maximal storage (the "full materialisation"
 /// all budgets are measured against).
-class PreprocessAll : public QueryEngine {
+class PreprocessAll : public LayerScanEngine {
  public:
   /// Does not take ownership; both must outlive this object.
   PreprocessAll(nn::InferenceEngine* inference, storage::FileStore* store)
-      : inference_(inference), store_(store), activations_(store) {}
+      : LayerScanEngine(inference), store_(store), activations_(store) {}
 
   std::string name() const override { return "PreprocessAll"; }
 
   /// One full inference pass over the dataset; persists one file per layer.
-  Status Preprocess() override;
-
-  Result<core::TopKResult> TopKHighest(const core::NeuronGroup& group, int k,
-                                       core::DistancePtr dist) override;
-  Result<core::TopKResult> TopKMostSimilar(uint32_t target_id,
-                                           const core::NeuronGroup& group,
-                                           int k,
-                                           core::DistancePtr dist) override;
+  Status Preprocess();
 
   Result<uint64_t> StorageBytes() const override {
     return store_->TotalBytes();
@@ -45,9 +38,10 @@ class PreprocessAll : public QueryEngine {
   }
 
  private:
-  Result<storage::LayerActivationMatrix> LoadLayer(int layer) const;
+  /// Loads the stored layer; queries never run inference.
+  Result<storage::LayerActivationMatrix> GetLayer(
+      int layer, nn::InferenceReceipt* receipt) override;
 
-  nn::InferenceEngine* inference_;
   storage::FileStore* store_;
   storage::ActivationStore activations_;
   bool preprocessed_ = false;

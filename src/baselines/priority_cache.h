@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "baselines/query_engine.h"
+#include "baselines/layer_scan_engine.h"
 #include "storage/file_store.h"
 
 namespace deepeverest {
@@ -17,15 +17,14 @@ namespace baselines {
 /// and greedily materialise the best ones under the budget during
 /// preprocessing. Queries on materialised layers run like PreprocessAll;
 /// everything else runs like ReprocessAll.
-class PriorityCacheEngine : public QueryEngine {
+class PriorityCacheEngine : public LayerScanEngine {
  public:
   /// `disk_read_bytes_per_second` models load time in the cost model (the
   /// actual loads are real file reads).
   PriorityCacheEngine(nn::InferenceEngine* inference,
                       storage::FileStore* store, uint64_t budget_bytes,
                       double disk_read_bytes_per_second = 500e6)
-      : inference_(inference),
-        store_(store),
+      : LayerScanEngine(inference),
         activations_(store),
         budget_bytes_(budget_bytes),
         disk_read_bytes_per_second_(disk_read_bytes_per_second) {}
@@ -33,14 +32,7 @@ class PriorityCacheEngine : public QueryEngine {
   std::string name() const override { return "Priority Cache"; }
 
   /// Ranks layers with the cost model and materialises the chosen set.
-  Status Preprocess() override;
-
-  Result<core::TopKResult> TopKHighest(const core::NeuronGroup& group, int k,
-                                       core::DistancePtr dist) override;
-  Result<core::TopKResult> TopKMostSimilar(uint32_t target_id,
-                                           const core::NeuronGroup& group,
-                                           int k,
-                                           core::DistancePtr dist) override;
+  Status Preprocess();
 
   Result<uint64_t> StorageBytes() const override { return stored_bytes_; }
 
@@ -49,11 +41,9 @@ class PriorityCacheEngine : public QueryEngine {
 
  private:
   /// Loads a stored layer (free) or recomputes it, charging `receipt`.
-  Result<storage::LayerActivationMatrix> GetLayer(int layer,
-                                                  nn::InferenceReceipt* receipt);
+  Result<storage::LayerActivationMatrix> GetLayer(
+      int layer, nn::InferenceReceipt* receipt) override;
 
-  nn::InferenceEngine* inference_;
-  storage::FileStore* store_;
   storage::ActivationStore activations_;
   uint64_t budget_bytes_;
   double disk_read_bytes_per_second_;

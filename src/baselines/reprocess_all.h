@@ -3,31 +3,29 @@
 
 #include <string>
 
-#include "baselines/query_engine.h"
+#include "baselines/layer_scan_engine.h"
 
 namespace deepeverest {
 namespace baselines {
 
 /// \brief ReprocessAll baseline (§4.1): no storage, no preprocessing; every
-/// query runs DNN inference on the entire dataset. Its query time stands in
+/// query runs DNN inference on the entire dataset (one pass, which also
+/// yields a most-similar target's activations). Its query time stands in
 /// for *any* method that does not reduce the number of inputs fed to the
 /// DNN (Table 1's point).
-class ReprocessAll : public QueryEngine {
+class ReprocessAll : public LayerScanEngine {
  public:
   explicit ReprocessAll(nn::InferenceEngine* inference)
-      : inference_(inference) {}
+      : LayerScanEngine(inference) {}
 
   std::string name() const override { return "ReprocessAll"; }
-
-  Result<core::TopKResult> TopKHighest(const core::NeuronGroup& group, int k,
-                                       core::DistancePtr dist) override;
-  Result<core::TopKResult> TopKMostSimilar(uint32_t target_id,
-                                           const core::NeuronGroup& group,
-                                           int k,
-                                           core::DistancePtr dist) override;
+  Result<uint64_t> StorageBytes() const override { return uint64_t{0}; }
 
  private:
-  nn::InferenceEngine* inference_;
+  Result<storage::LayerActivationMatrix> GetLayer(
+      int layer, nn::InferenceReceipt* receipt) override {
+    return ComputeLayerMatrix(inference_, layer, receipt);
+  }
 };
 
 }  // namespace baselines

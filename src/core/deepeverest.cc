@@ -219,6 +219,22 @@ struct QueryExecution::Impl {
     // the whole deadline budget; abort before scanning or running NTA.
     DE_RETURN_NOT_OK(ctx->CheckRunnable());
 
+    // Answer from the freshly computed matrix when possible (§4.6): the
+    // index was just built, which computed every input's activations
+    // anyway. A most-similar target ingested after the build started is not
+    // covered by `fresh`; fall through to NTA, whose prologue computes the
+    // target's activations via inference.
+    const bool target_in_fresh =
+        !has_target_id ||
+        static_cast<uint64_t>(spec.target_id) < fresh.num_inputs;
+    if (fresh.num_inputs > 0 && target_in_fresh) {
+      SpanScope span(ctx->trace.get(), "scan");
+      DE_ASSIGN_OR_RETURN(result, ScanSpec(fresh, group, spec));
+      have_result = true;
+      phase = Phase::kDone;
+      return Status::OK();
+    }
+
     NtaOptions options;
     options.k = spec.k;
     options.theta = spec.theta;
@@ -230,53 +246,12 @@ struct QueryExecution::Impl {
     options.use_mai = system->options().enable_mai;
     DE_ASSIGN_OR_RETURN(options.dist, MakeDistance(spec.distance));
 
-    // Answer from the freshly computed matrix when possible (§4.6). A
-    // most-similar target ingested after the build started is not covered by
-    // `fresh`; fall through to NTA, whose prologue computes the target's
-    // activations via inference.
-    const bool target_in_fresh =
-        !has_target_id ||
-        static_cast<uint64_t>(spec.target_id) < fresh.num_inputs;
-    if (fresh.num_inputs > 0 && target_in_fresh) {
-      // Incremental indexing (§4.6): the index was just built, which
-      // computed every input's activations anyway — answer the triggering
-      // query from them directly.
-      SpanScope span(ctx->trace.get(), "scan");
-      if (spec.kind == QuerySpec::Kind::kHighest) {
-        result = ScanHighest(fresh, group.neurons, spec.k, options.dist);
-      } else if (has_target_id) {
-        const uint32_t target_id = static_cast<uint32_t>(spec.target_id);
-        std::vector<float> target_acts(group.neurons.size());
-        for (size_t i = 0; i < group.neurons.size(); ++i) {
-          target_acts[i] =
-              fresh.At(target_id, static_cast<uint64_t>(group.neurons[i]));
-        }
-        result = ScanMostSimilar(fresh, group.neurons, target_acts, spec.k,
-                                 options.dist, /*exclude_target=*/true,
-                                 target_id);
-      } else {
-        result = ScanMostSimilar(fresh, group.neurons,
-                                 spec.target_activations, spec.k,
-                                 options.dist, /*exclude_target=*/false, 0);
-      }
-      have_result = true;
-      phase = Phase::kDone;
-      return Status::OK();
-    }
-
     // The NTA phase spans many Steps; keep its span open across them.
     if (ctx->trace != nullptr) nta_span = ctx->trace->StartSpan("nta");
     engine = std::make_unique<NtaEngine>(system->inference(), index_ref.get());
-    Result<std::unique_ptr<NtaExecution>> begun =
-        spec.kind == QuerySpec::Kind::kHighest
-            ? engine->BeginHighest(group, options, ctx)
-        : has_target_id
-            ? engine->BeginMostSimilarTo(
-                  group, static_cast<uint32_t>(spec.target_id), options, ctx)
-            : engine->BeginMostSimilar(group, spec.target_activations,
-                                       options, ctx);
-    if (!begun.ok()) return begun.status();
-    nta = std::move(begun).value();
+    DE_ASSIGN_OR_RETURN(nta, engine->Begin(group, spec.kind, spec.target_id,
+                                           spec.target_activations, options,
+                                           ctx));
     phase = Phase::kNta;
     return Status::OK();
   }
@@ -388,30 +363,6 @@ Result<TopKResult> DeepEverest::ExecuteSpec(const QuerySpec& spec,
   DE_ASSIGN_OR_RETURN(std::unique_ptr<QueryExecution> execution,
                       BeginSpec(spec, ctx));
   return execution->Run();
-}
-
-Result<TopKResult> DeepEverest::TopKHighest(const NeuronGroup& group, int k,
-                                            DistanceKind distance) {
-  QuerySpec spec;
-  spec.kind = QuerySpec::Kind::kHighest;
-  spec.k = k;
-  spec.layer = group.layer;
-  spec.neurons = group.neurons;
-  spec.distance = distance;
-  return ExecuteSpec(spec);
-}
-
-Result<TopKResult> DeepEverest::TopKMostSimilar(uint32_t target_id,
-                                                const NeuronGroup& group,
-                                                int k, DistanceKind distance) {
-  QuerySpec spec;
-  spec.kind = QuerySpec::Kind::kMostSimilar;
-  spec.k = k;
-  spec.layer = group.layer;
-  spec.neurons = group.neurons;
-  spec.target_id = static_cast<int64_t>(target_id);
-  spec.distance = distance;
-  return ExecuteSpec(spec);
 }
 
 Result<std::vector<int64_t>> DeepEverest::MaximallyActivatedNeurons(

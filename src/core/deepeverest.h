@@ -2,6 +2,7 @@
 #define DEEPEVEREST_CORE_DEEPEVEREST_H_
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/result.h"
@@ -10,6 +11,7 @@
 #include "core/iqa_cache.h"
 #include "core/nta.h"
 #include "core/query.h"
+#include "core/query_engine.h"
 #include "core/query_spec.h"
 #include "data/dataset.h"
 #include "nn/model.h"
@@ -104,7 +106,8 @@ class QueryExecution {
 ///   auto store = storage::FileStore::Open(dir).value();
 ///   auto de = DeepEverest::Create(model.get(), &dataset, &store, {});
 ///   NeuronGroup g{.layer = 7, .neurons = {12, 55, 203}};
-///   auto top = (*de)->TopKMostSimilar(/*target_id=*/42, g, /*k=*/20);
+///   auto top = (*de)->ExecuteSpec(MostSimilarQuery(/*target_id=*/42, g,
+///                                                  /*k=*/20));
 /// \endcode
 ///
 /// Indexes build on first use (§4.6) and every build commits the model's
@@ -113,30 +116,16 @@ class QueryExecution {
 /// rebuilding.
 ///
 /// The system has ONE execution mechanism: every query is a core::QuerySpec
-/// run through the resumable QueryExecution phase machine (BeginSpec). The
-/// run-to-completion entry points are thin spec-building wrappers over it;
-/// there is no separate non-resumable path and no entry point that bypasses
-/// ValidateSpec or QueryContext.
-class DeepEverest {
+/// run through the resumable QueryExecution phase machine (BeginSpec);
+/// ExecuteSpec, the QueryEngine entry point it shares with the baselines,
+/// runs it to completion. There is no separate non-resumable path and no
+/// entry point that bypasses ValidateSpec or QueryContext.
+class DeepEverest final : public QueryEngine {
  public:
   /// `model`, `dataset`, and `store` must outlive the returned object.
   static Result<std::unique_ptr<DeepEverest>> Create(
       const nn::Model* model, const data::Dataset* dataset,
       storage::FileStore* store, const DeepEverestOptions& options);
-
-  /// Top-k highest query ("FireMax"): the k inputs with the largest
-  /// dist-aggregated activations for the group. Builds a QuerySpec and runs
-  /// it through the canonical path (tie-complete termination, default
-  /// context).
-  Result<TopKResult> TopKHighest(const NeuronGroup& group, int k,
-                                 DistanceKind distance = DistanceKind::kL2);
-
-  /// Top-k most-similar query ("SimTop"/"SimHigh"): the k inputs closest to
-  /// dataset input `target_id` in the group's activation space. The target
-  /// itself is excluded from the result.
-  Result<TopKResult> TopKMostSimilar(uint32_t target_id,
-                                     const NeuronGroup& group, int k,
-                                     DistanceKind distance = DistanceKind::kL2);
 
   /// \brief Begins a resumable execution of `spec` — the one mechanism every
   /// query runs through.
@@ -155,10 +144,17 @@ class DeepEverest {
   Result<std::unique_ptr<QueryExecution>> BeginSpec(const QuerySpec& spec,
                                                     QueryContext* ctx);
 
-  /// Begin + Run convenience: executes `spec` to completion. `ctx` may be
-  /// null (a default context: no deadline, direct inference).
+  /// Begin + Run: executes `spec` to completion. `ctx` may be null (a
+  /// default context: no deadline, direct inference).
   Result<TopKResult> ExecuteSpec(const QuerySpec& spec,
-                                 QueryContext* ctx = nullptr);
+                                 QueryContext* ctx = nullptr) override;
+
+  std::string name() const override { return "DeepEverest"; }
+
+  /// DeepEverest's storage is its persisted indexes.
+  Result<uint64_t> StorageBytes() const override {
+    return PersistedIndexBytes();
+  }
 
   /// The `m` maximally activated neurons of `layer` for `target_id`
   /// (descending activation) — the standard way interpretation sessions

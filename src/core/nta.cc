@@ -752,9 +752,9 @@ Status ValidateNeuronGroup(const nn::Model& model, const NeuronGroup& group) {
 }
 
 Result<std::unique_ptr<NtaExecution>> NtaEngine::Begin(
-    const NeuronGroup& group, const NtaOptions& options, QueryContext* ctx,
-    bool highest, const uint32_t* target_id,
-    const std::vector<float>* target_acts) {
+    const NeuronGroup& group, QuerySpec::Kind kind, int64_t target_id,
+    const std::vector<float>& target_acts, const NtaOptions& options,
+    QueryContext* ctx) {
   DE_RETURN_NOT_OK(ValidateNeuronGroup(inference_->model(), group));
   const int64_t layer_neurons = inference_->model().NeuronCount(group.layer);
   if (layer_neurons != index_->num_neurons()) {
@@ -768,11 +768,19 @@ Result<std::unique_ptr<NtaExecution>> NtaEngine::Begin(
   if (index_->num_inputs() > inference_->dataset().size()) {
     return Status::FailedPrecondition("index built for a different dataset");
   }
-  if (target_id != nullptr && *target_id >= inference_->dataset().size()) {
-    return Status::OutOfRange("target input " + std::to_string(*target_id) +
+  const bool highest = kind == QuerySpec::Kind::kHighest;
+  const bool has_target_id = target_id >= 0;
+  if (highest ? has_target_id || !target_acts.empty()
+              : has_target_id == !target_acts.empty()) {
+    return Status::InvalidArgument(
+        "a highest query takes no target, a most-similar query exactly one");
+  }
+  if (has_target_id &&
+      static_cast<uint64_t>(target_id) >= inference_->dataset().size()) {
+    return Status::OutOfRange("target input " + std::to_string(target_id) +
                               " out of range");
   }
-  if (target_acts != nullptr && target_acts->size() != group.neurons.size()) {
+  if (!target_acts.empty() && target_acts.size() != group.neurons.size()) {
     return Status::InvalidArgument("target activation count mismatch");
   }
   if (options.k < 1) return Status::InvalidArgument("k must be >= 1");
@@ -785,61 +793,10 @@ Result<std::unique_ptr<NtaExecution>> NtaEngine::Begin(
   }
   std::unique_ptr<NtaExecution::Impl> impl(new NtaExecution::Impl(
       inference_, index_, ctx, group, options, highest));
-  if (target_id != nullptr) {
-    impl->has_target_id = true;
-    impl->target_id = *target_id;
-  }
-  if (target_acts != nullptr) impl->target_acts = *target_acts;
+  impl->has_target_id = has_target_id;
+  if (has_target_id) impl->target_id = static_cast<uint32_t>(target_id);
+  impl->target_acts = target_acts;
   return std::unique_ptr<NtaExecution>(new NtaExecution(std::move(impl)));
-}
-
-Result<std::unique_ptr<NtaExecution>> NtaEngine::BeginMostSimilarTo(
-    const NeuronGroup& group, uint32_t target_id, const NtaOptions& options,
-    QueryContext* ctx) {
-  return Begin(group, options, ctx, /*highest=*/false, &target_id, nullptr);
-}
-
-Result<std::unique_ptr<NtaExecution>> NtaEngine::BeginMostSimilar(
-    const NeuronGroup& group, const std::vector<float>& target_acts,
-    const NtaOptions& options, QueryContext* ctx) {
-  return Begin(group, options, ctx, /*highest=*/false, nullptr, &target_acts);
-}
-
-Result<std::unique_ptr<NtaExecution>> NtaEngine::BeginHighest(
-    const NeuronGroup& group, const NtaOptions& options, QueryContext* ctx) {
-  return Begin(group, options, ctx, /*highest=*/true, nullptr, nullptr);
-}
-
-Result<TopKResult> NtaEngine::MostSimilarTo(const NeuronGroup& group,
-                                            uint32_t target_id,
-                                            const NtaOptions& options,
-                                            QueryContext* ctx) {
-  QueryContext local_ctx;
-  if (ctx == nullptr) ctx = &local_ctx;
-  DE_ASSIGN_OR_RETURN(std::unique_ptr<NtaExecution> execution,
-                      BeginMostSimilarTo(group, target_id, options, ctx));
-  return execution->Run();
-}
-
-Result<TopKResult> NtaEngine::MostSimilar(const NeuronGroup& group,
-                                          const std::vector<float>& target_acts,
-                                          const NtaOptions& options,
-                                          QueryContext* ctx) {
-  QueryContext local_ctx;
-  if (ctx == nullptr) ctx = &local_ctx;
-  DE_ASSIGN_OR_RETURN(std::unique_ptr<NtaExecution> execution,
-                      BeginMostSimilar(group, target_acts, options, ctx));
-  return execution->Run();
-}
-
-Result<TopKResult> NtaEngine::Highest(const NeuronGroup& group,
-                                      const NtaOptions& options,
-                                      QueryContext* ctx) {
-  QueryContext local_ctx;
-  if (ctx == nullptr) ctx = &local_ctx;
-  DE_ASSIGN_OR_RETURN(std::unique_ptr<NtaExecution> execution,
-                      BeginHighest(group, options, ctx));
-  return execution->Run();
 }
 
 // ---------------------------------------------------------------------------
@@ -927,6 +884,41 @@ TopKResult ScanHighest(const storage::LayerActivationMatrix& matrix,
   TopKResult result;
   result.entries = top.entries();
   return result;
+}
+
+Result<TopKResult> ScanSpec(const storage::LayerActivationMatrix& matrix,
+                            const NeuronGroup& group, const QuerySpec& spec) {
+  for (const int64_t n : group.neurons) {
+    if (n < 0 || static_cast<uint64_t>(n) >= matrix.num_neurons) {
+      return Status::OutOfRange("neuron " + std::to_string(n) +
+                                " out of range for layer " +
+                                std::to_string(group.layer));
+    }
+  }
+  DE_ASSIGN_OR_RETURN(const DistancePtr dist, MakeDistance(spec.distance));
+  if (spec.kind == QuerySpec::Kind::kHighest) {
+    return ScanHighest(matrix, group.neurons, spec.k, dist);
+  }
+  if (spec.target_id < 0) {
+    if (spec.target_activations.size() != group.neurons.size()) {
+      return Status::InvalidArgument("target activation count mismatch");
+    }
+    return ScanMostSimilar(matrix, group.neurons, spec.target_activations,
+                           spec.k, dist, /*exclude_target=*/false, 0);
+  }
+  if (static_cast<uint64_t>(spec.target_id) >= matrix.num_inputs) {
+    return Status::OutOfRange("target input " +
+                              std::to_string(spec.target_id) +
+                              " out of range");
+  }
+  const uint32_t target_id = static_cast<uint32_t>(spec.target_id);
+  std::vector<float> target_acts(group.neurons.size());
+  for (size_t i = 0; i < group.neurons.size(); ++i) {
+    target_acts[i] =
+        matrix.At(target_id, static_cast<uint64_t>(group.neurons[i]));
+  }
+  return ScanMostSimilar(matrix, group.neurons, target_acts, spec.k, dist,
+                         /*exclude_target=*/true, target_id);
 }
 
 Result<TopKResult> BruteForceMostSimilar(nn::InferenceEngine* inference,

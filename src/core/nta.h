@@ -10,6 +10,7 @@
 #include "core/npi.h"
 #include "core/query.h"
 #include "core/query_context.h"
+#include "core/query_spec.h"
 #include "nn/inference.h"
 
 namespace deepeverest {
@@ -55,11 +56,10 @@ class NtaEngine;
 /// cursors (MAI and partition), and the IQA/receipt bookkeeping all live
 /// here instead of on a run-to-completion stack frame.
 ///
-/// Created by NtaEngine::Begin{MostSimilarTo,MostSimilar,Highest}(). Each
-/// `Step()` runs exactly one unit of work — the target-evaluation prologue
-/// or one NTA round — and returns with all state checkpointed, so a caller
-/// may stop between rounds, hand the object to another thread, and continue
-/// later. Results are bit-identical to an uninterrupted run: the round
+/// Created by NtaEngine::Begin(). Each `Step()` runs exactly one unit of
+/// work — the target-evaluation prologue or one NTA round — and returns with
+/// all state checkpointed, so a caller may stop between rounds, hand the
+/// object to another thread, and continue later. Results are bit-identical to an uninterrupted run: the round
 /// structure, threshold arithmetic, and tie-complete termination are
 /// exactly those of the former run-to-completion loop.
 ///
@@ -110,17 +110,14 @@ class NtaExecution {
 /// affect the answer. Instance optimal in the number of inputs accessed
 /// (Theorem 4.1).
 ///
-/// The engine has ONE execution mechanism: Begin*() returns a resumable
-/// NtaExecution that is stepped one round at a time. The run-to-completion
-/// entry points below are thin Begin+Run wrappers kept for component-level
-/// callers; there is no separate non-resumable path.
+/// The engine has ONE entry point: Begin() returns a resumable NtaExecution
+/// that is stepped one round at a time (Run() steps it to completion).
 ///
-/// All query entry points take an optional QueryContext carrying the
-/// query's execution plumbing (QoS class, deadline, cancellation, receipt,
-/// progress sink, IQA cache, batch scheduler). The context is checked
-/// between rounds, so an expired deadline or a cancellation aborts within
-/// one round (DeadlineExceeded / Cancelled). Passing nullptr runs with a
-/// default context (no deadline, direct inference, no IQA).
+/// Begin takes the QueryContext carrying the query's execution plumbing
+/// (QoS class, deadline, cancellation, receipt, progress sink, IQA cache,
+/// batch scheduler). The context is checked between rounds, so an expired
+/// deadline or a cancellation aborts within one round (DeadlineExceeded /
+/// Cancelled).
 class NtaEngine {
  public:
   /// Does not take ownership; both must outlive the engine AND any
@@ -131,57 +128,28 @@ class NtaEngine {
   NtaEngine(const NtaEngine&) = delete;
   NtaEngine& operator=(const NtaEngine&) = delete;
 
-  /// Begins a resumable top-k most-similar query against dataset input
-  /// `target_id` (excluded from the result set, as in the paper's worked
-  /// example; its activations cost one inference pass in the first Step).
-  /// `ctx` must be non-null and outlive the returned execution.
-  Result<std::unique_ptr<NtaExecution>> BeginMostSimilarTo(
-      const NeuronGroup& group, uint32_t target_id, const NtaOptions& options,
+  /// Begins a resumable query over the resolved `group`, with the target
+  /// encoded as in QuerySpec: a kHighest query has no target (`target_id`
+  /// -1, `target_acts` empty); a kMostSimilar query has exactly one of a
+  /// dataset input `target_id` (excluded from the result set, as in the
+  /// paper's worked example; its activations cost one inference pass in the
+  /// first Step) or an arbitrary activation vector `target_acts`, one value
+  /// per group neuron (e.g. an out-of-dataset probe). Highest queries
+  /// require non-negative activations (true for the ReLU layers DeepEverest
+  /// queries). `ctx` must be non-null and outlive the returned execution.
+  Result<std::unique_ptr<NtaExecution>> Begin(
+      const NeuronGroup& group, QuerySpec::Kind kind, int64_t target_id,
+      const std::vector<float>& target_acts, const NtaOptions& options,
       QueryContext* ctx);
 
-  /// Begins a resumable most-similar query against an arbitrary target
-  /// activation vector (one value per neuron in `group`), e.g. for
-  /// out-of-dataset probes.
-  Result<std::unique_ptr<NtaExecution>> BeginMostSimilar(
-      const NeuronGroup& group, const std::vector<float>& target_acts,
-      const NtaOptions& options, QueryContext* ctx);
-
-  /// Begins a resumable top-k highest query: the k inputs with the largest
-  /// dist-aggregated activations for `group`. Requires non-negative
-  /// activations (true for the ReLU layers DeepEverest queries).
-  Result<std::unique_ptr<NtaExecution>> BeginHighest(const NeuronGroup& group,
-                                                     const NtaOptions& options,
-                                                     QueryContext* ctx);
-
-  /// Begin + Run conveniences (identical semantics and results).
-  Result<TopKResult> MostSimilarTo(const NeuronGroup& group,
-                                   uint32_t target_id,
-                                   const NtaOptions& options,
-                                   QueryContext* ctx = nullptr);
-  Result<TopKResult> MostSimilar(const NeuronGroup& group,
-                                 const std::vector<float>& target_acts,
-                                 const NtaOptions& options,
-                                 QueryContext* ctx = nullptr);
-  Result<TopKResult> Highest(const NeuronGroup& group,
-                             const NtaOptions& options,
-                             QueryContext* ctx = nullptr);
-
  private:
-  /// The one validate-and-construct path behind every Begin*(): a highest
-  /// query has no target, a most-similar query exactly one of `target_id`
-  /// and `target_acts`.
-  Result<std::unique_ptr<NtaExecution>> Begin(
-      const NeuronGroup& group, const NtaOptions& options, QueryContext* ctx,
-      bool highest, const uint32_t* target_id,
-      const std::vector<float>* target_acts);
-
   nn::InferenceEngine* inference_;
   const LayerIndex* index_;
 };
 
-/// \brief Reference brute-force executors used by tests and baselines: they
-/// compute activations for every input and scan. These define the ground
-/// truth NTA must match.
+/// \brief Reference brute-force executors used by tests: they compute
+/// activations for every input and scan. These define the ground truth NTA
+/// must match.
 Result<TopKResult> BruteForceMostSimilar(nn::InferenceEngine* inference,
                                          const NeuronGroup& group,
                                          const std::vector<float>& target_acts,
@@ -193,9 +161,17 @@ Result<TopKResult> BruteForceHighest(nn::InferenceEngine* inference,
                                      const NeuronGroup& group, int k,
                                      const DistancePtr& dist);
 
-/// \brief Scans a fully materialised activation matrix (shared by the
-/// PreprocessAll/caching baselines, which differ only in where the matrix
-/// comes from). Results are sorted best-first.
+/// \brief Answers `spec` over a fully materialised activation matrix of its
+/// layer: the §4.6 fresh-scan path and every baseline run it, differing only
+/// in where the matrix comes from. `group` is the spec's resolved group; a
+/// most-similar query by `target_id` reads the target's row from `matrix`
+/// and excludes it from the result. Every neuron and the target are
+/// range-checked against `matrix` before any row is read.
+Result<TopKResult> ScanSpec(const storage::LayerActivationMatrix& matrix,
+                            const NeuronGroup& group, const QuerySpec& spec);
+
+/// \brief Scans a fully materialised activation matrix with unchecked
+/// indexing (ScanSpec checks first). Results are sorted best-first.
 TopKResult ScanMostSimilar(const storage::LayerActivationMatrix& matrix,
                            const std::vector<int64_t>& neurons,
                            const std::vector<float>& target_acts, int k,

@@ -174,5 +174,22 @@ Status ValidateSpec(const QuerySpec& spec) {
   return Status::OK();
 }
 
+QuerySpec HighestQuery(const NeuronGroup& group, int k) {
+  QuerySpec spec;
+  spec.kind = QuerySpec::Kind::kHighest;
+  spec.k = k;
+  spec.layer = group.layer;
+  spec.neurons = group.neurons;
+  return spec;
+}
+
+QuerySpec MostSimilarQuery(int64_t target_id, const NeuronGroup& group,
+                           int k) {
+  QuerySpec spec = HighestQuery(group, k);
+  spec.kind = QuerySpec::Kind::kMostSimilar;
+  spec.target_id = target_id;
+  return spec;
+}
+
 }  // namespace core
 }  // namespace deepeverest

@@ -124,6 +124,10 @@ inline bool operator!=(const QuerySpec& a, const QuerySpec& b) {
 /// enforced by the engine itself at execution.
 Status ValidateSpec(const QuerySpec& spec);
 
+/// Spec builders for short call sites (l2, exact, explicit group).
+QuerySpec HighestQuery(const NeuronGroup& group, int k);
+QuerySpec MostSimilarQuery(int64_t target_id, const NeuronGroup& group, int k);
+
 }  // namespace core
 }  // namespace deepeverest
 

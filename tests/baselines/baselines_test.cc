@@ -1,7 +1,8 @@
-// Cross-checks every baseline engine against ReprocessAll (the reference)
-// and verifies their storage / caching behaviours.
+// Cross-checks DeepEverest and every baseline engine against ReprocessAll
+// (the reference) and verifies their storage / caching behaviours.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -9,13 +10,18 @@
 #include "baselines/preprocess_all.h"
 #include "baselines/priority_cache.h"
 #include "baselines/reprocess_all.h"
+#include "core/deepeverest.h"
 #include "testing/test_util.h"
 
 namespace deepeverest {
 namespace baselines {
 namespace {
 
+using core::HighestQuery;
+using core::MostSimilarQuery;
 using core::NeuronGroup;
+using core::QueryEngine;
+using core::QuerySpec;
 using testing_util::ExpectValidTopK;
 using testing_util::TempDir;
 using testing_util::TinySystem;
@@ -33,8 +39,7 @@ TEST(PreprocessAllTest, QueriesRequireNoInferenceAfterPreprocess) {
   EXPECT_EQ(after_preprocess, 30);  // one pass over the dataset
 
   const int layer = sys.model->activation_layers()[1];
-  auto result = engine.TopKMostSimilar(2, NeuronGroup{layer, {0, 3}}, 5,
-                                       nullptr);
+  auto result = engine.ExecuteSpec(MostSimilarQuery(2, {layer, {0, 3}}, 5));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(sys.engine->stats().inputs_run, after_preprocess);  // no new
   EXPECT_EQ(result->entries.size(), 5u);
@@ -47,7 +52,7 @@ TEST(PreprocessAllTest, QueryBeforePreprocessFails) {
   ASSERT_TRUE(store.ok());
   PreprocessAll engine(sys.engine.get(), &store.value());
   const int layer = sys.model->activation_layers()[0];
-  EXPECT_TRUE(engine.TopKHighest(NeuronGroup{layer, {0}}, 3, nullptr)
+  EXPECT_TRUE(engine.ExecuteSpec(HighestQuery({layer, {0}}, 3))
                   .status()
                   .IsFailedPrecondition());
 }
@@ -68,16 +73,28 @@ TEST(PreprocessAllTest, StorageIsFullMaterialization) {
   EXPECT_GE(*bytes, static_cast<uint64_t>(total_neurons) * 20 * 4);
 }
 
-TEST(AllEnginesTest, AgreeOnBothQueryTypes) {
+// One parity loop over every engine behind core::QueryEngine: each answers
+// highest, most-similar by id and most-similar by activation vector under
+// l1, l2 and linf as ReprocessAll (the reference) does.
+TEST(AllEnginesTest, EveryEngineMatchesReprocessAll) {
   TinySystem sys(40, 74, 8);
   TempDir dir("all");
+  auto store_de = storage::FileStore::Open(dir.path() + "/de");
   auto store_pa = storage::FileStore::Open(dir.path() + "/pa");
   auto store_lru = storage::FileStore::Open(dir.path() + "/lru");
   auto store_pri = storage::FileStore::Open(dir.path() + "/pri");
+  ASSERT_TRUE(store_de.ok());
   ASSERT_TRUE(store_pa.ok());
   ASSERT_TRUE(store_lru.ok());
   ASSERT_TRUE(store_pri.ok());
 
+  core::DeepEverestOptions options;
+  options.batch_size = 8;
+  options.num_partitions_override = 4;
+  auto de = core::DeepEverest::Create(sys.model.get(), &sys.dataset,
+                                      &store_de.value(), options);
+  ASSERT_TRUE(de.ok());
+  DE_ASSERT_OK((*de)->PreprocessAllLayers());
   ReprocessAll reference(sys.engine.get());
   PreprocessAll preprocess(sys.engine.get(), &store_pa.value());
   LruCacheEngine lru(sys.engine.get(), &store_lru.value(), 1 << 24);
@@ -85,22 +102,103 @@ TEST(AllEnginesTest, AgreeOnBothQueryTypes) {
   DE_ASSERT_OK(preprocess.Preprocess());
   DE_ASSERT_OK(priority.Preprocess());
 
-  std::vector<QueryEngine*> engines = {&preprocess, &lru, &priority};
+  const std::vector<QueryEngine*> engines = {de->get(), &preprocess, &lru,
+                                             &priority};
+  const std::vector<std::string> names = {"DeepEverest", "PreprocessAll",
+                                          "LRU Cache", "Priority Cache"};
   const int layer = sys.model->activation_layers()[1];
   const NeuronGroup group{layer, {2, 5, 8}};
 
-  auto expected_high = reference.TopKHighest(group, 7, nullptr);
-  ASSERT_TRUE(expected_high.ok());
-  auto expected_sim = reference.TopKMostSimilar(6, group, 7, nullptr);
-  ASSERT_TRUE(expected_sim.ok());
-  for (QueryEngine* engine : engines) {
-    auto high = engine->TopKHighest(group, 7, nullptr);
-    ASSERT_TRUE(high.ok()) << engine->name();
-    ExpectValidTopK(*expected_high, *high, /*smaller_is_better=*/false);
-    auto sim = engine->TopKMostSimilar(6, group, 7, nullptr);
-    ASSERT_TRUE(sim.ok()) << engine->name();
-    ExpectValidTopK(*expected_sim, *sim, /*smaller_is_better=*/true);
+  QuerySpec by_vector = MostSimilarQuery(-1, group, 7);
+  by_vector.target_activations = {0.5f, 1.0f, 0.25f};
+  const std::vector<QuerySpec> queries = {
+      HighestQuery(group, 7), MostSimilarQuery(6, group, 7), by_vector};
+  for (size_t e = 0; e < engines.size(); ++e) {
+    QueryEngine* engine = engines[e];
+    EXPECT_EQ(engine->name(), names[e]);
+    for (const core::DistanceKind distance :
+         {core::DistanceKind::kL1, core::DistanceKind::kL2,
+          core::DistanceKind::kLInf}) {
+      for (QuerySpec spec : queries) {
+        spec.distance = distance;
+        SCOPED_TRACE(engine->name() + ": " + spec.ToString());
+        auto expected = reference.ExecuteSpec(spec);
+        ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+        auto actual = engine->ExecuteSpec(spec);
+        ASSERT_TRUE(actual.ok()) << actual.status().ToString();
+        ExpectValidTopK(
+            *expected, *actual,
+            /*smaller_is_better=*/spec.kind == QuerySpec::Kind::kMostSimilar);
+      }
+    }
+    // Every engine but ReprocessAll stores something: DeepEverest its
+    // persisted indexes, the others activation matrices.
+    auto bytes = engine->StorageBytes();
+    ASSERT_TRUE(bytes.ok());
+    EXPECT_GT(*bytes, 0u);
   }
+  auto reference_bytes = reference.StorageBytes();
+  ASSERT_TRUE(reference_bytes.ok());
+  EXPECT_EQ(*reference_bytes, 0u);
+}
+
+// Every engine range-checks a query against the model and dataset before it
+// reads an activation row.
+TEST(AllEnginesTest, OutOfRangeQueriesAreRejected) {
+  TinySystem sys(40, 79, 8);
+  TempDir dir("oor");
+  auto store_de = storage::FileStore::Open(dir.path() + "/de");
+  auto store_pa = storage::FileStore::Open(dir.path() + "/pa");
+  auto store_lru = storage::FileStore::Open(dir.path() + "/lru");
+  auto store_pri = storage::FileStore::Open(dir.path() + "/pri");
+  ASSERT_TRUE(store_de.ok());
+  ASSERT_TRUE(store_pa.ok());
+  ASSERT_TRUE(store_lru.ok());
+  ASSERT_TRUE(store_pri.ok());
+  core::DeepEverestOptions options;
+  options.batch_size = 8;
+  auto de = core::DeepEverest::Create(sys.model.get(), &sys.dataset,
+                                      &store_de.value(), options);
+  ASSERT_TRUE(de.ok());
+  ReprocessAll reprocess(sys.engine.get());
+  PreprocessAll preprocess(sys.engine.get(), &store_pa.value());
+  LruCacheEngine lru(sys.engine.get(), &store_lru.value(), 1 << 24);
+  PriorityCacheEngine priority(sys.engine.get(), &store_pri.value(), 1 << 20);
+  DE_ASSERT_OK(preprocess.Preprocess());
+  DE_ASSERT_OK(priority.Preprocess());
+
+  const int layer = sys.model->activation_layers()[0];
+  const int64_t neurons = sys.model->NeuronCount(layer);
+  const std::vector<QuerySpec> bad = {
+      // One past the layer's last neuron: the next row's first value.
+      HighestQuery({layer, {0, neurons}}, 3),
+      MostSimilarQuery(2, {layer, {neurons}}, 3),
+      HighestQuery({layer, {int64_t{1} << 32}}, 3),
+      HighestQuery({sys.model->num_layers(), {0}}, 3),
+      MostSimilarQuery(40, {layer, {0, 1}}, 3),
+  };
+  for (QueryEngine* engine : std::vector<QueryEngine*>{
+           de->get(), &reprocess, &preprocess, &lru, &priority}) {
+    for (const QuerySpec& spec : bad) {
+      auto result = engine->ExecuteSpec(spec);
+      EXPECT_TRUE(result.status().IsOutOfRange())
+          << engine->name() << ": " << spec.ToString() << " -> "
+          << result.status().ToString();
+    }
+  }
+
+  // Baselines answer explicit groups only; DeepEverest resolves a derived
+  // TOP m NEURONS group.
+  QuerySpec derived = HighestQuery({layer, {}}, 3);
+  derived.top_neurons = 2;
+  derived.top_of = 0;
+  for (QueryEngine* engine :
+       std::vector<QueryEngine*>{&reprocess, &preprocess, &lru, &priority}) {
+    auto result = engine->ExecuteSpec(derived);
+    EXPECT_TRUE(result.status().IsInvalidArgument())
+        << engine->name() << ": " << result.status().ToString();
+  }
+  DE_EXPECT_OK((*de)->ExecuteSpec(derived).status());
 }
 
 TEST(LruCacheTest, HitAvoidsInferenceMissPaysFullPass) {
@@ -112,12 +210,12 @@ TEST(LruCacheTest, HitAvoidsInferenceMissPaysFullPass) {
 
   const int layer = sys.model->activation_layers()[0];
   const NeuronGroup group{layer, {0, 1}};
-  auto first = lru.TopKHighest(group, 3, nullptr);
+  auto first = lru.ExecuteSpec(HighestQuery(group, 3));
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(first->stats.inputs_run, 25);  // miss: full pass
   EXPECT_EQ(lru.misses(), 1);
 
-  auto second = lru.TopKHighest(group, 3, nullptr);
+  auto second = lru.ExecuteSpec(HighestQuery(group, 3));
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second->stats.inputs_run, 0);  // hit: disk only
   EXPECT_EQ(lru.hits(), 1);
@@ -134,9 +232,9 @@ TEST(LruCacheTest, EvictsLeastRecentlyUsedLayer) {
 
   const int layer_a = sys.model->activation_layers()[0];  // 16 neurons
   const int layer_b = sys.model->activation_layers()[1];  // 12 neurons
-  ASSERT_TRUE(lru.TopKHighest(NeuronGroup{layer_a, {0}}, 3, nullptr).ok());
+  ASSERT_TRUE(lru.ExecuteSpec(HighestQuery({layer_a, {0}}, 3)).ok());
   EXPECT_TRUE(lru.IsCached(layer_a));
-  ASSERT_TRUE(lru.TopKHighest(NeuronGroup{layer_b, {0}}, 3, nullptr).ok());
+  ASSERT_TRUE(lru.ExecuteSpec(HighestQuery({layer_b, {0}}, 3)).ok());
   // layer_b displaced layer_a under the small budget.
   EXPECT_TRUE(lru.IsCached(layer_b));
   EXPECT_FALSE(lru.IsCached(layer_a));
@@ -159,8 +257,8 @@ TEST(LruCacheTest, ReadmissionAfterEvictionKeepsAccountingExact) {
   // leave symmetrically, so the total never drifts and never exceeds the
   // budget at rest.
   for (int round = 0; round < 3; ++round) {
-    ASSERT_TRUE(lru.TopKHighest(NeuronGroup{layer_a, {0}}, 3, nullptr).ok());
-    ASSERT_TRUE(lru.TopKHighest(NeuronGroup{layer_b, {0}}, 3, nullptr).ok());
+    ASSERT_TRUE(lru.ExecuteSpec(HighestQuery({layer_a, {0}}, 3)).ok());
+    ASSERT_TRUE(lru.ExecuteSpec(HighestQuery({layer_b, {0}}, 3)).ok());
   }
   EXPECT_TRUE(lru.IsCached(layer_b));
   EXPECT_FALSE(lru.IsCached(layer_a));
@@ -173,7 +271,7 @@ TEST(LruCacheTest, ReadmissionAfterEvictionKeepsAccountingExact) {
                         static_cast<uint64_t>(
                             sys.model->NeuronCount(layer_b))));
   // Evicting everything returns the accounting to zero.
-  ASSERT_TRUE(lru.TopKHighest(NeuronGroup{layer_a, {0}}, 3, nullptr).ok());
+  ASSERT_TRUE(lru.ExecuteSpec(HighestQuery({layer_a, {0}}, 3)).ok());
   EXPECT_FALSE(lru.IsCached(layer_b));
 }
 
@@ -185,10 +283,8 @@ TEST(LruCacheTest, ConcurrentQueriesAreSafeAndCorrect) {
   LruCacheEngine lru(sys.engine.get(), &store.value(), 1 << 24);
 
   const std::vector<int>& layers = sys.model->activation_layers();
-  auto expected_a = lru.TopKHighest(NeuronGroup{layers[0], {0, 1}}, 5,
-                                    nullptr);
-  auto expected_b = lru.TopKHighest(NeuronGroup{layers[1], {0, 1}}, 5,
-                                    nullptr);
+  auto expected_a = lru.ExecuteSpec(HighestQuery({layers[0], {0, 1}}, 5));
+  auto expected_b = lru.ExecuteSpec(HighestQuery({layers[1], {0, 1}}, 5));
   ASSERT_TRUE(expected_a.ok());
   ASSERT_TRUE(expected_b.ok());
 
@@ -197,8 +293,8 @@ TEST(LruCacheTest, ConcurrentQueriesAreSafeAndCorrect) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < 8; ++i) {
         const bool use_a = (t + i) % 2 == 0;
-        auto result = lru.TopKHighest(
-            NeuronGroup{use_a ? layers[0] : layers[1], {0, 1}}, 5, nullptr);
+        auto result = lru.ExecuteSpec(
+            HighestQuery({use_a ? layers[0] : layers[1], {0, 1}}, 5));
         ASSERT_TRUE(result.ok());
         const auto& expected = use_a ? *expected_a : *expected_b;
         ASSERT_EQ(result->entries.size(), expected.entries.size());
@@ -230,8 +326,7 @@ TEST(PriorityCacheTest, ChoosesLayersUnderBudgetByBenefit) {
   // Stored layers answer without inference; others recompute.
   const int stored = priority.chosen_layers().front();
   const int64_t before = sys.engine->stats().inputs_run;
-  ASSERT_TRUE(
-      priority.TopKHighest(NeuronGroup{stored, {0}}, 3, nullptr).ok());
+  ASSERT_TRUE(priority.ExecuteSpec(HighestQuery({stored, {0}}, 3)).ok());
   EXPECT_EQ(sys.engine->stats().inputs_run, before);
 
   int missing = -1;
@@ -239,8 +334,7 @@ TEST(PriorityCacheTest, ChoosesLayersUnderBudgetByBenefit) {
     if (!priority.IsStored(layer)) missing = layer;
   }
   ASSERT_GE(missing, 0);
-  ASSERT_TRUE(
-      priority.TopKHighest(NeuronGroup{missing, {0}}, 3, nullptr).ok());
+  ASSERT_TRUE(priority.ExecuteSpec(HighestQuery({missing, {0}}, 3)).ok());
   EXPECT_EQ(sys.engine->stats().inputs_run, before + 30);
 }
 
@@ -248,12 +342,13 @@ TEST(ReprocessAllTest, EveryQueryPaysFullInference) {
   TinySystem sys(20, 78, 8);
   ReprocessAll engine(sys.engine.get());
   const int layer = sys.model->activation_layers()[0];
-  auto r1 = engine.TopKHighest(NeuronGroup{layer, {0, 1}}, 3, nullptr);
+  auto r1 = engine.ExecuteSpec(HighestQuery({layer, {0, 1}}, 3));
   ASSERT_TRUE(r1.ok());
   EXPECT_EQ(r1->stats.inputs_run, 20);
-  auto r2 = engine.TopKMostSimilar(1, NeuronGroup{layer, {0, 1}}, 3, nullptr);
+  auto r2 = engine.ExecuteSpec(MostSimilarQuery(1, {layer, {0, 1}}, 3));
   ASSERT_TRUE(r2.ok());
-  EXPECT_EQ(r2->stats.inputs_run, 21);  // target pass + full scan
+  // One full pass: the target's activations come from the same matrix.
+  EXPECT_EQ(r2->stats.inputs_run, 20);
 }
 
 }  // namespace

@@ -17,6 +17,7 @@ using core::NeuronGroup;
 using core::NtaEngine;
 using core::NtaOptions;
 using testing_util::TinySystem;
+using testing_util::RunNtaSimilar;
 
 class InstanceOptimalityTest
     : public ::testing::TestWithParam<std::tuple<uint64_t, int, int>> {};
@@ -63,7 +64,7 @@ TEST_P(InstanceOptimalityTest, NtaAccessesBoundedByCtaDepthPlusTwoR) {
     NtaEngine nta(sys.engine.get(), &index.value());
     NtaOptions options;
     options.k = 10;
-    auto result = nta.MostSimilarTo(group, target, options);
+    auto result = RunNtaSimilar(&nta, group, target, options);
     ASSERT_TRUE(result.ok());
 
     // Partition size R (largest partition).

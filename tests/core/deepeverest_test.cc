@@ -64,13 +64,13 @@ TEST(DeepEverestTest, FirstQueryBuildsIndexSecondUsesIt) {
   const NeuronGroup group{layer, {1, 5, 9}};
 
   // First query: incremental indexing computes all 40 inputs once.
-  auto first = (*de)->TopKMostSimilar(7, group, 5);
+  auto first = (*de)->ExecuteSpec(MostSimilarQuery(7, group, 5));
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(first->stats.inputs_run, 40);
   EXPECT_TRUE((*de)->index_manager()->IsIndexed(layer));
 
   // Second query on the same layer: index-guided, strictly fewer inputs.
-  auto second = (*de)->TopKMostSimilar(8, group, 5);
+  auto second = (*de)->ExecuteSpec(MostSimilarQuery(8, group, 5));
   ASSERT_TRUE(second.ok());
   EXPECT_LT(second->stats.inputs_run, 40);
 }
@@ -88,9 +88,9 @@ TEST(DeepEverestTest, ResultsMatchBruteForceBothQueryTypes) {
   const NeuronGroup group{layer, {2, 4, 11}};
 
   // Warm up the index so both paths exercise NTA.
-  ASSERT_TRUE((*de)->TopKHighest(group, 1).ok());
+  ASSERT_TRUE((*de)->ExecuteSpec(HighestQuery(group, 1)).ok());
 
-  auto highest = (*de)->TopKHighest(group, 8);
+  auto highest = (*de)->ExecuteSpec(HighestQuery(group, 8));
   ASSERT_TRUE(highest.ok());
   auto expected_highest =
       BruteForceHighest((*de)->inference(), group, 8, L2Distance());
@@ -98,7 +98,7 @@ TEST(DeepEverestTest, ResultsMatchBruteForceBothQueryTypes) {
   ExpectValidTopK(*expected_highest, *highest, /*smaller_is_better=*/false);
 
   const uint32_t target = 13;
-  auto similar = (*de)->TopKMostSimilar(target, group, 8);
+  auto similar = (*de)->ExecuteSpec(MostSimilarQuery(target, group, 8));
   ASSERT_TRUE(similar.ok());
   std::vector<std::vector<float>> rows;
   DE_ASSERT_OK((*de)->inference()->ComputeLayer({target}, layer, &rows));
@@ -113,7 +113,7 @@ TEST(DeepEverestTest, ResultsMatchBruteForceBothQueryTypes) {
   ExpectValidTopK(*expected_similar, *similar, /*smaller_is_better=*/true);
 }
 
-TEST(DeepEverestTest, TopKHighestIsSimilarityToInfiniteTarget) {
+TEST(DeepEverestTest, HighestIsSimilarityToInfiniteTarget) {
   // Section 2: a top-k highest query equals a most-similar query against a
   // hypothetical target with infinite activations. With l1 distance the
   // orders coincide exactly (ordering by sum of activations).
@@ -127,7 +127,9 @@ TEST(DeepEverestTest, TopKHighestIsSimilarityToInfiniteTarget) {
   const int layer = sys.model->activation_layers()[0];
   const NeuronGroup group{layer, {0, 3}};
 
-  auto highest = (*de)->TopKHighest(group, 5, DistanceKind::kL1);
+  QuerySpec highest_spec = HighestQuery(group, 5);
+  highest_spec.distance = DistanceKind::kL1;
+  auto highest = (*de)->ExecuteSpec(highest_spec);
   ASSERT_TRUE(highest.ok());
 
   // Huge-but-finite pseudo-infinite target, expressed as an out-of-dataset
@@ -189,9 +191,10 @@ TEST(DeepEverestTest, IqaCacheSpeedsUpRelatedQueries) {
   // Warm up: the first query on a layer answers from the incremental index
   // build (a full scan), so NTA — and hence the IQA cache — only engages
   // from the second query on.
-  ASSERT_TRUE((*de)->TopKHighest(NeuronGroup{layer, {0}}, 1).ok());
-  ASSERT_TRUE((*de)->TopKMostSimilar(3, NeuronGroup{layer, {0, 2, 4}}, 5).ok());
-  auto related = (*de)->TopKMostSimilar(3, NeuronGroup{layer, {0, 2, 6}}, 5);
+  ASSERT_TRUE((*de)->ExecuteSpec(HighestQuery({layer, {0}}, 1)).ok());
+  ASSERT_TRUE(
+      (*de)->ExecuteSpec(MostSimilarQuery(3, {layer, {0, 2, 4}}, 5)).ok());
+  auto related = (*de)->ExecuteSpec(MostSimilarQuery(3, {layer, {0, 2, 6}}, 5));
   ASSERT_TRUE(related.ok());
   EXPECT_GT(related->stats.iqa_hits, 0);
 }

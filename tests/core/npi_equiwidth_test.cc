@@ -13,6 +13,8 @@ namespace {
 
 using testing_util::ExpectValidTopK;
 using testing_util::TinySystem;
+using testing_util::RunNta;
+using testing_util::RunNtaSimilar;
 
 storage::LayerActivationMatrix UniformMatrix() {
   // Values 0..9 over a single neuron: equi-width with 5 partitions gives
@@ -117,7 +119,7 @@ TEST(EquiWidthTest, NtaRemainsExactWithEmptyPartitions) {
     NtaEngine nta(sys.engine.get(), &index.value());
     NtaOptions options;
     options.k = 7;
-    auto actual = nta.MostSimilarTo(group, target, options);
+    auto actual = RunNtaSimilar(&nta, group, target, options);
     ASSERT_TRUE(actual.ok()) << actual.status().ToString();
 
     std::vector<float> target_acts(group.neurons.size());
@@ -132,7 +134,8 @@ TEST(EquiWidthTest, NtaRemainsExactWithEmptyPartitions) {
     ExpectValidTopK(*expected, *actual, /*smaller_is_better=*/true);
 
     // Highest must also stay exact.
-    auto actual_high = nta.Highest(group, options);
+    auto actual_high = RunNta(&nta, group, QuerySpec::Kind::kHighest, -1, {},
+                              options);
     ASSERT_TRUE(actual_high.ok());
     auto expected_high =
         BruteForceHighest(sys.engine.get(), group, 7, L2Distance());

@@ -49,7 +49,7 @@ TEST_P(ConvModelTest, FacadeMatchesBruteForceOnAllActivationLayers) {
     ASSERT_TRUE(top_neurons.ok());
     NeuronGroup group{layer, *top_neurons};
 
-    auto actual = (*de)->TopKMostSimilar(target, group, 8);
+    auto actual = (*de)->ExecuteSpec(MostSimilarQuery(target, group, 8));
     ASSERT_TRUE(actual.ok()) << "layer " << layer;
 
     std::vector<std::vector<float>> rows;
@@ -64,7 +64,7 @@ TEST_P(ConvModelTest, FacadeMatchesBruteForceOnAllActivationLayers) {
     ASSERT_TRUE(expected.ok());
     ExpectValidTopK(*expected, *actual, /*smaller_is_better=*/true, 1e-4);
 
-    auto actual_high = (*de)->TopKHighest(group, 8);
+    auto actual_high = (*de)->ExecuteSpec(HighestQuery(group, 8));
     ASSERT_TRUE(actual_high.ok());
     auto expected_high =
         BruteForceHighest((*de)->inference(), group, 8, L2Distance());

@@ -21,6 +21,8 @@ namespace {
 
 using testing_util::TempDir;
 using testing_util::TinySystem;
+using testing_util::RunNta;
+using testing_util::RunNtaSimilar;
 
 Result<LayerIndex> BuildIndexFor(nn::InferenceEngine* engine, int layer,
                                  const LayerIndexConfig& config) {
@@ -61,11 +63,12 @@ TEST(NtaExecutionTest, ManualStepLoopMatchesRun) {
   const NeuronGroup group{layer, {0, 2, 5}};
 
   NtaEngine nta(sys.engine.get(), &index.value());
-  const auto reference = nta.MostSimilarTo(group, 7, ExactOptions(8));
+  const auto reference = RunNtaSimilar(&nta, group, 7, ExactOptions(8));
   ASSERT_TRUE(reference.ok());
 
   QueryContext ctx;
-  auto begun = nta.BeginMostSimilarTo(group, 7, ExactOptions(8), &ctx);
+  auto begun = nta.Begin(group, QuerySpec::Kind::kMostSimilar, 7, {},
+                         ExactOptions(8), &ctx);
   ASSERT_TRUE(begun.ok()) << begun.status().ToString();
   NtaExecution& exec = **begun;
   int steps = 0;
@@ -89,11 +92,13 @@ TEST(NtaExecutionTest, HighestStepLoopMatchesRun) {
   const NeuronGroup group{layer, {1, 3}};
 
   NtaEngine nta(sys.engine.get(), &index.value());
-  const auto reference = nta.Highest(group, ExactOptions(6));
+  const auto reference = RunNta(&nta, group, QuerySpec::Kind::kHighest, -1, {},
+                                ExactOptions(6));
   ASSERT_TRUE(reference.ok());
 
   QueryContext ctx;
-  auto begun = nta.BeginHighest(group, ExactOptions(6), &ctx);
+  auto begun = nta.Begin(group, QuerySpec::Kind::kHighest, -1, {},
+                         ExactOptions(6), &ctx);
   ASSERT_TRUE(begun.ok());
   while (!(*begun)->done()) DE_ASSERT_OK((*begun)->Step());
   auto stepped = (*begun)->TakeResult();
@@ -110,7 +115,8 @@ TEST(NtaExecutionTest, TakeResultBeforeDoneIsFailedPrecondition) {
 
   NtaEngine nta(sys.engine.get(), &index.value());
   QueryContext ctx;
-  auto begun = nta.BeginHighest({layer, {0}}, ExactOptions(5), &ctx);
+  auto begun = nta.Begin({layer, {0}}, QuerySpec::Kind::kHighest, -1, {},
+                         ExactOptions(5), &ctx);
   ASSERT_TRUE(begun.ok());
   ASSERT_FALSE((*begun)->done());
   auto premature = (*begun)->TakeResult();
@@ -127,9 +133,40 @@ TEST(NtaExecutionTest, BeginRequiresContext) {
   auto index = BuildIndexFor(sys.engine.get(), layer, LayerIndexConfig{4, 0.2});
   ASSERT_TRUE(index.ok());
   NtaEngine nta(sys.engine.get(), &index.value());
-  auto begun = nta.BeginHighest({layer, {0}}, ExactOptions(5), nullptr);
+  auto begun = nta.Begin({layer, {0}}, QuerySpec::Kind::kHighest, -1, {},
+                         ExactOptions(5), nullptr);
   ASSERT_FALSE(begun.ok());
   EXPECT_EQ(begun.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(NtaExecutionTest, BeginRejectsTargetsThatDoNotFitTheKind) {
+  TinySystem sys(40, 31, /*batch_size=*/8);
+  const int layer = sys.model->activation_layers()[0];
+  auto index = BuildIndexFor(sys.engine.get(), layer, LayerIndexConfig{4, 0.2});
+  ASSERT_TRUE(index.ok());
+  NtaEngine nta(sys.engine.get(), &index.value());
+  QueryContext ctx;
+  const NeuronGroup group{layer, {0}};
+  const auto code = [&](QuerySpec::Kind kind, int64_t target_id,
+                        const std::vector<float>& target_acts) {
+    return nta.Begin(group, kind, target_id, target_acts, ExactOptions(5),
+                     &ctx)
+        .status()
+        .code();
+  };
+  // A highest query takes no target.
+  EXPECT_EQ(code(QuerySpec::Kind::kHighest, 3, {}),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(code(QuerySpec::Kind::kHighest, -1, {1.0f}),
+            StatusCode::kInvalidArgument);
+  // A most-similar query takes exactly one.
+  EXPECT_EQ(code(QuerySpec::Kind::kMostSimilar, -1, {}),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(code(QuerySpec::Kind::kMostSimilar, 3, {1.0f}),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(code(QuerySpec::Kind::kMostSimilar, 40, {}),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(code(QuerySpec::Kind::kMostSimilar, 3, {}), StatusCode::kOk);
 }
 
 TEST(NtaExecutionTest, StepsSplitAcrossThreadsAreBitIdentical) {
@@ -143,11 +180,12 @@ TEST(NtaExecutionTest, StepsSplitAcrossThreadsAreBitIdentical) {
   const NeuronGroup group{layer, {1, 2, 6}};
 
   NtaEngine nta(sys.engine.get(), &index.value());
-  const auto reference = nta.MostSimilarTo(group, 11, ExactOptions(7));
+  const auto reference = RunNtaSimilar(&nta, group, 11, ExactOptions(7));
   ASSERT_TRUE(reference.ok());
 
   QueryContext ctx;
-  auto begun = nta.BeginMostSimilarTo(group, 11, ExactOptions(7), &ctx);
+  auto begun = nta.Begin(group, QuerySpec::Kind::kMostSimilar, 11, {},
+                         ExactOptions(7), &ctx);
   ASSERT_TRUE(begun.ok());
   NtaExecution* exec = begun->get();
   while (!exec->done()) {

@@ -13,6 +13,7 @@ namespace {
 
 using testing_util::ExpectValidTopK;
 using testing_util::TinySystem;
+using testing_util::RunNtaSimilar;
 
 Result<LayerIndex> BuildIndexFor(nn::InferenceEngine* engine, int layer,
                                  const LayerIndexConfig& config) {
@@ -57,7 +58,7 @@ TEST(ThetaApproximationTest, GuaranteeHoldsForAllReturnedEntries) {
     NtaOptions options;
     options.k = 10;
     options.theta = theta;
-    auto approx = nta.MostSimilarTo(group, target, options);
+    auto approx = RunNtaSimilar(&nta, group, target, options);
     ASSERT_TRUE(approx.ok());
     ASSERT_EQ(approx->entries.size(), 10u);
 
@@ -95,7 +96,7 @@ TEST(ThetaApproximationTest, LooserThetaRunsNoMoreInputs) {
     NtaEngine nta(sys.engine.get(), &index.value());
     NtaOptions options;
     options.k = 8;
-    auto result = nta.MostSimilarTo(group, 3, options);
+    auto result = RunNtaSimilar(&nta, group, 3, options);
     ASSERT_TRUE(result.ok());
     exact_inputs = result->stats.inputs_run;
   }
@@ -104,7 +105,7 @@ TEST(ThetaApproximationTest, LooserThetaRunsNoMoreInputs) {
     NtaOptions options;
     options.k = 8;
     options.theta = 0.5;
-    auto result = nta.MostSimilarTo(group, 3, options);
+    auto result = RunNtaSimilar(&nta, group, 3, options);
     ASSERT_TRUE(result.ok());
     approx_inputs = result->stats.inputs_run;
   }
@@ -128,7 +129,7 @@ TEST(IncrementalReturnTest, ConfirmedEntriesAreFinalAnswers) {
     snapshots.push_back(p);
     return true;
   };
-  auto result = nta.MostSimilarTo(group, 9, options, &ctx);
+  auto result = RunNtaSimilar(&nta, group, 9, options, &ctx);
   ASSERT_TRUE(result.ok());
 
   // Every entry confirmed mid-run (dist <= threshold at that time) must be
@@ -171,7 +172,7 @@ TEST(EarlyStoppingTest, UserStopReturnsCurrentTopWithGuarantee) {
     }
     return true;
   };
-  auto stopped = nta.MostSimilarTo(group, target, options, &ctx);
+  auto stopped = RunNtaSimilar(&nta, group, target, options, &ctx);
   ASSERT_TRUE(stopped.ok());
   ASSERT_EQ(stopped->entries.size(), 5u);
   ASSERT_GT(theta_guarantee, 0.0);
@@ -212,7 +213,8 @@ TEST(IqaIntegrationTest, SecondQuerySameLayerUsesCache) {
   first_ctx.iqa = &cache;
 
   auto first =
-      nta.MostSimilarTo(NeuronGroup{layer, {1, 4, 7}}, 5, options, &first_ctx);
+      RunNtaSimilar(&nta, NeuronGroup{layer, {1, 4, 7}}, 5, options,
+                    &first_ctx);
   ASSERT_TRUE(first.ok());
   EXPECT_GT(first->stats.inputs_run, 0);
 
@@ -220,8 +222,8 @@ TEST(IqaIntegrationTest, SecondQuerySameLayerUsesCache) {
   // holds full-layer rows, so repeated inputs cost nothing.
   QueryContext second_ctx;
   second_ctx.iqa = &cache;
-  auto second = nta.MostSimilarTo(NeuronGroup{layer, {2, 4, 9}}, 5, options,
-                                  &second_ctx);
+  auto second = RunNtaSimilar(&nta, NeuronGroup{layer, {2, 4, 9}}, 5, options,
+                              &second_ctx);
   ASSERT_TRUE(second.ok());
   EXPECT_GT(second->stats.iqa_hits, 0);
   EXPECT_LT(second->stats.inputs_run, first->stats.inputs_run);
@@ -255,7 +257,7 @@ TEST(IqaIntegrationTest, CacheDoesNotLeakAcrossLayers) {
   QueryContext ctx_a;
   ctx_a.iqa = &cache;
   auto first =
-      nta_a.MostSimilarTo(NeuronGroup{layer_a, {0, 1}}, 2, options, &ctx_a);
+      RunNtaSimilar(&nta_a, NeuronGroup{layer_a, {0, 1}}, 2, options, &ctx_a);
   ASSERT_TRUE(first.ok());
 
   // Querying another layer must not hit layer_a's cached rows.
@@ -263,7 +265,7 @@ TEST(IqaIntegrationTest, CacheDoesNotLeakAcrossLayers) {
   QueryContext ctx_b;
   ctx_b.iqa = &cache;
   auto second =
-      nta_b.MostSimilarTo(NeuronGroup{layer_b, {0, 1}}, 2, options, &ctx_b);
+      RunNtaSimilar(&nta_b, NeuronGroup{layer_b, {0, 1}}, 2, options, &ctx_b);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second->stats.iqa_hits, 0);
 }
@@ -282,7 +284,7 @@ TEST(InferenceSavingsTest, SmallerPartitionsRunFewerInputs) {
     NtaEngine nta(sys.engine.get(), &index.value());
     NtaOptions options;
     options.k = 5;
-    auto result = nta.MostSimilarTo(group, 11, options);
+    auto result = RunNtaSimilar(&nta, group, 11, options);
     ASSERT_TRUE(result.ok());
     EXPECT_LE(result->stats.inputs_run, prev)
         << "nPartitions=" << parts;

@@ -45,7 +45,7 @@ struct GoldenQuery {
   bool tie_complete = true;
   double theta = 1.0;
   // Most-similar only: rank against the target's activations shifted by
-  // +0.25 (BeginMostSimilar on a vector no dataset input has) instead of
+  // +0.25 (a target vector no dataset input has) instead of
   // against the target input itself.
   bool raw_target = false;
 };
@@ -171,12 +171,13 @@ class NtaGoldenCountersTest : public ::testing::Test {
     options.tie_complete = q.tie_complete;
     options.theta = q.theta;
     NtaEngine* nta = engines_[q.layer_slot].get();
-    auto begun =
-        q.highest    ? nta->BeginHighest(GroupOf(q), options, ctx)
-        : q.raw_target ? nta->BeginMostSimilar(GroupOf(q), TargetOf(q),
-                                               options, ctx)
-                       : nta->BeginMostSimilarTo(GroupOf(q), q.target_id,
-                                                 options, ctx);
+    const QuerySpec::Kind kind = q.highest ? QuerySpec::Kind::kHighest
+                                           : QuerySpec::Kind::kMostSimilar;
+    const int64_t target_id =
+        q.highest || q.raw_target ? -1 : int64_t{q.target_id};
+    auto begun = nta->Begin(GroupOf(q), kind, target_id,
+                            q.raw_target ? TargetOf(q) : std::vector<float>(),
+                            options, ctx);
     EXPECT_TRUE(begun.ok()) << begun.status().ToString();
     return begun.ok() ? std::move(begun.value()) : nullptr;
   }

@@ -33,6 +33,8 @@ Result<LayerIndex> BuildIndexFor(nn::InferenceEngine* engine, int layer,
 
 // (seed, group_size, k, num_partitions, mai_ratio, distance kind)
 using OracleParam = std::tuple<uint64_t, int, int, int, double, DistanceKind>;
+using testing_util::RunNta;
+using testing_util::RunNtaSimilar;
 
 class NtaOracleTest : public ::testing::TestWithParam<OracleParam> {};
 
@@ -65,7 +67,7 @@ TEST_P(NtaOracleTest, MostSimilarMatchesBruteForce) {
     NtaOptions options;
     options.k = k;
     options.dist = *dist;
-    auto actual = nta.MostSimilarTo(group, target, options);
+    auto actual = RunNtaSimilar(&nta, group, target, options);
     ASSERT_TRUE(actual.ok()) << actual.status().ToString();
 
     // Oracle.
@@ -112,7 +114,8 @@ TEST_P(NtaOracleTest, HighestMatchesBruteForce) {
     NtaOptions options;
     options.k = k;
     options.dist = *dist;
-    auto actual = nta.Highest(group, options);
+    auto actual = RunNta(&nta, group, QuerySpec::Kind::kHighest, -1, {},
+                         options);
     ASSERT_TRUE(actual.ok()) << actual.status().ToString();
     auto expected = BruteForceHighest(sys.engine.get(), group, k, *dist);
     ASSERT_TRUE(expected.ok());
@@ -140,7 +143,7 @@ TEST(NtaOracleEdgeTest, KLargerThanDatasetReturnsAllButTarget) {
   NtaEngine nta(sys.engine.get(), &index.value());
   NtaOptions options;
   options.k = 50;  // > dataset size
-  auto result = nta.MostSimilarTo(NeuronGroup{layer, {0, 1}}, 3, options);
+  auto result = RunNtaSimilar(&nta, NeuronGroup{layer, {0, 1}}, 3, options);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->entries.size(), 11u);  // 12 inputs minus the target
 }
@@ -154,7 +157,7 @@ TEST(NtaOracleEdgeTest, SinglePartitionDegeneratesToFullScan) {
   NtaEngine nta(sys.engine.get(), &index.value());
   NtaOptions options;
   options.k = 5;
-  auto result = nta.MostSimilarTo(NeuronGroup{layer, {0, 3, 5}}, 0, options);
+  auto result = RunNtaSimilar(&nta, NeuronGroup{layer, {0, 3, 5}}, 0, options);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->entries.size(), 5u);
   EXPECT_EQ(result->stats.inputs_run, 30);  // everything in one partition
@@ -188,7 +191,7 @@ TEST(NtaOracleEdgeTest, ConstantNeuronHandled) {
   NtaOptions options;
   options.k = 4;
   NeuronGroup group{layer, {dead, (dead + 1) % 8}};
-  auto actual = nta.MostSimilarTo(group, 5, options);
+  auto actual = RunNtaSimilar(&nta, group, 5, options);
   ASSERT_TRUE(actual.ok());
 
   std::vector<float> target_acts = {
@@ -213,7 +216,8 @@ TEST(NtaOracleEdgeTest, ExternalTargetActivations) {
   options.k = 7;
   NeuronGroup group{layer, {1, 4, 9}};
   const std::vector<float> probe = {0.5f, 0.0f, 1.25f};
-  auto actual = nta.MostSimilar(group, probe, options);
+  auto actual = RunNta(&nta, group, QuerySpec::Kind::kMostSimilar, -1, probe,
+                       options);
   ASSERT_TRUE(actual.ok());
   auto expected =
       BruteForceMostSimilar(sys.engine.get(), group, probe, 7, L2Distance(),
@@ -233,24 +237,24 @@ TEST(NtaOracleEdgeTest, ValidationErrors) {
   options.k = 3;
 
   // Empty group.
-  EXPECT_FALSE(nta.MostSimilarTo(NeuronGroup{layer, {}}, 0, options).ok());
+  EXPECT_FALSE(RunNtaSimilar(&nta, NeuronGroup{layer, {}}, 0, options).ok());
   // Neuron out of range.
   EXPECT_FALSE(
-      nta.MostSimilarTo(NeuronGroup{layer, {99999}}, 0, options).ok());
+      RunNtaSimilar(&nta, NeuronGroup{layer, {99999}}, 0, options).ok());
   // Target out of range.
-  EXPECT_FALSE(nta.MostSimilarTo(NeuronGroup{layer, {0}}, 999, options).ok());
+  EXPECT_FALSE(RunNtaSimilar(&nta, NeuronGroup{layer, {0}}, 999, options).ok());
   // k < 1.
   options.k = 0;
-  EXPECT_FALSE(nta.MostSimilarTo(NeuronGroup{layer, {0}}, 0, options).ok());
+  EXPECT_FALSE(RunNtaSimilar(&nta, NeuronGroup{layer, {0}}, 0, options).ok());
   // Bad theta.
   options.k = 3;
   options.theta = 0.0;
-  EXPECT_FALSE(nta.MostSimilarTo(NeuronGroup{layer, {0}}, 0, options).ok());
+  EXPECT_FALSE(RunNtaSimilar(&nta, NeuronGroup{layer, {0}}, 0, options).ok());
   // Index/layer mismatch.
   options.theta = 1.0;
   const int other_layer = sys.model->activation_layers()[1];
   EXPECT_FALSE(
-      nta.MostSimilarTo(NeuronGroup{other_layer, {0}}, 0, options).ok());
+      RunNtaSimilar(&nta, NeuronGroup{other_layer, {0}}, 0, options).ok());
 }
 
 }  // namespace

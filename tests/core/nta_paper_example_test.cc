@@ -15,6 +15,8 @@ namespace deepeverest {
 namespace core {
 namespace {
 
+using testing_util::RunNtaSimilar;
+
 /// A model whose single ReLU layer reproduces the input verbatim (all
 /// example activations are positive), so the paper's activation tables can
 /// be injected as dataset rows.
@@ -82,7 +84,8 @@ TEST_F(Figure123Test, WorkedExampleQuery) {
     return true;
   };
 
-  auto result = nta.MostSimilarTo(NeuronGroup{0, {0, 1, 2}}, 5, options, &ctx);
+  auto result = RunNtaSimilar(&nta, NeuronGroup{0, {0, 1, 2}}, 5, options,
+                              &ctx);
   ASSERT_TRUE(result.ok());
 
   // Final answer: (x4, 0.3), (x2, 1.5).
@@ -115,7 +118,7 @@ TEST_F(Figure123Test, ExhaustiveScanWhenThresholdNeverFires) {
   options.k = 5;
   auto dist = MakeDistance(DistanceKind::kL1);
   options.dist = *dist;
-  auto result = nta.MostSimilarTo(NeuronGroup{0, {0, 1, 2}}, 5, options);
+  auto result = RunNtaSimilar(&nta, NeuronGroup{0, {0, 1, 2}}, 5, options);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->entries.size(), 5u);
   // All six inputs ran (target included).
@@ -148,7 +151,7 @@ TEST(Figure4MaiTest, AnswersAfterTwoInferences) {
   ASSERT_TRUE(dist.ok());
   options.dist = *dist;
 
-  auto result = nta.MostSimilarTo(NeuronGroup{0, {0, 1, 2}}, 0, options);
+  auto result = RunNtaSimilar(&nta, NeuronGroup{0, {0, 1, 2}}, 0, options);
   ASSERT_TRUE(result.ok());
 
   // Figure 4: the answer is (x1, 0.2) after DNN inference on only x0 and x1.
@@ -179,7 +182,7 @@ TEST(Figure4MaiTest, WithoutMaiRunsMoreInputs) {
   options.dist = *dist;
   options.use_mai = false;
 
-  auto result = nta.MostSimilarTo(NeuronGroup{0, {0, 1, 2}}, 0, options);
+  auto result = RunNtaSimilar(&nta, NeuronGroup{0, {0, 1, 2}}, 0, options);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->entries.size(), 1u);
   EXPECT_EQ(result->entries[0].input_id, 1u);

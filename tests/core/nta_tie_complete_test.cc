@@ -26,6 +26,9 @@ namespace deepeverest {
 namespace core {
 namespace {
 
+using testing_util::RunNta;
+using testing_util::RunNtaSimilar;
+
 /// Identity layer with kind kRelu, so the model treats it as a queryable
 /// activation layer and its outputs equal its inputs exactly.
 class PassThrough : public nn::Layer {
@@ -114,7 +117,8 @@ TEST(NtaTieCompleteTest, AllTiesHighestMatchesScanExactly) {
     NtaEngine nta(fix.engine.get(), fix.index.get());
     NtaOptions options;
     options.k = 5;
-    auto result = nta.Highest(group, options);
+    auto result = RunNta(&nta, group, QuerySpec::Kind::kHighest, -1, {},
+                         options);
     ASSERT_TRUE(result.ok());
     EXPECT_TRUE(result->stats.terminated_early);
     EXPECT_LT(result->stats.inputs_run, 40);
@@ -127,7 +131,8 @@ TEST(NtaTieCompleteTest, AllTiesHighestMatchesScanExactly) {
     NtaOptions options;
     options.k = 5;
     options.tie_complete = true;
-    auto result = nta.Highest(group, options);
+    auto result = RunNta(&nta, group, QuerySpec::Kind::kHighest, -1, {},
+                         options);
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(result->stats.inputs_run, 40);
     ExpectIdentical(scan, result.value());
@@ -149,7 +154,7 @@ TEST(NtaTieCompleteTest, AllTiesMostSimilarMatchesScanExactly) {
   NtaOptions options;
   options.k = 4;
   options.tie_complete = true;
-  auto result = nta.MostSimilarTo(group, target_id, options);
+  auto result = RunNtaSimilar(&nta, group, target_id, options);
   ASSERT_TRUE(result.ok());
   // Every input ties at distance 0, so nothing may be skipped (the target
   // pass plus all 39 others).
@@ -182,7 +187,7 @@ TEST(NtaTieCompleteTest, BoundaryTieResolvesToCanonicalId) {
   NtaOptions options;
   options.k = 1;
   options.tie_complete = true;
-  auto result = nta.MostSimilarTo(group, target_id, options);
+  auto result = RunNtaSimilar(&nta, group, target_id, options);
   ASSERT_TRUE(result.ok());
   ExpectIdentical(scan, result.value());
 }
@@ -200,7 +205,7 @@ TEST(NtaTieCompleteTest, ThetaApproximationStillTerminates) {
   options.k = 3;
   options.theta = 0.5;
   options.tie_complete = true;
-  auto result = nta.Highest(group, options);
+  auto result = RunNta(&nta, group, QuerySpec::Kind::kHighest, -1, {}, options);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->entries.size(), 3u);
   for (const ResultEntry& e : result->entries) EXPECT_EQ(e.value, 1.0);

@@ -126,7 +126,7 @@ TEST(QlExecuteTest, MatchesDirectApiCalls) {
   auto via_ql = (*de)->ExecuteSpec(*parsed);
   ASSERT_TRUE(via_ql.ok()) << via_ql.status().ToString();
   auto via_api =
-      (*de)->TopKMostSimilar(13, NeuronGroup{layer, {1, 4, 9}}, 7);
+      (*de)->ExecuteSpec(MostSimilarQuery(13, {layer, {1, 4, 9}}, 7));
   ASSERT_TRUE(via_api.ok());
   ASSERT_EQ(via_ql->entries.size(), via_api->entries.size());
   for (size_t i = 0; i < via_ql->entries.size(); ++i) {
@@ -157,7 +157,7 @@ TEST(QlExecuteTest, TopNeuronsResolveToMaximallyActivated) {
 
   auto top = (*de)->MaximallyActivatedNeurons(8, layer, 3);
   ASSERT_TRUE(top.ok());
-  auto via_api = (*de)->TopKMostSimilar(8, NeuronGroup{layer, *top}, 5);
+  auto via_api = (*de)->ExecuteSpec(MostSimilarQuery(8, {layer, *top}, 5));
   ASSERT_TRUE(via_api.ok());
   for (size_t i = 0; i < via_ql->entries.size(); ++i) {
     EXPECT_EQ(via_ql->entries[i].input_id, via_api->entries[i].input_id);

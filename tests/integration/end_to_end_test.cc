@@ -72,19 +72,15 @@ TEST(EndToEndTest, MixedWorkloadMatchesReprocessAllEverywhere) {
         3, &rng);
     ASSERT_TRUE(group.ok());
 
-    if (q % 4 == 0) {
-      auto actual = session.de->TopKHighest(*group, 10);
-      ASSERT_TRUE(actual.ok()) << actual.status().ToString();
-      auto expected = reference.TopKHighest(*group, 10, nullptr);
-      ASSERT_TRUE(expected.ok());
-      ExpectValidTopK(*expected, *actual, /*smaller_is_better=*/false);
-    } else {
-      auto actual = session.de->TopKMostSimilar(target, *group, 10);
-      ASSERT_TRUE(actual.ok()) << actual.status().ToString();
-      auto expected = reference.TopKMostSimilar(target, *group, 10, nullptr);
-      ASSERT_TRUE(expected.ok());
-      ExpectValidTopK(*expected, *actual, /*smaller_is_better=*/true);
-    }
+    const bool highest = q % 4 == 0;
+    const core::QuerySpec spec =
+        highest ? core::HighestQuery(*group, 10)
+                : core::MostSimilarQuery(target, *group, 10);
+    auto actual = session.de->ExecuteSpec(spec);
+    ASSERT_TRUE(actual.ok()) << actual.status().ToString();
+    auto expected = reference.ExecuteSpec(spec);
+    ASSERT_TRUE(expected.ok());
+    ExpectValidTopK(*expected, *actual, /*smaller_is_better=*/!highest);
   }
 }
 
@@ -96,7 +92,8 @@ TEST(EndToEndTest, WarmRestartReusesPersistedIndexes) {
   // Session 1 indexes the layer.
   {
     Session session(dir.path());
-    ASSERT_TRUE(session.de->TopKMostSimilar(3, group, 5).ok());
+    ASSERT_TRUE(
+        session.de->ExecuteSpec(core::MostSimilarQuery(3, group, 5)).ok());
     ASSERT_TRUE(session.de->index_manager()->IsIndexed(layer));
   }
   // Session 2 (fresh objects, same store) must not re-run the indexing
@@ -104,7 +101,7 @@ TEST(EndToEndTest, WarmRestartReusesPersistedIndexes) {
   {
     Session session(dir.path());
     EXPECT_TRUE(session.de->index_manager()->IsIndexed(layer));
-    auto result = session.de->TopKMostSimilar(3, group, 5);
+    auto result = session.de->ExecuteSpec(core::MostSimilarQuery(3, group, 5));
     ASSERT_TRUE(result.ok());
     EXPECT_LT(result->stats.inputs_run,
               static_cast<int64_t>(session.dataset.size()));
@@ -116,7 +113,7 @@ TEST(EndToEndTest, StatsAccumulateSanely) {
   Session session(dir.path());
   const int layer = session.model->activation_layers()[3];
   const core::NeuronGroup group{layer, {1, 2, 3}};
-  auto first = session.de->TopKMostSimilar(0, group, 5);
+  auto first = session.de->ExecuteSpec(core::MostSimilarQuery(0, group, 5));
   ASSERT_TRUE(first.ok());
   // First query = index build: full dataset + the target pass.
   EXPECT_GE(first->stats.inputs_run,
@@ -124,7 +121,7 @@ TEST(EndToEndTest, StatsAccumulateSanely) {
   EXPECT_GT(first->stats.wall_seconds, 0.0);
   EXPECT_GT(first->stats.simulated_gpu_seconds, 0.0);
 
-  auto second = session.de->TopKMostSimilar(1, group, 5);
+  auto second = session.de->ExecuteSpec(core::MostSimilarQuery(1, group, 5));
   ASSERT_TRUE(second.ok());
   EXPECT_LT(second->stats.inputs_run, first->stats.inputs_run);
 }
@@ -136,7 +133,8 @@ TEST(EndToEndTest, ThetaApproximationThroughFacade) {
   auto top_neurons = session.de->MaximallyActivatedNeurons(7, layer, 4);
   ASSERT_TRUE(top_neurons.ok());
   const core::NeuronGroup group{layer, *top_neurons};
-  ASSERT_TRUE(session.de->TopKHighest(group, 1).ok());  // build index
+  // Build the index.
+  ASSERT_TRUE(session.de->ExecuteSpec(core::HighestQuery(group, 1)).ok());
 
   core::QuerySpec spec;
   spec.kind = core::QuerySpec::Kind::kMostSimilar;

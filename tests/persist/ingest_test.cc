@@ -159,7 +159,7 @@ TEST(IngestQueueTest, IngestWhileQueryingIsBitIdenticalToFreshScan) {
   const core::NeuronGroup group{layer, {0, 3, 6}};
 
   // Build the index at 40 and pin a baseline answer.
-  auto at40 = (*engine)->TopKHighest(group, 5);
+  auto at40 = (*engine)->ExecuteSpec(core::HighestQuery(group, 5));
   ASSERT_TRUE(at40.ok()) << at40.status().ToString();
   EXPECT_EQ(at40->stats.dataset_version, 40);
 
@@ -177,7 +177,7 @@ TEST(IngestQueueTest, IngestWhileQueryingIsBitIdenticalToFreshScan) {
     auto ack = (*queue)->Ingest(batch);
     ASSERT_TRUE(ack.ok()) << ack.status().ToString();
     EXPECT_EQ(ack->first_id, 40u + start);
-    auto during = (*engine)->TopKHighest(group, 5);
+    auto during = (*engine)->ExecuteSpec(core::HighestQuery(group, 5));
     ASSERT_TRUE(during.ok()) << during.status().ToString();
     EXPECT_GE(during->stats.dataset_version, 40);
     EXPECT_LE(during->stats.dataset_version, static_cast<int64_t>(52));
@@ -189,7 +189,7 @@ TEST(IngestQueueTest, IngestWhileQueryingIsBitIdenticalToFreshScan) {
   EXPECT_EQ(stats.ingested_total, 12);
   EXPECT_EQ(stats.min_watermark, 52u);
 
-  auto at52 = (*engine)->TopKHighest(group, 5);
+  auto at52 = (*engine)->ExecuteSpec(core::HighestQuery(group, 5));
   ASSERT_TRUE(at52.ok());
   EXPECT_EQ(at52->stats.dataset_version, 52);
 
@@ -202,13 +202,14 @@ TEST(IngestQueueTest, IngestWhileQueryingIsBitIdenticalToFreshScan) {
   auto fresh_engine = core::DeepEverest::Create(
       model.get(), &fresh_dataset, &fresh_store.value(), SmallOptions());
   ASSERT_TRUE(fresh_engine.ok());
-  auto fresh = (*fresh_engine)->TopKHighest(group, 5);
+  auto fresh = (*fresh_engine)->ExecuteSpec(core::HighestQuery(group, 5));
   ASSERT_TRUE(fresh.ok());
   ExpectSameEntries(*fresh, *at52);
 
   // Most-similar queries take the same guarantee.
-  auto similar = (*engine)->TopKMostSimilar(45, group, 4);
-  auto fresh_similar = (*fresh_engine)->TopKMostSimilar(45, group, 4);
+  auto similar = (*engine)->ExecuteSpec(core::MostSimilarQuery(45, group, 4));
+  auto fresh_similar =
+      (*fresh_engine)->ExecuteSpec(core::MostSimilarQuery(45, group, 4));
   ASSERT_TRUE(similar.ok());
   ASSERT_TRUE(fresh_similar.ok());
   ExpectSameEntries(*fresh_similar, *similar);
@@ -226,7 +227,8 @@ TEST(IngestQueueTest, ApplyingABatchWritesOnlyTheLog) {
   auto engine = core::DeepEverest::Create(model.get(), &dataset,
                                           &store.value(), SmallOptions());
   ASSERT_TRUE(engine.ok());
-  ASSERT_TRUE((*engine)->TopKHighest(group, 5).ok());  // builds + commits
+  // Builds + commits.
+  ASSERT_TRUE((*engine)->ExecuteSpec(core::HighestQuery(group, 5)).ok());
   auto queue = IngestQueue::Create(engine->get(), &dataset, &store.value(), {});
   ASSERT_TRUE(queue.ok()) << queue.status().ToString();
 
@@ -261,7 +263,8 @@ TEST(IngestQueueTest, RecoversFromLogAndSnapshotExactlyOnce) {
     auto engine = core::DeepEverest::Create(model.get(), &dataset,
                                             &store.value(), SmallOptions());
     ASSERT_TRUE(engine.ok());
-    ASSERT_TRUE((*engine)->TopKHighest(group, 5).ok());  // builds the index
+    // Builds the index.
+    ASSERT_TRUE((*engine)->ExecuteSpec(core::HighestQuery(group, 5)).ok());
 
     auto queue =
         IngestQueue::Create(engine->get(), &dataset, &store.value(), {});
@@ -300,7 +303,7 @@ TEST(IngestQueueTest, RecoversFromLogAndSnapshotExactlyOnce) {
   // dataset holds, and the query below would fail validation.
   EXPECT_EQ(stats.min_watermark, 43u);
 
-  auto recovered = (*engine)->TopKHighest(group, 6);
+  auto recovered = (*engine)->ExecuteSpec(core::HighestQuery(group, 6));
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_EQ(recovered->stats.dataset_version, 43);
 
@@ -311,7 +314,7 @@ TEST(IngestQueueTest, RecoversFromLogAndSnapshotExactlyOnce) {
   auto fresh_engine = core::DeepEverest::Create(
       model.get(), &fresh_dataset, &fresh_store.value(), SmallOptions());
   ASSERT_TRUE(fresh_engine.ok());
-  auto fresh = (*fresh_engine)->TopKHighest(group, 6);
+  auto fresh = (*fresh_engine)->ExecuteSpec(core::HighestQuery(group, 6));
   ASSERT_TRUE(fresh.ok());
   ExpectSameEntries(*fresh, *recovered);
 

@@ -56,7 +56,7 @@ TEST(WarmRestartTest, FirstQueryRunsNoDatasetInference) {
     ASSERT_TRUE(queue.ok()) << queue.status().ToString();
     DE_ASSERT_OK((*queue)->SaveSnapshot());
 
-    auto warm = (*engine)->TopKHighest(group, 5);
+    auto warm = (*engine)->ExecuteSpec(core::HighestQuery(group, 5));
     ASSERT_TRUE(warm.ok());
     expected = std::move(warm.value());
     warm_query_inputs = expected.stats.inputs_run;
@@ -79,7 +79,7 @@ TEST(WarmRestartTest, FirstQueryRunsNoDatasetInference) {
   // Startup ran zero inference: recovery is deserialization, not compute.
   EXPECT_EQ((*engine)->inference()->stats().inputs_run, 0);
 
-  auto first = (*engine)->TopKHighest(group, 5);
+  auto first = (*engine)->ExecuteSpec(core::HighestQuery(group, 5));
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   // The first query costs exactly what a warm query costs — the full
   // 30-input preprocessing pass never ran.

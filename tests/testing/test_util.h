@@ -12,6 +12,7 @@
 #include "common/rng.h"
 #include "core/nta.h"
 #include "core/query.h"
+#include "core/query_spec.h"
 #include "data/dataset.h"
 #include "nn/inference.h"
 #include "nn/model_zoo.h"
@@ -60,6 +61,31 @@ struct TinySystem {
         engine(std::make_unique<nn::InferenceEngine>(model.get(), &dataset,
                                                      batch_size)) {}
 };
+
+/// Begin + Run of one NTA query (target encoding as in NtaEngine::Begin).
+/// A null `ctx` runs with a default context.
+inline Result<core::TopKResult> RunNta(core::NtaEngine* nta,
+                                       const core::NeuronGroup& group,
+                                       core::QuerySpec::Kind kind,
+                                       int64_t target_id,
+                                       const std::vector<float>& target_acts,
+                                       const core::NtaOptions& options,
+                                       core::QueryContext* ctx = nullptr) {
+  core::QueryContext local_ctx;
+  if (ctx == nullptr) ctx = &local_ctx;
+  DE_ASSIGN_OR_RETURN(
+      std::unique_ptr<core::NtaExecution> execution,
+      nta->Begin(group, kind, target_id, target_acts, options, ctx));
+  return execution->Run();
+}
+
+/// RunNta for a most-similar query against dataset input `target_id`.
+inline Result<core::TopKResult> RunNtaSimilar(
+    core::NtaEngine* nta, const core::NeuronGroup& group, int64_t target_id,
+    const core::NtaOptions& options, core::QueryContext* ctx = nullptr) {
+  return RunNta(nta, group, core::QuerySpec::Kind::kMostSimilar, target_id,
+                {}, options, ctx);
+}
 
 /// A scoped temp directory removed on destruction.
 class TempDir {
