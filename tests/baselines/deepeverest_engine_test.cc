@@ -1,14 +1,18 @@
-#include "baselines/deepeverest_engine.h"
-
+// DeepEverest driven purely through core::QueryEngine, the interface every
+// baseline implements, so the multi-query experiments can treat it as one
+// more engine.
 #include <gtest/gtest.h>
 
 #include "baselines/reprocess_all.h"
+#include "core/deepeverest.h"
 #include "testing/test_util.h"
 
 namespace deepeverest {
 namespace baselines {
 namespace {
 
+using core::HighestQuery;
+using core::MostSimilarQuery;
 using testing_util::ExpectValidTopK;
 using testing_util::TempDir;
 using testing_util::TinySystem;
@@ -24,24 +28,24 @@ TEST(DeepEverestEngineTest, BehavesLikeAnyOtherEngine) {
   auto de = core::DeepEverest::Create(sys.model.get(), &sys.dataset,
                                       &store.value(), options);
   ASSERT_TRUE(de.ok());
+  DE_ASSERT_OK((*de)->PreprocessAllLayers());
 
-  DeepEverestEngine engine(de->get());
+  core::QueryEngine& engine = **de;
   ReprocessAll reference(sys.engine.get());
   EXPECT_EQ(engine.name(), "DeepEverest");
-  DE_ASSERT_OK(engine.Preprocess());
 
   const int layer = sys.model->activation_layers()[1];
   const core::NeuronGroup group{layer, {0, 5, 11}};
 
-  auto high = engine.TopKHighest(group, 6, nullptr);
-  ASSERT_TRUE(high.ok());
-  auto expected_high = reference.TopKHighest(group, 6, nullptr);
+  auto high = engine.ExecuteSpec(HighestQuery(group, 6));
+  ASSERT_TRUE(high.ok()) << high.status().ToString();
+  auto expected_high = reference.ExecuteSpec(HighestQuery(group, 6));
   ASSERT_TRUE(expected_high.ok());
   ExpectValidTopK(*expected_high, *high, /*smaller_is_better=*/false);
 
-  auto sim = engine.TopKMostSimilar(2, group, 6, nullptr);
-  ASSERT_TRUE(sim.ok());
-  auto expected_sim = reference.TopKMostSimilar(2, group, 6, nullptr);
+  auto sim = engine.ExecuteSpec(MostSimilarQuery(2, group, 6));
+  ASSERT_TRUE(sim.ok()) << sim.status().ToString();
+  auto expected_sim = reference.ExecuteSpec(MostSimilarQuery(2, group, 6));
   ASSERT_TRUE(expected_sim.ok());
   ExpectValidTopK(*expected_sim, *sim, /*smaller_is_better=*/true);
 
