@@ -1,15 +1,12 @@
 #ifndef DEEPEVEREST_BENCH_BENCH_COMMON_H_
 #define DEEPEVEREST_BENCH_BENCH_COMMON_H_
 
-#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/logging.h"
-#include "core/nta.h"
 #include "data/dataset.h"
 #include "nn/inference.h"
 #include "nn/model_zoo.h"
@@ -113,30 +110,6 @@ inline System MakeResnetSystem(const Scale& scale) {
   // (121.4 s inference over 10k inputs, Table 1).
   system.seconds_per_mac = 1.2e-8;
   return system;
-}
-
-inline double Median(std::vector<double> values) {
-  DE_CHECK(!values.empty());
-  std::sort(values.begin(), values.end());
-  const size_t mid = values.size() / 2;
-  if (values.size() % 2 == 1) return values[mid];
-  return 0.5 * (values[mid - 1] + values[mid]);
-}
-
-/// Begin + Run of one NTA query over dataset input `target_id` (-1 for a
-/// highest query); a null `ctx` runs with a default context.
-inline Result<core::TopKResult> RunNta(core::NtaEngine* nta,
-                                       const core::NeuronGroup& group,
-                                       core::QuerySpec::Kind kind,
-                                       int64_t target_id,
-                                       const core::NtaOptions& options,
-                                       core::QueryContext* ctx = nullptr) {
-  core::QueryContext local_ctx;
-  if (ctx == nullptr) ctx = &local_ctx;
-  DE_ASSIGN_OR_RETURN(
-      std::unique_ptr<core::NtaExecution> execution,
-      nta->Begin(group, kind, target_id, {}, options, ctx));
-  return execution->Run();
 }
 
 /// A scratch directory removed at destruction.

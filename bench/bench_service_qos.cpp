@@ -165,7 +165,7 @@ ModeResult RunMode(const bench::System& system, const QosBenchConfig& config,
   DE_CHECK(store.ok());
   auto engine = MakeEngine(system, &store.value());
   // Warm serving start, then make the simulated device a real latency
-  // source (same methodology as bench_service_throughput).
+  // source.
   DE_CHECK(engine->PreprocessAllLayers().ok());
   engine->inference()->mutable_cost_model()->seconds_per_mac *=
       config.device_scale;

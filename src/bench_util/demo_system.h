@@ -17,7 +17,7 @@ namespace deepeverest {
 namespace bench_util {
 
 /// \brief Options for the deterministic demo system shared by the network
-/// example server, the e2e client driver, and the network bench.
+/// example server, the e2e client driver, and the network tests.
 struct DemoSystemOptions {
   /// Everything (model weights, dataset) derives from this seed, so two
   /// processes building the same options hold *identical* engines — the
@@ -77,7 +77,7 @@ class DemoSystem {
 };
 
 /// \brief The deterministic mixed workload shared by the e2e client and
-/// the network bench: both query kinds, interactive and batch QoS, several
+/// the network tests: both query kinds, interactive and batch QoS, several
 /// sessions, cycling across the model's activation layers. One definition,
 /// so the two drivers can never silently test different request shapes.
 /// (Wire encoding is core::QuerySpecJson — the one shared codec.)

@@ -243,7 +243,6 @@ struct QueryExecution::Impl {
     // the k-th boundary, so every entry point — and every park/resume
     // schedule — returns the same answer.
     options.tie_complete = true;
-    options.use_mai = system->options().enable_mai;
     DE_ASSIGN_OR_RETURN(options.dist, MakeDistance(spec.distance));
 
     // The NTA phase spans many Steps; keep its span open across them.
@@ -366,12 +365,6 @@ Result<TopKResult> DeepEverest::ExecuteSpec(const QuerySpec& spec,
 }
 
 Result<std::vector<int64_t>> DeepEverest::MaximallyActivatedNeurons(
-    uint32_t target_id, int layer, int m) {
-  QueryContext local_ctx;
-  return MaximallyActivatedNeurons(target_id, layer, m, &local_ctx);
-}
-
-Result<std::vector<int64_t>> DeepEverest::MaximallyActivatedNeurons(
     uint32_t target_id, int layer, int m, QueryContext* ctx) {
   if (target_id >= inference_.dataset().size()) {
     return Status::OutOfRange("target input out of range");
@@ -393,21 +386,8 @@ Result<std::vector<int64_t>> DeepEverest::MaximallyActivatedNeurons(
       ctx->iqa != nullptr && ctx->iqa->Lookup(layer, target_id, &row);
   if (!cached) {
     std::vector<std::vector<float>> rows;
-    SpanScope span(ctx->trace.get(), "compute_layer");
-    const nn::InferenceReceipt before = ctx->receipt;
-    if (ctx->scheduler != nullptr) {
-      DE_RETURN_NOT_OK(ctx->scheduler->ComputeLayer(
-          {target_id}, layer, &rows, &ctx->receipt, ctx->qos));
-    } else {
-      DE_RETURN_NOT_OK(
-          inference_.ComputeLayer({target_id}, layer, &rows, &ctx->receipt));
-    }
-    span.AddInt("inputs", 1);
-    span.AddDouble("batches_share",
-                   ctx->receipt.batches_run - before.batches_run);
-    span.AddDouble(
-        "gpu_seconds",
-        ctx->receipt.simulated_gpu_seconds - before.simulated_gpu_seconds);
+    DE_RETURN_NOT_OK(
+        ComputeLayerInContext(&inference_, {target_id}, layer, ctx, &rows));
     row = std::move(rows[0]);
     if (ctx->iqa != nullptr) {
       ctx->iqa->Insert(layer, target_id, row);

@@ -37,9 +37,6 @@ struct DeepEverestOptions {
   int num_partitions_override = 0;   // 0 = automatic
   double mai_ratio_override = -1.0;  // < 0 = automatic
 
-  /// Use the MAI fast path during query execution (§4.7.1).
-  bool enable_mai = true;
-
   /// Inter-Query Acceleration (§4.7.3): in-memory activation cache shared
   /// across queries.
   bool enable_iqa = false;
@@ -158,16 +155,12 @@ class DeepEverest final : public QueryEngine {
 
   /// The `m` maximally activated neurons of `layer` for `target_id`
   /// (descending activation) — the standard way interpretation sessions
-  /// choose their neuron groups (§4.7.1). Costs one inference pass. The
-  /// context-taking overload meters that pass into `ctx->receipt`, routes
-  /// it through the context's batch scheduler, and honours
-  /// cancellation/deadline — it is how BeginSpec resolves derived
-  /// groups; the convenience overload runs with a default context.
-  Result<std::vector<int64_t>> MaximallyActivatedNeurons(uint32_t target_id,
-                                                         int layer, int m);
-  Result<std::vector<int64_t>> MaximallyActivatedNeurons(uint32_t target_id,
-                                                         int layer, int m,
-                                                         QueryContext* ctx);
+  /// choose their neuron groups (§4.7.1). Costs one inference pass, metered
+  /// into `ctx->receipt` and routed through the context's batch scheduler,
+  /// honouring cancellation/deadline; it is how BeginSpec resolves derived
+  /// groups. `ctx` may be null (a default context).
+  Result<std::vector<int64_t>> MaximallyActivatedNeurons(
+      uint32_t target_id, int layer, int m, QueryContext* ctx = nullptr);
 
   /// Eagerly indexes every layer (paper Figure 10's extreme case). Without
   /// this call, indexes build incrementally as layers are queried.

@@ -179,6 +179,35 @@ struct MaiCursor {
   double max_seen = -kInf;
 };
 
+}  // namespace
+
+Status ComputeLayerInContext(nn::InferenceEngine* inference,
+                             const std::vector<uint32_t>& ids, int layer,
+                             QueryContext* ctx,
+                             std::vector<std::vector<float>>* rows) {
+  // `batches_share` is this call's fractional share of (possibly shared)
+  // device batches straight from the receipt delta, so a span tree shows
+  // exactly how much of a cross-query batch this query paid for. The key is
+  // `inputs` (not `inputs_run`): only round-level spans carry the
+  // `inputs_run` attributes that clients sum against the receipt total.
+  SpanScope span(ctx->trace.get(), "compute_layer");
+  const nn::InferenceReceipt before = ctx->receipt;
+  if (ctx->scheduler != nullptr) {
+    DE_RETURN_NOT_OK(ctx->scheduler->ComputeLayer(ids, layer, rows,
+                                                  &ctx->receipt, ctx->qos));
+  } else {
+    DE_RETURN_NOT_OK(inference->ComputeLayer(ids, layer, rows, &ctx->receipt));
+  }
+  span.AddInt("inputs", static_cast<int64_t>(ids.size()));
+  span.AddDouble("batches_share",
+                 ctx->receipt.batches_run - before.batches_run);
+  span.AddDouble("gpu_seconds", ctx->receipt.simulated_gpu_seconds -
+                                    before.simulated_gpu_seconds);
+  return Status::OK();
+}
+
+namespace {
+
 /// Evaluates the pending batch of `state` (the inputs claimed since the
 /// last call, all unknown so far) straight into its arena rows: one batched
 /// IQA gather serves the cached rows, and the rest run through the
@@ -211,29 +240,8 @@ Status EvaluateGroup(nn::InferenceEngine* inference, const NeuronGroup& group,
 
   const std::vector<uint32_t>& to_infer = state->to_infer;
   std::vector<std::vector<float>> rows;
-  {
-    // `batches_share` is this call's fractional share of (possibly shared)
-    // device batches straight from the receipt delta, so a span tree shows
-    // exactly how much of a cross-query batch this query paid for. The key
-    // is `inputs` (not `inputs_run`): only round-level spans carry the
-    // `inputs_run` attributes that clients sum against the receipt total.
-    SpanScope span(ctx->trace.get(), "compute_layer");
-    const nn::InferenceReceipt before = ctx->receipt;
-    if (ctx->scheduler != nullptr) {
-      DE_RETURN_NOT_OK(ctx->scheduler->ComputeLayer(to_infer, group.layer,
-                                                    &rows, &ctx->receipt,
-                                                    ctx->qos));
-    } else {
-      DE_RETURN_NOT_OK(inference->ComputeLayer(to_infer, group.layer, &rows,
-                                               &ctx->receipt));
-    }
-    span.AddInt("inputs", static_cast<int64_t>(to_infer.size()));
-    span.AddDouble("batches_share",
-                   ctx->receipt.batches_run - before.batches_run);
-    span.AddDouble(
-        "gpu_seconds",
-        ctx->receipt.simulated_gpu_seconds - before.simulated_gpu_seconds);
-  }
+  DE_RETURN_NOT_OK(
+      ComputeLayerInContext(inference, to_infer, group.layer, ctx, &rows));
   for (size_t r = 0; r < to_infer.size(); ++r) {
     float* dst = block + state->infer_rows[r] * g;
     for (size_t i = 0; i < g; ++i) {

@@ -49,6 +49,15 @@ struct NtaOptions {
 /// reads activation rows unchecked; NtaEngine adds its index-shape checks.
 Status ValidateNeuronGroup(const nn::Model& model, const NeuronGroup& group);
 
+/// Runs `ids` to `layer` through the context's batch scheduler, or
+/// `inference` when it has none, metering the cost into ctx->receipt under
+/// one `compute_layer` trace span. NTA rounds and derived-group resolution
+/// (DeepEverest::MaximallyActivatedNeurons) both infer through it.
+Status ComputeLayerInContext(nn::InferenceEngine* inference,
+                             const std::vector<uint32_t>& ids, int layer,
+                             QueryContext* ctx,
+                             std::vector<std::vector<float>>* rows);
+
 class NtaEngine;
 
 /// \brief One in-flight NTA query as a first-class, resumable object: the

@@ -13,7 +13,7 @@ namespace net {
 
 /// \brief A small blocking HTTP/1.1 client over one keep-alive connection.
 ///
-/// Exactly what the tests, the e2e CI driver, and the network bench need:
+/// Exactly what the tests and the e2e CI driver need:
 /// sequential request/response on a single connection (open several clients
 /// for concurrency), with incremental consumption of chunked NDJSON streams.
 /// Not a general-purpose client — no TLS, no redirects, no proxies.

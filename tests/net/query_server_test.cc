@@ -4,7 +4,8 @@
 // unknown-model 404, per-model /v1/stats), declarative queries over
 // /v1/ql, NDJSON streaming with progress-before-result ordering,
 // client-disconnect cancellation (reflected in ServiceStats.cancelled),
-// deadline_ms=0 rejection without inference, and the error-status mapping.
+// deadline_ms=0 rejection without inference, the error-status mapping, and
+// concurrent keep-alive clients matching concurrent in-process callers.
 #include "net/query_server.h"
 
 #include <gtest/gtest.h>
@@ -151,6 +152,53 @@ TEST(QueryServerTest, PostQueryMatchesSequentialReference) {
     ASSERT_NE(stats, nullptr);
     EXPECT_EQ(stats->Find("inputs_run")->int_value(),
               reference->stats.inputs_run);
+  }
+}
+
+// The same mixed workload from several concurrent clients, once calling the
+// service in-process and once over loopback HTTP with one keep-alive
+// connection each: every HTTP answer is bit-identical to its in-process one.
+TEST(QueryServerTest, ConcurrentClientsMatchInProcess) {
+  constexpr int kClients = 4;
+  service::QueryServiceOptions service_options;
+  service_options.num_workers = kClients;
+  ServerFixture fix({}, service_options);
+  const std::vector<core::QuerySpec> workload =
+      bench_util::MakeMixedWorkload(*fix.system->model(), 24);
+
+  std::vector<core::TopKResult> in_process(workload.size());
+  std::vector<std::string> bodies(workload.size());
+  std::atomic<int> errors{0};
+  for (const bool over_http : {false, true}) {
+    std::atomic<size_t> next{0};
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+      clients.emplace_back([&] {
+        auto client = fix.Connect();
+        if (!client.ok()) ++errors;
+        for (size_t i = next++; client.ok() && i < workload.size();
+             i = next++) {
+          if (over_http) {
+            auto response =
+                client->Post("/v1/query", core::QuerySpecJson(workload[i]));
+            if (!response.ok() || response->status != 200) ++errors;
+            if (response.ok()) bodies[i] = response->body;
+          } else {
+            auto result = fix.service->Execute(workload[i]);
+            if (!result.ok()) ++errors;
+            if (result.ok()) in_process[i] = std::move(*result);
+          }
+        }
+      });
+    }
+    for (std::thread& client : clients) client.join();
+  }
+  ASSERT_EQ(errors.load(), 0);
+  for (size_t i = 0; i < workload.size(); ++i) {
+    auto body = ParseJson(bodies[i]);
+    ASSERT_TRUE(body.ok()) << bodies[i];
+    ASSERT_NE(body->Find("entries"), nullptr) << bodies[i];
+    ExpectEntriesMatch(*body->Find("entries"), in_process[i]);
   }
 }
 
