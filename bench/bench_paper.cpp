@@ -161,7 +161,8 @@ const LayerPass& Pass(const bench::System& system, int layer) {
     auto engine = system.NewEngine();
     nn::InferenceReceipt receipt;
     Stopwatch watch;
-    auto matrix = baselines::ComputeLayerMatrix(engine.get(), layer, &receipt);
+    auto matrix = engine->ComputeLayerMatrix(layer, 0, engine->dataset().size(),
+                                             &receipt);
     LayerPass pass{std::move(matrix).value(), watch.ElapsedSeconds(),
                    receipt.simulated_gpu_seconds};
     it = passes.emplace(key, std::move(pass)).first;
@@ -792,7 +793,9 @@ void RunTable1(const bench::System& system) {
     auto engine = system.NewEngine();
     Stopwatch total;
     const storage::LayerActivationMatrix matrix =
-        baselines::ComputeLayerMatrix(engine.get(), query.group.layer).value();
+        engine->ComputeLayerMatrix(query.group.layer, 0,
+                                   engine->dataset().size())
+            .value();
     const double inference = total.ElapsedSeconds();
     std::vector<float> target;
     for (const int64_t neuron : neurons) {

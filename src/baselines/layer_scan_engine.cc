@@ -1,7 +1,5 @@
 #include "baselines/layer_scan_engine.h"
 
-#include <numeric>
-
 #include "common/stopwatch.h"
 #include "core/nta.h"
 
@@ -35,23 +33,6 @@ Result<core::TopKResult> LayerScanEngine::ExecuteSpec(
   result.stats.simulated_gpu_seconds = receipt.simulated_gpu_seconds;
   result.stats.wall_seconds = watch.ElapsedSeconds();
   return result;
-}
-
-Result<storage::LayerActivationMatrix> ComputeLayerMatrix(
-    nn::InferenceEngine* inference, int layer, nn::InferenceReceipt* receipt) {
-  const uint32_t num_inputs = inference->dataset().size();
-  const uint64_t num_neurons =
-      static_cast<uint64_t>(inference->model().NeuronCount(layer));
-  std::vector<uint32_t> ids(num_inputs);
-  std::iota(ids.begin(), ids.end(), 0u);
-  std::vector<std::vector<float>> rows;
-  DE_RETURN_NOT_OK(inference->ComputeLayer(ids, layer, &rows, receipt));
-  storage::LayerActivationMatrix matrix =
-      storage::LayerActivationMatrix::Make(num_inputs, num_neurons);
-  for (uint32_t id = 0; id < num_inputs; ++id) {
-    std::copy(rows[id].begin(), rows[id].end(), matrix.MutableRow(id));
-  }
-  return matrix;
 }
 
 }  // namespace baselines

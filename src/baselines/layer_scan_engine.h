@@ -34,13 +34,6 @@ class LayerScanEngine : public core::QueryEngine {
   nn::InferenceEngine* inference_;
 };
 
-/// Computes the full activation matrix of one layer by running inference on
-/// every input (the ReprocessAll inner step, shared by several baselines).
-/// `receipt`, when non-null, is charged this call's exact inference cost.
-Result<storage::LayerActivationMatrix> ComputeLayerMatrix(
-    nn::InferenceEngine* inference, int layer,
-    nn::InferenceReceipt* receipt = nullptr);
-
 }  // namespace baselines
 }  // namespace deepeverest
 

@@ -17,14 +17,19 @@ Result<storage::LayerActivationMatrix> LruCacheEngine::GetLayer(
   }
 
   ++misses_;
-  DE_ASSIGN_OR_RETURN(storage::LayerActivationMatrix matrix,
-                      ComputeLayerMatrix(inference_, layer, receipt));
+  DE_ASSIGN_OR_RETURN(
+      storage::LayerActivationMatrix matrix,
+      inference_->ComputeLayerMatrix(layer, 0, inference_->dataset().size(),
+                                     receipt));
+  const uint64_t bytes = storage::ActivationStore::PersistedBytes(
+      matrix.num_inputs, matrix.num_neurons);
+  // A layer larger than the whole budget is not admitted: caching it would
+  // evict every other layer and then the layer itself.
+  if (bytes > budget_bytes_) return matrix;
   // Persist to the disk cache, then evict least-recently-used layers until
   // the budget holds again. The byte count recorded here is the one
   // subtracted at eviction.
   DE_RETURN_NOT_OK(activations_.Save(model_name, layer, matrix));
-  const uint64_t bytes = storage::ActivationStore::PersistedBytes(
-      matrix.num_inputs, matrix.num_neurons);
   cached_bytes_ += bytes;
   bytes_by_layer_[layer] = bytes;
   recency_.push_front(layer);
@@ -47,12 +52,9 @@ Status LruCacheEngine::EvictLocked(int layer) {
 }
 
 Status LruCacheEngine::EvictUntilWithinBudgetLocked() {
-  while (cached_bytes_ > budget_bytes_ && recency_.size() > 1) {
-    DE_RETURN_NOT_OK(EvictLocked(recency_.back()));
-  }
-  // A single layer larger than the whole budget is still evicted: the
-  // cache cannot hold it.
-  if (cached_bytes_ > budget_bytes_ && recency_.size() == 1) {
+  // Every admitted layer fits the budget, so the newest one is never
+  // evicted here.
+  while (cached_bytes_ > budget_bytes_) {
     DE_RETURN_NOT_OK(EvictLocked(recency_.back()));
   }
   return Status::OK();

@@ -16,7 +16,8 @@ namespace baselines {
 /// \brief LRU Cache baseline (§4.1): a fixed-budget disk cache of layer
 /// activations with least-recently-used layer eviction. Queries hit the
 /// cache like PreprocessAll or miss like ReprocessAll; after a miss the
-/// queried layer's activations are persisted to the cache.
+/// queried layer's activations are persisted to the cache, unless the layer
+/// alone is larger than the whole budget (it is then never admitted).
 ///
 /// Byte accounting mirrors IqaCache: the bytes recorded when a layer enters
 /// the cache are exactly the bytes subtracted when it leaves (kept in

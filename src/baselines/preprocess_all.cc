@@ -1,5 +1,7 @@
 #include "baselines/preprocess_all.h"
 
+#include <numeric>
+
 #include "common/stopwatch.h"
 
 namespace deepeverest {
@@ -8,25 +10,13 @@ namespace baselines {
 Status PreprocessAll::Preprocess() {
   if (preprocessed_) return Status::OK();
   const nn::Model& model = inference_->model();
-  const uint32_t num_inputs = inference_->dataset().size();
 
   // Single pass: one ForwardAll per input filling every layer's matrix.
   Stopwatch watch;
+  std::vector<int> layers(static_cast<size_t>(model.num_layers()));
+  std::iota(layers.begin(), layers.end(), 0);
   std::vector<storage::LayerActivationMatrix> matrices;
-  matrices.reserve(static_cast<size_t>(model.num_layers()));
-  for (int layer = 0; layer < model.num_layers(); ++layer) {
-    matrices.push_back(storage::LayerActivationMatrix::Make(
-        num_inputs, static_cast<uint64_t>(model.NeuronCount(layer))));
-  }
-  std::vector<Tensor> outputs;
-  for (uint32_t id = 0; id < num_inputs; ++id) {
-    DE_RETURN_NOT_OK(inference_->ComputeAllLayers(id, &outputs));
-    for (int layer = 0; layer < model.num_layers(); ++layer) {
-      const Tensor& out = outputs[static_cast<size_t>(layer)];
-      std::copy(out.vec().begin(), out.vec().end(),
-                matrices[static_cast<size_t>(layer)].MutableRow(id));
-    }
-  }
+  DE_RETURN_NOT_OK(inference_->ComputeAllLayers(layers, &matrices));
   preprocess_inference_seconds_ = watch.ElapsedSeconds();
 
   watch.Reset();

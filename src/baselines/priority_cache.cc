@@ -49,19 +49,7 @@ Status PriorityCacheEngine::Preprocess() {
   // One inference pass over the dataset materialising the chosen layers.
   if (!chosen_layers_.empty()) {
     std::vector<storage::LayerActivationMatrix> matrices;
-    for (int layer : chosen_layers_) {
-      matrices.push_back(storage::LayerActivationMatrix::Make(
-          num_inputs, static_cast<uint64_t>(model.NeuronCount(layer))));
-    }
-    std::vector<Tensor> outputs;
-    for (uint32_t id = 0; id < num_inputs; ++id) {
-      DE_RETURN_NOT_OK(inference_->ComputeAllLayers(id, &outputs));
-      for (size_t i = 0; i < chosen_layers_.size(); ++i) {
-        const Tensor& out = outputs[static_cast<size_t>(chosen_layers_[i])];
-        std::copy(out.vec().begin(), out.vec().end(),
-                  matrices[i].MutableRow(id));
-      }
-    }
+    DE_RETURN_NOT_OK(inference_->ComputeAllLayers(chosen_layers_, &matrices));
     for (size_t i = 0; i < chosen_layers_.size(); ++i) {
       DE_RETURN_NOT_OK(activations_.Save(model.name(), chosen_layers_[i],
                                          matrices[i], /*sync=*/true));
@@ -79,7 +67,8 @@ Result<storage::LayerActivationMatrix> PriorityCacheEngine::GetLayer(
   if (stored_.count(layer) != 0) {
     return activations_.Load(inference_->model().name(), layer);
   }
-  return ComputeLayerMatrix(inference_, layer, receipt);
+  return inference_->ComputeLayerMatrix(layer, 0, inference_->dataset().size(),
+                                        receipt);
 }
 
 }  // namespace baselines

@@ -24,7 +24,8 @@ class ReprocessAll : public LayerScanEngine {
  private:
   Result<storage::LayerActivationMatrix> GetLayer(
       int layer, nn::InferenceReceipt* receipt) override {
-    return ComputeLayerMatrix(inference_, layer, receipt);
+    return inference_->ComputeLayerMatrix(
+        layer, 0, inference_->dataset().size(), receipt);
   }
 };
 

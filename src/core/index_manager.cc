@@ -1,7 +1,6 @@
 #include "core/index_manager.h"
 
 #include <ctime>
-#include <numeric>
 #include <utility>
 
 #include "common/logging.h"
@@ -172,22 +171,6 @@ Result<SnapshotInfo> IndexManager::RestoreSnapshot() {
   return info;
 }
 
-Result<storage::LayerActivationMatrix> IndexManager::ComputeRows(
-    int layer, uint32_t base, uint32_t count, nn::InferenceReceipt* receipt) {
-  const uint64_t num_neurons =
-      static_cast<uint64_t>(inference_->model().NeuronCount(layer));
-  std::vector<uint32_t> ids(count);
-  std::iota(ids.begin(), ids.end(), base);
-  std::vector<std::vector<float>> rows;
-  DE_RETURN_NOT_OK(inference_->ComputeLayer(ids, layer, &rows, receipt));
-  storage::LayerActivationMatrix acts =
-      storage::LayerActivationMatrix::Make(count, num_neurons);
-  for (uint32_t i = 0; i < count; ++i) {
-    std::copy(rows[i].begin(), rows[i].end(), acts.MutableRow(i));
-  }
-  return acts;
-}
-
 Result<LayerIndexPtr> IndexManager::EnsureIndex(
     int layer, storage::LayerActivationMatrix* fresh_acts,
     PreprocessTimings* timings, nn::InferenceReceipt* receipt) {
@@ -240,8 +223,9 @@ Result<LayerIndexPtr> IndexManager::BuildIndex(
   // inference restarts from the first layer every time, because only queried
   // layers are persisted — ComputeLayer does exactly that).
   Stopwatch watch;
-  DE_ASSIGN_OR_RETURN(storage::LayerActivationMatrix acts,
-                      ComputeRows(layer, 0, num_inputs, receipt));
+  DE_ASSIGN_OR_RETURN(
+      storage::LayerActivationMatrix acts,
+      inference_->ComputeLayerMatrix(layer, 0, num_inputs, receipt));
   const double inference_seconds = watch.ElapsedSeconds();
 
   // 2. Sort & partition: build NPI + MAI.
@@ -274,8 +258,9 @@ Status IndexManager::CatchUp(int layer, uint32_t target_size,
   while (current->num_inputs() < target_size) {
     const uint32_t base = current->num_inputs();
     const uint32_t count = target_size - base;
-    DE_ASSIGN_OR_RETURN(storage::LayerActivationMatrix delta,
-                        ComputeRows(layer, base, count, receipt));
+    DE_ASSIGN_OR_RETURN(
+        storage::LayerActivationMatrix delta,
+        inference_->ComputeLayerMatrix(layer, base, count, receipt));
     Result<LayerIndex> merged = current->AppendInputs(delta);
     if (!merged.ok()) {
       if (merged.status().code() != StatusCode::kFailedPrecondition) {
@@ -283,8 +268,9 @@ Status IndexManager::CatchUp(int layer, uint32_t target_size,
       }
       // Degenerate index shape that cannot take appends: rebuild wholesale
       // at the target size (rare; only single-partition MAI configs).
-      DE_ASSIGN_OR_RETURN(storage::LayerActivationMatrix all,
-                          ComputeRows(layer, 0, target_size, receipt));
+      DE_ASSIGN_OR_RETURN(
+          storage::LayerActivationMatrix all,
+          inference_->ComputeLayerMatrix(layer, 0, target_size, receipt));
       merged = LayerIndex::Build(all, options_.layer_config);
       DE_RETURN_NOT_OK(merged.status());
     }

@@ -177,10 +177,6 @@ class IndexManager {
   /// Warns and fires the invalidation hook; the caller rebuilds `layer`.
   void Discard(int layer, const Status& why);
 
-  /// Computes activations for input ids [base, base + count) of `layer`.
-  Result<storage::LayerActivationMatrix> ComputeRows(
-      int layer, uint32_t base, uint32_t count, nn::InferenceReceipt* receipt);
-
   /// Stores `index` as the loaded entry for `layer` (insert or replace).
   LayerIndexPtr Publish(int layer, LayerIndex index);
 

@@ -6,8 +6,8 @@
 #include <cstring>
 #include <limits>
 #include <numeric>
-#include <system_error>
-#include <thread>
+
+#include "common/worker_set.h"
 
 namespace deepeverest {
 namespace core {
@@ -28,7 +28,7 @@ uint32_t DescendingKey(float v) {
   return (bits & 0x80000000u) != 0 ? bits : ~bits & 0x7FFFFFFFu;
 }
 
-// Per-thread scratch of the column pass: one transposed block plus the two
+// Per-block scratch of the column pass: one transposed block plus the two
 // key arrays the radix sort ping-pongs between.
 struct ColumnScratch {
   std::vector<float> block;
@@ -67,10 +67,11 @@ const uint64_t* RadixSortHigh(ColumnScratch* scratch) {
 }
 
 // Calls column_fn(neuron, column, scratch) once per neuron, where column[i]
-// is input i's activation. Neurons go in blocks over min(cores, blocks)
-// threads (inline for one block). A block's neuron count is a multiple of
-// 64 / gcd(num_inputs * pid_bits, 64), so its packed-PID range starts on a
-// word and no two threads write the same word. Rejects NaN activations.
+// is input i's activation. Neurons go in blocks over the worker set (one
+// thread per block at most; inline for one block). A block's neuron count
+// is a multiple of 64 / gcd(num_inputs * pid_bits, 64), so its packed-PID
+// range starts on a word and no two threads write the same word. Rejects
+// NaN activations.
 template <typename ColumnFn>
 Status ForEachColumn(const storage::LayerActivationMatrix& acts, int pid_bits,
                      const ColumnFn& column_fn) {
@@ -81,47 +82,32 @@ Status ForEachColumn(const storage::LayerActivationMatrix& acts, int pid_bits,
       64 / std::gcd(n * static_cast<size_t>(pid_bits), size_t{64});
   const size_t block = (cols + align - 1) / align * align;
   const size_t num_blocks = (neurons + block - 1) / block;
-  std::atomic<size_t> next_block{0};
   std::atomic<bool> has_nan{false};
-  const auto worker = [&] {
+  common::ParallelFor(num_blocks, num_blocks, [&](size_t b) {
+    if (has_nan) return;
     ColumnScratch scratch;
-    for (size_t b = next_block++; b < num_blocks && !has_nan;
-         b = next_block++) {
-      const size_t block_end = std::min(neurons, (b + 1) * block);
-      for (size_t first = b * block; first < block_end; first += cols) {
-        const size_t width = std::min(cols, block_end - first);
-        scratch.block.resize(width * n);
-        bool nan = false;
-        for (size_t i = 0; i < n; ++i) {
-          const float* row = acts.Row(static_cast<uint32_t>(i)) + first;
-          for (size_t j = 0; j < width; ++j) {
-            scratch.block[j * n + i] = row[j];
-            nan |= std::isnan(row[j]);
-          }
-        }
-        if (nan) {
-          has_nan = true;
-          return;
-        }
+    const size_t block_end = std::min(neurons, (b + 1) * block);
+    for (size_t first = b * block; first < block_end; first += cols) {
+      const size_t width = std::min(cols, block_end - first);
+      scratch.block.resize(width * n);
+      bool nan = false;
+      for (size_t i = 0; i < n; ++i) {
+        const float* row = acts.Row(static_cast<uint32_t>(i)) + first;
         for (size_t j = 0; j < width; ++j) {
-          column_fn(static_cast<int64_t>(first + j),
-                    scratch.block.data() + j * n, &scratch);
+          scratch.block[j * n + i] = row[j];
+          nan |= std::isnan(row[j]);
         }
       }
+      if (nan) {
+        has_nan = true;
+        return;
+      }
+      for (size_t j = 0; j < width; ++j) {
+        column_fn(static_cast<int64_t>(first + j),
+                  scratch.block.data() + j * n, &scratch);
+      }
     }
-  };
-  const size_t num_threads = std::min<size_t>(
-      std::max(1u, std::thread::hardware_concurrency()), num_blocks);
-  std::vector<std::thread> threads;
-  for (size_t t = 1; t < num_threads; ++t) {
-    try {
-      threads.emplace_back(worker);
-    } catch (const std::system_error&) {
-      break;  // out of threads: the workers already started take every block
-    }
-  }
-  worker();
-  for (std::thread& thread : threads) thread.join();
+  });
   if (has_nan) return Status::InvalidArgument("NaN activation");
   return Status::OK();
 }

@@ -5,9 +5,12 @@
 #include <vector>
 
 #include "common/mutex.h"
+#include "common/result.h"
 #include "common/status.h"
+#include "common/stopwatch.h"
 #include "data/dataset.h"
 #include "nn/model.h"
+#include "storage/activation_store.h"
 
 namespace deepeverest {
 namespace nn {
@@ -90,13 +93,26 @@ struct GpuCostModel {
 /// baselines compute activations, so their inference costs are directly
 /// comparable.
 ///
-/// Thread-safety: ComputeLayer/ComputeAllLayers are safe to call
-/// concurrently — the forward pass itself is pure (const model + dataset)
-/// and the shared counters are mutex-guarded. `stats()` returns a coherent
-/// snapshot of the *global* counters; under concurrent queries a
-/// before/after delta attributes *all* inference in the window, including
-/// other threads' — pass an InferenceReceipt to the compute calls for exact
-/// per-caller attribution instead. Configure the cost model and
+/// Threads: every compute call spreads its forward passes over the
+/// process-wide worker set (common::ParallelFor: the calling thread plus
+/// one helper per other core). A call of n inputs of m MACs each
+/// uses min(n, 1 + n * m / 2^18) threads, so a call of a few small inputs
+/// (TinyMlp's NTA rounds) stays on the calling thread. Only one call fans
+/// out at a time; a call made while another is fanning out runs inline, so
+/// concurrent callers (QueryService workers) run inference on at most
+/// callers + cores - 1 threads.
+/// The calling thread allocates every output row before the fan-out and
+/// each forward pass writes only its own row, so the results are
+/// bit-identical to a serial loop. Metering happens after the forward
+/// passes, on the calling thread, per logical batch of `batch_size`.
+///
+/// Thread-safety: the compute calls are safe to call concurrently — the
+/// forward pass itself is pure (const model + dataset) and the shared
+/// counters are mutex-guarded. `stats()` returns a coherent snapshot of the
+/// *global* counters; under concurrent queries a before/after delta
+/// attributes *all* inference in the window, including other threads' —
+/// pass an InferenceReceipt to the compute calls for exact per-caller
+/// attribution instead. Configure the cost model and
 /// `set_simulate_device_latency` before sharing the engine across threads.
 class InferenceEngine {
  public:
@@ -120,16 +136,28 @@ class InferenceEngine {
   /// `rows->at(i)` is the flat activation vector of input_ids[i].
   /// Processes in batches of batch_size; each batch is metered. When
   /// `receipt` is non-null, this call's exact cost is *added* to it — the
-  /// attribution-safe alternative to a before/after stats() delta.
+  /// attribution-safe alternative to a before/after stats() delta. On any
+  /// error (a bad id or layer, or the first failing input's forward pass)
+  /// `rows` is left empty and the stats and the receipt are unchanged.
   Status ComputeLayer(const std::vector<uint32_t>& input_ids, int layer,
                       std::vector<std::vector<float>>* rows,
                       InferenceReceipt* receipt = nullptr);
 
-  /// Computes ALL layers' activations for one input in a single pass
-  /// (used by preprocessing / index construction). Metered as one input at
-  /// full-model cost; `receipt`, when non-null, is accumulated like in
-  /// ComputeLayer.
-  Status ComputeAllLayers(uint32_t input_id, std::vector<Tensor>* outputs,
+  /// ComputeLayer over the consecutive inputs [first, first + count),
+  /// written straight into the rows of one activation matrix (row i is
+  /// input first + i). Metered and failing exactly like ComputeLayer.
+  Result<storage::LayerActivationMatrix> ComputeLayerMatrix(
+      int layer, uint32_t first, uint32_t count,
+      InferenceReceipt* receipt = nullptr);
+
+  /// Computes the activations of every layer in `layers` for every dataset
+  /// input in a single pass (one full forward pass per input, as
+  /// preprocessing does): `matrices->at(j)` is layer layers[j]'s matrix.
+  /// Each input is metered as one batch at full-model cost; `receipt`, when
+  /// non-null, is accumulated like in ComputeLayer. On error `matrices` is
+  /// left empty and the stats and the receipt are unchanged.
+  Status ComputeAllLayers(const std::vector<int>& layers,
+                          std::vector<storage::LayerActivationMatrix>* matrices,
                           InferenceReceipt* receipt = nullptr);
 
   InferenceStats stats() const {
@@ -153,6 +181,15 @@ class InferenceEngine {
   bool simulate_device_latency() const { return simulate_device_latency_; }
 
  private:
+  /// OutOfRange unless `layer` is one of the model's layers.
+  Status CheckLayer(int layer) const;
+
+  /// Meters `n` forward passes of `macs` MACs each as batches of
+  /// `per_batch` inputs (sleeping for each when simulating the device),
+  /// then adds the call's wall time, read from `watch`, to the stats.
+  void Charge(int64_t n, int64_t per_batch, int64_t macs,
+              const Stopwatch& watch, InferenceReceipt* receipt);
+
   const Model* model_;
   const data::Dataset* dataset_;
   int batch_size_;

@@ -275,6 +275,45 @@ TEST(LruCacheTest, ReadmissionAfterEvictionKeepsAccountingExact) {
   EXPECT_FALSE(lru.IsCached(layer_b));
 }
 
+TEST(LruCacheTest, LayerLargerThanBudgetIsNotAdmitted) {
+  TinySystem sys(25, 77, 8);
+  TempDir dir("lru");
+  auto store = storage::FileStore::Open(dir.path());
+  ASSERT_TRUE(store.ok());
+  const int layer_a = sys.model->activation_layers()[0];  // 16 neurons
+  const int layer_b = sys.model->activation_layers()[1];  // 12 neurons
+  const uint64_t bytes_b = storage::ActivationStore::PersistedBytes(
+      sys.dataset.size(),
+      static_cast<uint64_t>(sys.model->NeuronCount(layer_b)));
+  const uint64_t bytes_a = storage::ActivationStore::PersistedBytes(
+      sys.dataset.size(),
+      static_cast<uint64_t>(sys.model->NeuronCount(layer_a)));
+  ASSERT_LT(bytes_b, bytes_a);
+  // Room for layer_b but not for layer_a.
+  LruCacheEngine lru(sys.engine.get(), &store.value(), bytes_a - 1);
+
+  ASSERT_TRUE(lru.ExecuteSpec(HighestQuery({layer_b, {0}}, 3)).ok());
+  ASSERT_TRUE(lru.IsCached(layer_b));
+  const uint64_t written = store->bytes_written();
+  // layer_a is answered, but neither written to the cache nor allowed to
+  // evict layer_b.
+  auto miss = lru.ExecuteSpec(HighestQuery({layer_a, {0}}, 3));
+  ASSERT_TRUE(miss.ok());
+  EXPECT_EQ(miss->stats.inputs_run, 25);
+  EXPECT_FALSE(lru.IsCached(layer_a));
+  EXPECT_TRUE(lru.IsCached(layer_b));
+  EXPECT_EQ(store->bytes_written(), written);
+  auto bytes = lru.StorageBytes();
+  ASSERT_TRUE(bytes.ok());
+  EXPECT_EQ(*bytes, bytes_b);
+  // It stays a miss: every query of layer_a runs the full pass.
+  auto again = lru.ExecuteSpec(HighestQuery({layer_a, {0}}, 3));
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->stats.inputs_run, 25);
+  EXPECT_EQ(lru.misses(), 3);
+  EXPECT_EQ(lru.hits(), 0);
+}
+
 TEST(LruCacheTest, ConcurrentQueriesAreSafeAndCorrect) {
   TinySystem sys(30, 79, 8);
   TempDir dir("lru");
