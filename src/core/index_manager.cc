@@ -1,5 +1,6 @@
 #include "core/index_manager.h"
 
+#include <algorithm>
 #include <ctime>
 #include <utility>
 
@@ -30,7 +31,7 @@ bool IndexManager::IsIndexed(int layer) const {
 LayerIndexPtr IndexManager::Peek(int layer) const {
   common::ReaderMutexLock lock(&mu_);
   auto it = loaded_.find(layer);
-  return it != loaded_.end() ? it->second : nullptr;
+  return it != loaded_.end() ? it->second.index : nullptr;
 }
 
 std::vector<int> IndexManager::LoadedLayers() const {
@@ -44,7 +45,7 @@ std::vector<int> IndexManager::LoadedLayers() const {
 LayerIndexPtr IndexManager::Publish(int layer, LayerIndex index) {
   auto shared = std::make_shared<const LayerIndex>(std::move(index));
   common::WriterMutexLock lock(&mu_);
-  loaded_[layer] = shared;
+  loaded_[layer] = Published{shared, ++last_seq_};
   return shared;
 }
 
@@ -73,7 +74,7 @@ void IndexManager::Discard(int layer, const Status& why) {
   if (on_index_invalidated_) on_index_invalidated_(layer);
 }
 
-Result<LayerIndex> IndexManager::ReadCommitted(
+Result<LayerIndexPtr> IndexManager::LoadCommitted(
     const persist::SnapshotManifest& manifest, int layer) {
   const persist::SegmentInfo* seg = IndexSegment(manifest, layer);
   if (seg == nullptr) return Status::NotFound("layer is not committed");
@@ -95,49 +96,69 @@ Result<LayerIndex> IndexManager::ReadCommitted(
     return index;
   };
   Result<LayerIndex> index = load();
-  if (index.ok()) return index;
-  Discard(layer, index.status());
-  return Status::NotFound("layer has no valid committed segment");
-}
-
-uint32_t IndexManager::LoadCommitted(
-    const persist::SnapshotManifest& manifest) {
-  uint32_t loaded = 0;
-  for (const persist::SegmentInfo& seg : manifest.segments) {
-    if (!IsLoaded(seg.layer)) {
-      Result<LayerIndex> index = ReadCommitted(manifest, seg.layer);
-      if (!index.ok()) continue;
-      common::WriterMutexLock lock(&mu_);
-      loaded_.emplace(seg.layer,
-                      std::make_shared<const LayerIndex>(std::move(*index)));
-    }
-    ++loaded;
+  if (!index.ok()) {
+    Discard(layer, index.status());
+    return Status::NotFound("layer has no valid committed segment");
   }
-  return loaded;
+  auto shared = std::make_shared<const LayerIndex>(std::move(*index));
+  common::WriterMutexLock lock(&mu_);
+  auto [it, inserted] = loaded_.try_emplace(layer);
+  if (inserted) {
+    it->second = Published{std::move(shared), ++last_seq_};
+    committed_[layer] = Committed{it->second.seq, seg->key};
+  }
+  return it->second.index;
 }
 
 Result<SnapshotInfo> IndexManager::CommitSnapshot() {
   common::MutexLock commit_lock(&commit_mu_);
-  // The new generation replaces the committed one whole.
   Result<persist::SnapshotManifest> committed = CommittedManifest();
-  if (committed.ok()) LoadCommitted(*committed);
-
-  std::vector<LayerIndexPtr> pins;
-  std::vector<std::pair<int, const LayerIndex*>> indexes;
-  for (int layer : LoadedLayers()) {
-    pins.push_back(Peek(layer));
-    indexes.emplace_back(layer, pins.back().get());
+  std::map<int, Published> loaded;
+  {
+    common::ReaderMutexLock lock(&mu_);
+    loaded = loaded_;
   }
   SnapshotInfo info;
   // Read after pinning, so it is >= every pinned watermark.
   info.dataset_size = inference_->dataset().size();
   info.created_unix_seconds = static_cast<uint64_t>(std::time(nullptr));
-  info.layers = static_cast<uint32_t>(indexes.size());
+
+  // Write a loaded layer only if it was published since this manager last
+  // recorded the segment the committed manifest still references for it.
+  // Everything else in the manifest is carried by reference, unread.
+  std::vector<std::pair<int, const LayerIndex*>> changed;
+  for (const auto& [layer, published] : loaded) {
+    auto recorded = committed_.find(layer);
+    const persist::SegmentInfo* seg =
+        committed.ok() ? IndexSegment(*committed, layer) : nullptr;
+    if (recorded == committed_.end() ||
+        recorded->second.seq != published.seq || seg == nullptr ||
+        seg->key != recorded->second.key) {
+      changed.emplace_back(layer, published.index.get());
+    }
+  }
+  const persist::SnapshotManifest* carry = nullptr;
+  if (committed.ok()) {
+    // A segment past the dataset would only be discarded by its next load.
+    auto& segments = committed->segments;
+    segments.erase(std::remove_if(segments.begin(), segments.end(),
+                                  [&](const persist::SegmentInfo& seg) {
+                                    return seg.watermark > info.dataset_size;
+                                  }),
+                   segments.end());
+    carry = &committed.value();
+  }
   DE_ASSIGN_OR_RETURN(
-      info.bytes,
+      persist::WrittenSnapshot written,
       persist::WriteSnapshot(store_, inference_->model().name(),
                              inference_->dataset().name(), info.dataset_size,
-                             indexes, info.created_unix_seconds));
+                             changed, carry, info.created_unix_seconds));
+  for (const auto& [layer, published] : loaded) {
+    committed_[layer] =
+        Committed{published.seq, IndexSegment(written.manifest, layer)->key};
+  }
+  info.bytes = written.total_bytes;
+  info.layers = static_cast<uint32_t>(written.manifest.segments.size());
   common::WriterMutexLock lock(&mu_);
   last_snapshot_ = info;
   return info;
@@ -159,7 +180,11 @@ Result<SnapshotInfo> IndexManager::RestoreSnapshot() {
   SnapshotInfo info;
   info.dataset_size = manifest.dataset_size;
   info.created_unix_seconds = manifest.created_unix_seconds;
-  info.layers = LoadCommitted(manifest);
+  for (const persist::SegmentInfo& seg : manifest.segments) {
+    if (IsLoaded(seg.layer) || LoadCommitted(manifest, seg.layer).ok()) {
+      ++info.layers;
+    }
+  }
   DE_ASSIGN_OR_RETURN(
       info.bytes,
       store_->SizeOf(persist::ManifestKeyFor(inference_->model().name())));
@@ -204,8 +229,8 @@ Result<LayerIndexPtr> IndexManager::Ensure(
     common::MutexLock commit_lock(&commit_mu_);
     Result<persist::SnapshotManifest> manifest = CommittedManifest();
     if (manifest.ok()) {
-      Result<LayerIndex> committed = ReadCommitted(*manifest, layer);
-      if (committed.ok()) return Publish(layer, std::move(*committed));
+      Result<LayerIndexPtr> committed = LoadCommitted(*manifest, layer);
+      if (committed.ok()) return committed;
     } else if (!manifest.status().IsNotFound()) {
       Discard(layer, manifest.status());
     }

@@ -41,7 +41,7 @@ struct SnapshotInfo {
   uint64_t bytes = 0;         // manifest + segment files
   uint32_t dataset_size = 0;  // dataset watermark in the manifest
   uint64_t created_unix_seconds = 0;
-  uint32_t layers = 0;  // layers written / restored
+  uint32_t layers = 0;  // layers the manifest references
 };
 
 /// Immutable, shared view of one layer's index. Queries hold a reference for
@@ -56,9 +56,10 @@ using LayerIndexPtr = std::shared_ptr<const LayerIndex>;
 ///
 /// No preprocessing happens up front: the first query against a layer pays
 /// for one full-dataset inference pass over that layer, builds NPI+MAI from
-/// the computed activations, and commits a snapshot holding every loaded
-/// layer. A miss first tries the layer's committed segment, so later
-/// sessions over the same FileStore reuse it.
+/// the computed activations, and commits a snapshot that writes that layer
+/// and references every other committed segment as it is. A miss first
+/// tries the layer's committed segment, so later sessions over the same
+/// FileStore reuse it.
 ///
 /// Thread-safety: all public methods are safe to call concurrently. Index
 /// construction is build-once/read-many: a per-layer build mutex serialises
@@ -124,9 +125,12 @@ class IndexManager {
   /// Bytes of the index segments in this model's committed snapshot.
   Result<uint64_t> PersistedBytes() const;
 
-  /// Commits every loaded layer as one new snapshot generation (every write
-  /// fsynced). Committed layers not loaded yet are loaded first, so a commit
-  /// never drops a layer.
+  /// Commits one new snapshot generation (every write fsynced). Only loaded
+  /// layers published since they were last committed (built, merged by
+  /// CatchUp, or never committed here) are written. Every other segment of
+  /// the committed manifest — loaded-and-unchanged or never loaded — is
+  /// carried into the new manifest by reference, so a commit never drops a
+  /// layer and never reads a segment. Reads the manifest once.
   Result<SnapshotInfo> CommitSnapshot();
 
   /// Loads every layer of the committed snapshot that passes validation
@@ -164,20 +168,19 @@ class IndexManager {
   /// The committed manifest, checked against this manager's dataset.
   Result<persist::SnapshotManifest> CommittedManifest() const;
 
-  /// `layer`'s validated segment in `manifest`, or NotFound. An invalid
-  /// segment (corrupt, wrong shape, past the dataset) is Discard()ed first.
-  Result<LayerIndex> ReadCommitted(const persist::SnapshotManifest& manifest,
-                                   int layer);
-
-  /// Loads each committed layer not in memory yet, insert-if-absent (a
-  /// concurrent merge may publish a newer copy meanwhile). Returns how many
-  /// committed layers are loaded.
-  uint32_t LoadCommitted(const persist::SnapshotManifest& manifest);
+  /// Loads `layer`'s segment in `manifest` and publishes it, recorded as
+  /// committed, unless the layer is loaded meanwhile (a concurrent merge may
+  /// publish a newer copy): the loaded entry is returned either way.
+  /// NotFound when the layer has no valid segment; an invalid one (corrupt,
+  /// wrong shape, past the dataset) is Discard()ed first.
+  Result<LayerIndexPtr> LoadCommitted(const persist::SnapshotManifest& manifest,
+                                      int layer) REQUIRES(commit_mu_);
 
   /// Warns and fires the invalidation hook; the caller rebuilds `layer`.
   void Discard(int layer, const Status& why);
 
-  /// Stores `index` as the loaded entry for `layer` (insert or replace).
+  /// Stores `index` as the loaded entry for `layer` (insert or replace)
+  /// under the next publish sequence number, which marks the layer changed.
   LayerIndexPtr Publish(int layer, LayerIndex index);
 
   /// The per-layer mutex serialising builders of `layer`. Takes build_map_mu_.
@@ -188,15 +191,32 @@ class IndexManager {
   IndexManagerOptions options_;
   std::function<void(int)> on_index_invalidated_;
 
+  /// A loaded index and the publish sequence number it got; every Publish
+  /// takes the next number, so a layer is unchanged since a commit iff its
+  /// number still equals the one that commit recorded.
+  struct Published {
+    LayerIndexPtr index;
+    uint64_t seq = 0;
+  };
+
+  /// What the last commit or load here recorded as `layer`'s committed
+  /// segment: the publish number it held and the segment's store key.
+  struct Committed {
+    uint64_t seq = 0;
+    std::string key;
+  };
+
   /// Guards loaded_. Readers (queries on indexed layers) take it shared.
   mutable common::SharedMutex mu_;
-  std::map<int, LayerIndexPtr> loaded_ GUARDED_BY(mu_);
+  std::map<int, Published> loaded_ GUARDED_BY(mu_);
+  uint64_t last_seq_ GUARDED_BY(mu_) = 0;
   SnapshotInfo last_snapshot_ GUARDED_BY(mu_);
 
   /// Serialises snapshot commits with each other (generation numbers) and
-  /// with segment loads (a commit garbage-collects the generation it
-  /// replaces). Taken after a build mutex, before mu_.
+  /// with segment loads (a commit garbage-collects the segments it no longer
+  /// references). Taken after a build mutex, before mu_.
   common::Mutex commit_mu_;
+  std::map<int, Committed> committed_ GUARDED_BY(commit_mu_);
 
   /// Guards build_mu_; never held while building.
   common::Mutex build_map_mu_;

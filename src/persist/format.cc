@@ -9,25 +9,48 @@ namespace persist {
 
 namespace {
 
-std::array<uint32_t, 256> MakeCrcTable() {
-  std::array<uint32_t, 256> table{};
+/// Slicing-by-8 tables: tables[0] is the bytewise table; tables[k][b] is the
+/// CRC of byte b followed by k zero bytes, so eight bytes fold in one step.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+CrcTables MakeCrcTables() {
+  CrcTables tables{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (size_t k = 1; k < tables.size(); ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      const uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xFFu];
+    }
+  }
+  return tables;
+}
+
+/// Little-endian 32-bit load at any alignment (one mov on x86/ARM64).
+uint32_t LoadLe32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
 }
 
 }  // namespace
 
 uint32_t Crc32(const uint8_t* data, size_t size, uint32_t seed) {
-  static const std::array<uint32_t, 256> table = MakeCrcTable();
+  static const CrcTables t = MakeCrcTables();
   uint32_t crc = seed ^ 0xFFFFFFFFu;
-  for (size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
+  for (; size >= 8; data += 8, size -= 8) {
+    const uint32_t lo = LoadLe32(data) ^ crc;
+    const uint32_t hi = LoadLe32(data + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++data, --size) {
+    crc = t[0][(crc ^ *data) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }

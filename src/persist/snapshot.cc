@@ -50,6 +50,25 @@ Result<std::vector<uint8_t>> ReadSegment(storage::FileStore* store,
   return blob;
 }
 
+/// Removes each key of `keys` under the model's prefix that is neither the
+/// manifest nor a segment `manifest` (nullptr: none) references.
+Status RemoveUnreferenced(storage::FileStore* store, const std::string& model,
+                          const SnapshotManifest* manifest,
+                          const std::vector<std::string>& keys) {
+  std::set<std::string> referenced = {ManifestKeyFor(model)};
+  if (manifest != nullptr) {
+    for (const SegmentInfo& seg : manifest->segments) {
+      referenced.insert(seg.key);
+    }
+  }
+  for (const std::string& key : keys) {
+    if (key.rfind(PrefixFor(model), 0) != 0) continue;
+    if (referenced.count(key) != 0) continue;
+    DE_RETURN_NOT_OK(store->Remove(key));
+  }
+  return Status::OK();
+}
+
 Status Hit(const Failpoint& failpoint, const std::string& point) {
   if (failpoint && failpoint(point)) {
     return Status::Cancelled("failpoint: " + point);
@@ -118,35 +137,36 @@ Result<SnapshotManifest> ReadManifest(storage::FileStore* store,
   return manifest;
 }
 
-Result<uint64_t> WriteSnapshot(
+Result<WrittenSnapshot> WriteSnapshot(
     storage::FileStore* store, const std::string& model,
     const std::string& dataset_name, uint32_t dataset_size,
     const std::vector<std::pair<int, const core::LayerIndex*>>& indexes,
-    uint64_t created_unix_seconds, const Failpoint& failpoint) {
+    const SnapshotManifest* committed, uint64_t created_unix_seconds,
+    const Failpoint& failpoint) {
   // Pick a generation strictly above anything on disk — committed or
-  // orphaned — so new segment files never overwrite live ones.
-  uint32_t generation = 0;
-  {
-    Result<SnapshotManifest> current = ReadManifest(store, model);
-    if (current.ok()) generation = current->generation;
-    DE_ASSIGN_OR_RETURN(std::vector<std::string> keys, store->ListKeys());
-    for (const std::string& key : keys) {
-      if (key.rfind(PrefixFor(model), 0) == 0) {
-        generation = std::max(generation, GenerationOf(key));
-      }
+  // orphaned — so new segment files never overwrite live ones. The same
+  // listing drives GC below.
+  DE_ASSIGN_OR_RETURN(std::vector<std::string> keys, store->ListKeys());
+  uint32_t generation = committed != nullptr ? committed->generation : 0;
+  for (const std::string& key : keys) {
+    if (key.rfind(PrefixFor(model), 0) == 0) {
+      generation = std::max(generation, GenerationOf(key));
     }
-    ++generation;
   }
+  ++generation;
 
-  SnapshotManifest manifest;
+  WrittenSnapshot written;
+  SnapshotManifest& manifest = written.manifest;
   manifest.generation = generation;
   manifest.model = model;
   manifest.dataset = dataset_name;
   manifest.dataset_size = dataset_size;
   manifest.created_unix_seconds = created_unix_seconds;
 
-  // 1. Segments first, each write-temp/fsync/rename under a fresh name. The
-  // current manifest never references them, so a crash here is invisible.
+  // 1. Changed segments first, each write-temp/fsync/rename under a fresh
+  // name. The current manifest never references them, so a crash here is
+  // invisible.
+  std::set<int> written_layers;
   for (const auto& [layer, index] : indexes) {
     BinaryWriter writer;
     index->Serialize(&writer);
@@ -167,10 +187,23 @@ Result<uint64_t> WriteSnapshot(
     seg.crc = Crc32(enveloped);
     seg.watermark = index->num_inputs();
     manifest.segments.push_back(std::move(seg));
+    written_layers.insert(layer);
   }
+  // Unchanged segments are carried as they are: nothing is rewritten.
+  if (committed != nullptr) {
+    for (const SegmentInfo& seg : committed->segments) {
+      if (written_layers.count(seg.layer) == 0) {
+        manifest.segments.push_back(seg);
+      }
+    }
+  }
+  std::stable_sort(manifest.segments.begin(), manifest.segments.end(),
+                   [](const SegmentInfo& a, const SegmentInfo& b) {
+                     return a.layer < b.layer;
+                   });
 
-  // 2. Manifest rename = the commit point: the new generation's segments and
-  // every per-layer watermark become visible in one atomic step.
+  // 2. Manifest rename = the commit point: the new segments and every
+  // per-layer watermark become visible in one atomic step.
   BinaryWriter writer;
   writer.WriteU32(kManifestMagic);
   writer.WriteU32(kManifestVersion);
@@ -189,21 +222,23 @@ Result<uint64_t> WriteSnapshot(
     writer.WriteU32(seg.watermark);
   }
   const std::string manifest_key = ManifestKeyFor(model);
-  DE_RETURN_NOT_OK(store->Write(manifest_key + ".tmp",
-                                WrapChecksum(writer.buffer()), /*sync=*/true));
+  const std::vector<uint8_t> manifest_blob = WrapChecksum(writer.buffer());
+  DE_RETURN_NOT_OK(
+      store->Write(manifest_key + ".tmp", manifest_blob, /*sync=*/true));
   DE_RETURN_NOT_OK(Hit(failpoint, "manifest:tmp_written"));
   DE_RETURN_NOT_OK(store->Rename(manifest_key + ".tmp", manifest_key));
   DE_RETURN_NOT_OK(Hit(failpoint, "manifest:renamed"));
 
-  // 3. Previous generations are now unreferenced; reclaim them. A crash in
-  // here only leaves orphans for the next GC pass.
-  DE_RETURN_NOT_OK(CollectGarbage(store, model));
+  // 3. Whatever the new manifest no longer references is reclaimed. A crash
+  // in here only leaves orphans for the next GC pass.
+  DE_RETURN_NOT_OK(RemoveUnreferenced(store, model, &manifest, keys));
   DE_RETURN_NOT_OK(Hit(failpoint, "gc:done"));
 
-  uint64_t total_bytes = 0;
-  DE_ASSIGN_OR_RETURN(total_bytes, store->SizeOf(manifest_key));
-  for (const SegmentInfo& seg : manifest.segments) total_bytes += seg.bytes;
-  return total_bytes;
+  written.total_bytes = manifest_blob.size();
+  for (const SegmentInfo& seg : manifest.segments) {
+    written.total_bytes += seg.bytes;
+  }
+  return written;
 }
 
 Result<core::LayerIndex> LoadIndexSegment(storage::FileStore* store,
@@ -243,21 +278,10 @@ Result<LoadedSnapshot> LoadSnapshot(storage::FileStore* store,
 }
 
 Status CollectGarbage(storage::FileStore* store, const std::string& model) {
-  std::set<std::string> referenced;
-  referenced.insert(ManifestKeyFor(model));
   Result<SnapshotManifest> manifest = ReadManifest(store, model);
-  if (manifest.ok()) {
-    for (const SegmentInfo& seg : manifest->segments) {
-      referenced.insert(seg.key);
-    }
-  }
   DE_ASSIGN_OR_RETURN(std::vector<std::string> keys, store->ListKeys());
-  for (const std::string& key : keys) {
-    if (key.rfind(PrefixFor(model), 0) != 0) continue;
-    if (referenced.count(key) != 0) continue;
-    DE_RETURN_NOT_OK(store->Remove(key));
-  }
-  return Status::OK();
+  return RemoveUnreferenced(store, model,
+                            manifest.ok() ? &manifest.value() : nullptr, keys);
 }
 
 }  // namespace persist

@@ -63,22 +63,32 @@ using Failpoint = std::function<bool(const std::string& point)>;
 /// Store key of a model's manifest: `snapshot/<model>/MANIFEST`.
 std::string ManifestKeyFor(const std::string& model);
 
+/// What WriteSnapshot committed.
+struct WrittenSnapshot {
+  SnapshotManifest manifest;
+  uint64_t total_bytes = 0;  // manifest + every segment it references
+};
+
 /// \brief Writes one snapshot generation crash-safely.
 ///
-/// Segment files are written first under fresh generation-stamped names
-/// (write-temp/fsync/rename each), then the manifest referencing them is
-/// atomically renamed into place — the commit point. A crash anywhere
-/// before that rename leaves the previous manifest (and therefore the
-/// previous snapshot) fully intact; orphaned new-generation segments are
-/// garbage-collected by the next successful write or load. `indexes` holds
-/// (layer, index) pairs; `dataset_size` is the dataset watermark the caller
-/// observed (>= every per-layer watermark). Returns the snapshot's total
-/// on-disk size (manifest + segments).
-Result<uint64_t> WriteSnapshot(
+/// Only `indexes` are written: each under a fresh generation-stamped name
+/// (write-temp/fsync/rename). Every segment of `committed` (the manifest
+/// this commit replaces, or nullptr) whose layer `indexes` does not hold is
+/// carried into the new manifest by reference — same key, bytes, crc and
+/// watermark — so a manifest may reference segments of earlier generations.
+/// The manifest is then atomically renamed into place: the commit point. A
+/// crash anywhere before that rename leaves the previous manifest (and
+/// therefore the previous snapshot) fully intact; orphaned new segments are
+/// garbage-collected by the next successful write or load. GC keeps every
+/// segment the new manifest references, whatever its generation.
+/// `dataset_size` is the dataset watermark the caller observed (>= every
+/// per-layer watermark). Reads no manifest and lists the store once.
+Result<WrittenSnapshot> WriteSnapshot(
     storage::FileStore* store, const std::string& model,
     const std::string& dataset_name, uint32_t dataset_size,
     const std::vector<std::pair<int, const core::LayerIndex*>>& indexes,
-    uint64_t created_unix_seconds, const Failpoint& failpoint = nullptr);
+    const SnapshotManifest* committed, uint64_t created_unix_seconds,
+    const Failpoint& failpoint = nullptr);
 
 /// Reads and validates the model's committed manifest (envelope, magic,
 /// version, model name). Returns NotFound when no snapshot has ever been

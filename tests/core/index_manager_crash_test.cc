@@ -170,6 +170,64 @@ TEST(IndexManagerCrashTest, SegmentPastDatasetRebuildsAndInvalidates) {
   EXPECT_EQ(invalidated[0], layer);
 }
 
+TEST(IndexManagerCrashTest, CommitDoesNotCarrySegmentsPastTheDataset) {
+  TinySystem sys(25, 56, 8);
+  TempDir dir("imc-past-carry");
+  auto store = storage::FileStore::Open(dir.path());
+  ASSERT_TRUE(store.ok());
+  const int early = sys.model->activation_layers()[0];
+  const int late = sys.model->activation_layers()[1];
+  {
+    IndexManager manager(sys.engine.get(), &store.value(), Opts());
+    ASSERT_TRUE(manager.EnsureIndex(early).ok());
+    ASSERT_TRUE(manager.EnsureIndex(late).ok());
+  }
+  // Over a dataset cut short, the rebuilt layer's commit must not keep the
+  // other layer's segment: it indexes inputs that no longer exist.
+  data::Dataset shorter(sys.dataset.name(), sys.dataset.input_shape());
+  for (uint32_t id = 0; id < 20; ++id) {
+    shorter.Add(sys.dataset.input(id), sys.dataset.label(id));
+  }
+  nn::InferenceEngine engine(sys.model.get(), &shorter, 8);
+  IndexManager manager(&engine, &store.value(), Opts());
+  ASSERT_TRUE(manager.EnsureIndex(early).ok());
+  auto manifest = persist::ReadManifest(&store.value(), sys.model->name());
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  EXPECT_EQ(manifest->dataset_size, 20u);
+  ASSERT_EQ(manifest->segments.size(), 1u);
+  EXPECT_EQ(manifest->segments[0].layer, early);
+  EXPECT_EQ(manifest->segments[0].watermark, 20u);
+}
+
+TEST(IndexManagerCrashTest, CorruptCarriedSegmentRebuildsAndRecommits) {
+  TinySystem sys(25, 55, 8);
+  TempDir dir("imc-carry");
+  auto store = storage::FileStore::Open(dir.path());
+  ASSERT_TRUE(store.ok());
+  const int early = sys.model->activation_layers()[0];
+  const int late = sys.model->activation_layers()[1];
+  {
+    // The second build's commit carries the first layer's segment.
+    IndexManager manager(sys.engine.get(), &store.value(), Opts());
+    ASSERT_TRUE(manager.EnsureIndex(early).ok());
+    const std::string carried = SegmentPath(&store.value(), sys.model->name(),
+                                            early);
+    ASSERT_TRUE(manager.EnsureIndex(late).ok());
+    ASSERT_EQ(SegmentPath(&store.value(), sys.model->name(), early), carried);
+  }
+  // Bit rot in the carried segment, then the usual discard/rebuild/
+  // recommit path; the other layer still loads with no inference.
+  ExpectRebuildAfterDamage(&sys, &store.value(), early,
+                           [](const std::string& path) {
+                             FlipByteAt(path,
+                                        std::filesystem::file_size(path) / 2);
+                           });
+  IndexManager manager(sys.engine.get(), &store.value(), Opts());
+  const int64_t before = sys.engine->stats().inputs_run;
+  ASSERT_TRUE(manager.EnsureIndex(late).ok());
+  EXPECT_EQ(sys.engine->stats().inputs_run, before);
+}
+
 }  // namespace
 }  // namespace core
 }  // namespace deepeverest

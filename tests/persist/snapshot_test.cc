@@ -42,13 +42,26 @@ core::LayerIndex BuildIndex(uint32_t num_inputs, uint64_t seed) {
   return std::move(index.value());
 }
 
-/// Writes one snapshot holding layers {1, 2} built over `num_inputs` rows.
+/// Writes one snapshot holding layers {1, 2} built over `num_inputs` rows,
+/// carrying nothing.
 Status WriteState(storage::FileStore* store, uint32_t num_inputs,
                   const Failpoint& failpoint = nullptr) {
   const core::LayerIndex a = BuildIndex(num_inputs, 7);
   const core::LayerIndex b = BuildIndex(num_inputs, 9);
   return WriteSnapshot(store, "m", "d", num_inputs, {{1, &a}, {2, &b}},
-                       /*created_unix_seconds=*/1234, failpoint)
+                       /*committed=*/nullptr, /*created_unix_seconds=*/1234,
+                       failpoint)
+      .status();
+}
+
+/// Commits state B over the committed state A (WriteState at 20 rows):
+/// layer 2 is rebuilt over 30 rows and written, layer 1 is carried.
+Status WriteCarriedState(storage::FileStore* store,
+                         const Failpoint& failpoint = nullptr) {
+  DE_ASSIGN_OR_RETURN(SnapshotManifest committed, ReadManifest(store, "m"));
+  const core::LayerIndex b = BuildIndex(30, 11);
+  return WriteSnapshot(store, "m", "d", 30, {{2, &b}}, &committed,
+                       /*created_unix_seconds=*/1235, failpoint)
       .status();
 }
 
@@ -144,6 +157,118 @@ TEST(SnapshotTest, KillPointSweepYieldsOldOrNewNeverHybrid) {
     for (const SegmentInfo& seg : loaded->manifest.segments) {
       referenced.insert(seg.key);
     }
+    for (const std::string& key : *keys) {
+      if (key.rfind("snapshot/m/", 0) == 0) {
+        EXPECT_TRUE(referenced.count(key)) << "orphan survived GC: " << key;
+      }
+    }
+  }
+}
+
+/// Asserts the store loads as EXACTLY state A (both layers at 20 rows from
+/// generation 1) or state B (layer 1 still A's `.g1` segment, layer 2 at 30
+/// rows from the manifest's own generation). Returns the dataset size.
+uint32_t ExpectAOrCarriedB(storage::FileStore* store) {
+  auto loaded = LoadSnapshot(store, "m");
+  EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+  if (!loaded.ok()) return 0;
+  const SnapshotManifest& manifest = loaded->manifest;
+  const bool is_b = manifest.dataset_size == 30u;
+  EXPECT_TRUE(is_b || manifest.dataset_size == 20u)
+      << "hybrid dataset size " << manifest.dataset_size;
+  EXPECT_EQ(manifest.generation == 1u, !is_b);
+  EXPECT_EQ(manifest.created_unix_seconds, is_b ? 1235u : 1234u);
+  EXPECT_EQ(loaded->indexes.size(), 2u);
+  for (const SegmentInfo& seg : manifest.segments) {
+    const bool rewritten = is_b && seg.layer == 2;
+    const uint32_t generation = rewritten ? manifest.generation : 1u;
+    EXPECT_NE(seg.key.find(".g" + std::to_string(generation) + ".seg"),
+              std::string::npos)
+        << seg.key << " not from generation " << generation;
+    EXPECT_EQ(seg.watermark, rewritten ? 30u : 20u) << seg.key;
+  }
+  for (const auto& [layer, index] : loaded->indexes) {
+    EXPECT_EQ(index.num_inputs(), is_b && layer == 2 ? 30u : 20u);
+  }
+  return manifest.dataset_size;
+}
+
+TEST(SnapshotTest, CarriedSegmentKeepsItsKeyAndBytes) {
+  TempDir dir("snap-carry");
+  auto store = storage::FileStore::Open(dir.path());
+  ASSERT_TRUE(store.ok());
+  DE_ASSERT_OK(WriteState(&store.value(), 20));
+  auto a = ReadManifest(&store.value(), "m");
+  ASSERT_TRUE(a.ok());
+  const uint64_t written_before = store->bytes_written();
+  DE_ASSERT_OK(WriteCarriedState(&store.value()));
+  auto b = ReadManifest(&store.value(), "m");
+  ASSERT_TRUE(b.ok());
+  EXPECT_EQ(ExpectAOrCarriedB(&store.value()), 30u);
+  // Layer 1's entry is A's, field for field, and was not rewritten: the
+  // commit wrote layer 2's segment and the manifest, nothing else.
+  ASSERT_EQ(b->segments.size(), 2u);
+  const SegmentInfo& carried = b->segments[0];
+  const SegmentInfo& original = a->segments[0];
+  EXPECT_EQ(carried.layer, 1);
+  EXPECT_EQ(carried.key, original.key);
+  EXPECT_EQ(carried.bytes, original.bytes);
+  EXPECT_EQ(carried.crc, original.crc);
+  EXPECT_EQ(carried.watermark, original.watermark);
+  auto manifest_bytes = store->SizeOf(ManifestKeyFor("m"));
+  ASSERT_TRUE(manifest_bytes.ok());
+  EXPECT_EQ(store->bytes_written() - written_before,
+            b->segments[1].bytes + *manifest_bytes);
+  // GC removed A's layer-2 segment only.
+  EXPECT_TRUE(store->Exists(original.key));
+  EXPECT_FALSE(store->Exists(a->segments[1].key));
+}
+
+TEST(SnapshotTest, KillPointSweepWithCarriedSegmentYieldsAOrB) {
+  // Enumerate every failpoint the A -> B commit passes through.
+  std::vector<std::string> points;
+  {
+    TempDir dir("snap-carry-enum");
+    auto store = storage::FileStore::Open(dir.path());
+    ASSERT_TRUE(store.ok());
+    DE_ASSERT_OK(WriteState(&store.value(), 20));
+    DE_ASSERT_OK(WriteCarriedState(&store.value(), [&](const std::string& p) {
+      points.push_back(p);
+      return false;
+    }));
+  }
+  // One written segment (2 points), the manifest (2) and gc; the carried
+  // layer passes through none.
+  ASSERT_EQ(points.size(), 5u);
+  for (const std::string& point : points) {
+    EXPECT_EQ(point.rfind("seg:1:", 0), std::string::npos) << point;
+  }
+
+  for (const std::string& point : points) {
+    SCOPED_TRACE("kill at " + point);
+    TempDir dir("snap-carry-kill");
+    auto store = storage::FileStore::Open(dir.path());
+    ASSERT_TRUE(store.ok());
+    DE_ASSERT_OK(WriteState(&store.value(), 20));
+
+    const Status aborted = WriteCarriedState(
+        &store.value(), [&](const std::string& p) { return p == point; });
+    EXPECT_EQ(aborted.code(), StatusCode::kCancelled);
+    ExpectAOrCarriedB(&store.value());
+
+    // A retry commits B over whichever state survived; the carried `.g1`
+    // segment survives GC and every orphan is reclaimed.
+    DE_ASSERT_OK(WriteCarriedState(&store.value()));
+    EXPECT_EQ(ExpectAOrCarriedB(&store.value()), 30u);
+    EXPECT_TRUE(store->Exists("snapshot/m/layer_1.g1.seg"));
+    auto loaded = LoadSnapshot(&store.value(), "m");
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    std::set<std::string> referenced = {ManifestKeyFor("m")};
+    for (const SegmentInfo& seg : loaded->manifest.segments) {
+      referenced.insert(seg.key);
+    }
+    auto keys = store->ListKeys();
+    ASSERT_TRUE(keys.ok());
     for (const std::string& key : *keys) {
       if (key.rfind("snapshot/m/", 0) == 0) {
         EXPECT_TRUE(referenced.count(key)) << "orphan survived GC: " << key;
