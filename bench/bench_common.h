@@ -1,11 +1,16 @@
 #ifndef DEEPEVEREST_BENCH_BENCH_COMMON_H_
 #define DEEPEVEREST_BENCH_BENCH_COMMON_H_
 
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "common/json.h"
 #include "common/logging.h"
 #include "data/dataset.h"
 #include "nn/inference.h"
@@ -14,6 +19,74 @@
 
 namespace deepeverest {
 namespace bench {
+
+/// \brief One result of a bench, named by (figure, system, row, col). Every
+/// bench writes its cells through WriteJson, and reproduce/all.sh assembles
+/// them into the committed BENCH_<bench>.json files.
+using Values = std::map<std::string, double>;
+struct Cell {
+  std::string figure, system, row, col;
+  Values counters;   // deterministic at a given scale
+  Values modeled_s;  // modeled seconds by method: deterministic
+  Values wall_s;     // measured on this machine (seconds unless named)
+};
+
+inline std::vector<Cell>& Cells() {
+  static auto& cells = *new std::vector<Cell>();
+  return cells;
+}
+
+inline Cell& AddCell(const std::string& figure, const std::string& system,
+                     const std::string& row, const std::string& col) {
+  Cells().push_back({figure, system, row, col, {}, {}, {}});
+  return Cells().back();
+}
+
+inline std::string Json(const Values& values) {
+  JsonWriter w;
+  w.BeginObject();
+  for (const auto& [name, value] : values) {
+    w.Key(name);
+    w.Double(value);
+  }
+  w.EndObject();
+  return w.TakeString();
+}
+
+/// Prints every cell on one line: its name, then its values.
+inline void PrintCells() {
+  for (const Cell& c : Cells()) {
+    std::printf("%s | %s | %s | %s", c.figure.c_str(), c.system.c_str(),
+                c.row.c_str(), c.col.c_str());
+    for (const auto& [name, values] : {std::pair{"counters", &c.counters},
+                                       std::pair{"modeled_s", &c.modeled_s},
+                                       std::pair{"wall_s", &c.wall_s}}) {
+      if (!values->empty()) std::printf(" | %s", name);
+      for (const auto& [key, value] : *values) {
+        std::printf(" %s=%.4g", key.c_str(), value);
+      }
+    }
+    std::printf("\n");
+  }
+}
+
+/// Writes `{"scale": ..., "cells": [...]}` to `path`, one cell per line.
+inline void WriteJson(const std::string& path, const Values& scale) {
+  std::ofstream out(path);
+  out << "{\"scale\": " << Json(scale) << ",\n\"cells\": [";
+  const auto str = [](const std::string& v) { return JsonWriter::Escape(v); };
+  for (size_t i = 0; i < Cells().size(); ++i) {
+    const Cell& c = Cells()[i];
+    out << (i == 0 ? "\n" : ",\n") << "{\"figure\": " << str(c.figure)
+        << ", \"system\": " << str(c.system) << ", \"row\": " << str(c.row)
+        << ", \"col\": " << str(c.col)
+        << ", \"counters\": " << Json(c.counters)
+        << ", \"modeled_s\": " << Json(c.modeled_s)
+        << ", \"wall_s\": " << Json(c.wall_s) << "}";
+  }
+  out << "\n]}\n";
+  DE_CHECK(out.good()) << "cannot write " << path;
+}
 
 /// \brief Experiment scale. The defaults finish the full suite in minutes on
 /// one CPU core while preserving the paper's result *shapes*; raise them via

@@ -5,10 +5,8 @@
 // of one loop, RunRow; Figures 6, 10, 11 and Table 1 have their own code.
 // Given a path, each cell is also written as one JSON line: `counters` and
 // `modeled_s` (K80 inference + modeled disk) are deterministic at a given
-// DE_BENCH_* scale, `wall_s` is the median wall-clock time on this machine,
-// and `speedup` / `modeled_speedup` are DeepEverest's over each method.
+// DE_BENCH_* scale, `wall_s` is the median wall-clock time on this machine.
 #include <algorithm>
-#include <fstream>
 #include <functional>
 #include <iostream>
 #include <map>
@@ -28,7 +26,6 @@
 #include "bench/bench_common.h"
 #include "bench_util/query_gen.h"
 #include "bench_util/report.h"
-#include "common/json.h"
 #include "common/stopwatch.h"
 #include "core/config.h"
 #include "core/deepeverest.h"
@@ -41,7 +38,10 @@ using bench_util::FormatDouble;
 using bench_util::FormatSeconds;
 using bench_util::LayerDepth;
 using bench_util::QueryType;
-using Values = std::map<std::string, double>;
+using bench::AddCell;
+using bench::Cell;
+using bench::Cells;
+using bench::Values;
 
 constexpr int kTopK = 20;
 const char kDe[] = "DeepEverest";
@@ -49,24 +49,6 @@ const char kRa[] = "ReprocessAll";
 const char kNoIqa[] = "DeepEverest w/o IQA";
 const LayerDepth kDepths[] = {LayerDepth::kEarly, LayerDepth::kMid,
                               LayerDepth::kLate};
-
-struct Cell {
-  std::string figure, system, row, col;
-  Values counters;   // deterministic at a given scale
-  Values modeled_s;  // modeled seconds by method: deterministic
-  Values wall_s;     // median wall-clock seconds by method or component
-};
-
-std::vector<Cell>& Cells() {
-  static auto& cells = *new std::vector<Cell>();
-  return cells;
-}
-
-Cell& AddCell(const std::string& figure, const bench::System& system,
-              const std::string& row, const std::string& col) {
-  Cells().push_back({figure, system.name, row, col, {}, {}, {}});
-  return Cells().back();
-}
 
 /// DeepEverest's speedup over every other method (empty without it).
 Values Speedups(const Values& seconds) {
@@ -221,7 +203,7 @@ const Cell& RunRow(const RowSpec& spec, int trials) {
   const int layer = bench_util::PickLayer(*system.model, spec.depth);
   auto generator = system.NewEngine();
   auto engine = system.NewEngine();
-  Cell& cell = AddCell(spec.figure, system, spec.row, spec.col);
+  Cell& cell = AddCell(spec.figure, system.name, spec.row, spec.col);
   std::optional<core::LayerIndex> index;
   if (spec.engines.empty()) {
     core::LayerIndexConfig config = spec.index;
@@ -406,7 +388,7 @@ void RunFigure5(const bench::System& system, int trials) {
       static_cast<double>(de->PersistedIndexBytes().ValueOr(0));
   const auto pa_bytes =
       static_cast<double>(preprocess_all.StorageBytes().ValueOr(0));
-  AddCell("fig5_storage", system, "storage", "").counters = {
+  AddCell("fig5_storage", system.name, "storage", "").counters = {
       {"accounted_bytes", accounted},
       {"on_disk_bytes", on_disk},
       {"preprocess_all_bytes", pa_bytes},
@@ -600,7 +582,7 @@ void RunFigure6(const bench::System& system, int num_queries) {
     const size_t first = Cells().size();
     for (int eighth = 1, q = 0; eighth <= 8; ++eighth) {
       const int end = num_queries * eighth / 8;
-      Cell& cell = AddCell("fig6", system, workload.name,
+      Cell& cell = AddCell("fig6", system.name, workload.name,
                            "q" + std::to_string(end));
       for (int m = 0; m < 5; ++m) {
         for (int i = q; i < end; ++i) {
@@ -617,7 +599,7 @@ void RunFigure6(const bench::System& system, int num_queries) {
       }
       q = end;
     }
-    Cell& storage = AddCell("fig6", system, workload.name, "storage");
+    Cell& storage = AddCell("fig6", system.name, workload.name, "storage");
     for (const core::QueryEngine* engine : engines) {
       storage.counters[engine->name()] =
           static_cast<double>(engine->StorageBytes().ValueOr(0));
@@ -692,7 +674,7 @@ void RunFigure10(const bench::System& system) {
     const double persist = preprocess_all.preprocess_persist_seconds() *
                            static_cast<double>(Neurons(system, layer)) /
                            static_cast<double>(Neurons(system));
-    AddCell("fig10", system, std::to_string(layer), "").wall_s = {
+    AddCell("fig10", system.name, std::to_string(layer), "").wall_s = {
         {"DE inference", d.inference_seconds},
         {"DE index", d.index_seconds},
         {"DE persist", d.persist_seconds},
@@ -758,7 +740,7 @@ void RunFigure11(const bench::System& system, int length) {
       }
       for (int pos : {0, 1, 4, 9, 19, 29}) {
         if (pos >= length) continue;
-        Cell& cell = AddCell("fig11", system,
+        Cell& cell = AddCell("fig11", system.name,
                              std::string(seq.label) + "/" +
                                  bench_util::LayerDepthToString(depth),
                              "query " + std::to_string(pos + 1));
@@ -822,7 +804,7 @@ void RunTable1(const bench::System& system) {
     }
     const double seconds = total.ElapsedSeconds();
     DE_CHECK_GT(found, 0u);
-    AddCell("table1", system, method, "").wall_s = {
+    AddCell("table1", system.name, method, "").wall_s = {
         {"Total query time", seconds}, {"DNN inference time", inference}};
   }
   const Metric share = {"Inference share", [](const Cell& c) {
@@ -843,43 +825,6 @@ void RunTable1(const bench::System& system) {
               Wall("DNN inference time", "DNN inference time"), share});
 }
 
-std::string Json(const Values& values) {
-  JsonWriter w;
-  w.BeginObject();
-  for (const auto& [name, value] : values) {
-    w.Key(name);
-    w.Double(value);
-  }
-  w.EndObject();
-  return w.TakeString();
-}
-
-/// Writes the scale and every cell, one cell per line.
-void WriteJson(const std::string& path, const bench::Scale& scale) {
-  std::ofstream out(path);
-  out << "{\"scale\": "
-      << Json({{"vgg_inputs", 1.0 * scale.vgg_inputs},
-               {"resnet_inputs", 1.0 * scale.resnet_inputs},
-               {"trials", 1.0 * scale.trials},
-               {"workload_queries", 1.0 * scale.workload_queries},
-               {"iqa_queries", 1.0 * scale.iqa_queries}})
-      << ",\n\"cells\": [";
-  const auto str = [](const std::string& v) { return JsonWriter::Escape(v); };
-  for (size_t i = 0; i < Cells().size(); ++i) {
-    const Cell& c = Cells()[i];
-    out << (i == 0 ? "\n" : ",\n") << "{\"figure\": " << str(c.figure)
-        << ", \"system\": " << str(c.system) << ", \"row\": " << str(c.row)
-        << ", \"col\": " << str(c.col)
-        << ", \"counters\": " << Json(c.counters)
-        << ", \"modeled_s\": " << Json(c.modeled_s)
-        << ", \"wall_s\": " << Json(c.wall_s)
-        << ", \"speedup\": " << Json(Speedups(c.wall_s))
-        << ", \"modeled_speedup\": " << Json(Speedups(c.modeled_s)) << "}";
-  }
-  out << "\n]}\n";
-  DE_CHECK(out.good()) << "cannot write " << path;
-}
-
 }  // namespace
 }  // namespace deepeverest
 
@@ -896,6 +841,13 @@ int main(int argc, char** argv) {
   RunFigure11(vgg, scale.iqa_queries);
   RunTable1(resnet);
   RunTable3AndAblation(vgg, scale.trials);
-  if (argc > 1) WriteJson(argv[1], scale);
+  if (argc > 1) {
+    bench::WriteJson(argv[1],
+                     {{"vgg_inputs", 1.0 * scale.vgg_inputs},
+                      {"resnet_inputs", 1.0 * scale.resnet_inputs},
+                      {"trials", 1.0 * scale.trials},
+                      {"workload_queries", 1.0 * scale.workload_queries},
+                      {"iqa_queries", 1.0 * scale.iqa_queries}});
+  }
   return 0;
 }

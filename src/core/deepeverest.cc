@@ -57,16 +57,12 @@ Result<std::unique_ptr<DeepEverest>> DeepEverest::Create(
   }
   const uint64_t full_bytes =
       static_cast<uint64_t>(total_neurons) * dataset->size() * 4;
-  uint64_t budget = options.storage_budget_bytes;
-  if (budget == 0) {
-    if (options.storage_budget_fraction <= 0.0 ||
-        options.storage_budget_fraction > 1.0) {
-      return Status::InvalidArgument(
-          "storage_budget_fraction must be in (0, 1]");
-    }
-    budget = static_cast<uint64_t>(options.storage_budget_fraction *
-                                   static_cast<double>(full_bytes));
+  if (options.storage_budget_fraction <= 0.0 ||
+      options.storage_budget_fraction > 1.0) {
+    return Status::InvalidArgument("storage_budget_fraction must be in (0, 1]");
   }
+  const uint64_t budget = static_cast<uint64_t>(
+      options.storage_budget_fraction * static_cast<double>(full_bytes));
 
   SystemConfig config = SelectConfig(budget, options.batch_size,
                                      dataset->size(), total_neurons);

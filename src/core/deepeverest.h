@@ -22,10 +22,8 @@ namespace core {
 
 /// \brief Top-level DeepEverest options.
 struct DeepEverestOptions {
-  /// Storage budget for all indexes. When 0, the budget is
-  /// `storage_budget_fraction` of full materialisation (the paper's default
-  /// experiments use 20%).
-  uint64_t storage_budget_bytes = 0;
+  /// Storage budget for all indexes, as a fraction of full materialisation
+  /// (the paper's default experiments use 20%).
   double storage_budget_fraction = 0.2;
 
   /// Throughput-optimal inference batch size for this model/hardware.

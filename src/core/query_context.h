@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <vector>
 
@@ -114,9 +113,7 @@ class QueryContext {
   /// while the query runs.
   uint32_t pinned_dataset_version = 0;
 
-  /// Absolute deadline. Unset (the default) means no deadline.
-  void SetDeadline(Clock::time_point deadline) { deadline_ = deadline; }
-  /// Convenience: deadline `seconds` from now. Values are clamped to
+  /// Deadline `seconds` from now; unset (the default) means no deadline. Values are clamped to
   /// [0, ~3 years]: a float→int64 cast of a huge nanosecond count would be
   /// undefined behaviour, and callers (the HTTP front-end) feed this from
   /// untrusted wire input. NaN clamps to 0 (immediately due).
@@ -127,16 +124,10 @@ class QueryContext {
     deadline_ = Clock::now() + std::chrono::nanoseconds(static_cast<int64_t>(
                                    clamped * 1e9));
   }
-  void ClearDeadline() { deadline_ = Clock::time_point::max(); }
   bool has_deadline() const { return deadline_ != Clock::time_point::max(); }
   Clock::time_point deadline() const { return deadline_; }
   bool DeadlineExpired() const {
     return has_deadline() && Clock::now() >= deadline_;
-  }
-  /// Seconds until the deadline (negative once expired); +inf without one.
-  double RemainingSeconds() const {
-    if (!has_deadline()) return std::numeric_limits<double>::infinity();
-    return std::chrono::duration<double>(deadline_ - Clock::now()).count();
   }
 
   /// Cooperative cancellation: any thread may request it; the executing

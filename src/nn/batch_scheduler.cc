@@ -17,8 +17,7 @@ std::chrono::nanoseconds LingerNanos(double seconds) {
 BatchingInferenceScheduler::BatchingInferenceScheduler(
     InferenceEngine* engine, BatchSchedulerOptions options)
     : engine_(engine),
-      batch_size_(options.max_batch_size > 0 ? options.max_batch_size
-                                             : engine->batch_size()),
+      batch_size_(engine->batch_size()),
       linger_{LingerNanos(options.interactive_linger_seconds),
               LingerNanos(options.linger_seconds),
               LingerNanos(options.best_effort_linger_seconds)} {

@@ -18,9 +18,6 @@ namespace deepeverest {
 namespace nn {
 
 struct BatchSchedulerOptions {
-  /// Device batch capacity. 0 uses the engine's batch_size (the
-  /// throughput-optimal batch the whole system is configured around).
-  int max_batch_size = 0;
   /// How long a partial batch waits for other queries' inputs before being
   /// flushed anyway, for kBatch-class requests. The window trades a little
   /// latency for batch fill; it should stay well below one batch's device
@@ -95,8 +92,8 @@ struct BatchSchedulerStats {
 /// device batches, QoS-aware.
 ///
 /// Callers block in ComputeLayer while dispatcher threads drain per-layer
-/// queues: a batch is launched as soon as a layer has max_batch_size inputs
-/// pending, or when any pending request has lingered past its class's
+/// queues: a batch is launched as soon as a layer has the engine's batch_size
+/// inputs pending, or when any pending request has lingered past its class's
 /// linger window (partial flush). Interactive requests have a zero window
 /// by default, so they flush immediately and seal whatever partial batch
 /// they joined; batch/best-effort requests wait longer for fuller batches.

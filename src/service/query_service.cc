@@ -145,13 +145,8 @@ Result<std::unique_ptr<QueryService>> QueryService::Create(
   if (options.max_queue_depth < 1) {
     return Status::InvalidArgument("max_queue_depth must be >= 1");
   }
-  if (options.batch_linger_seconds < 0.0 ||
-      options.interactive_batch_linger_seconds < 0.0 ||
-      options.best_effort_batch_linger_seconds < 0.0) {
-    return Status::InvalidArgument("batch linger windows must be >= 0");
-  }
-  if (options.batch_dispatchers < 0) {
-    return Status::InvalidArgument("batch_dispatchers must be >= 0");
+  if (options.batch_linger_seconds < 0.0) {
+    return Status::InvalidArgument("batch_linger_seconds must be >= 0");
   }
   return std::unique_ptr<QueryService>(new QueryService(engine, options));
 }
@@ -167,13 +162,7 @@ QueryService::QueryService(core::DeepEverest* engine,
   if (options_.enable_cross_query_batching && options_.num_workers > 1) {
     nn::BatchSchedulerOptions scheduler_options;
     scheduler_options.linger_seconds = options_.batch_linger_seconds;
-    scheduler_options.interactive_linger_seconds =
-        options_.interactive_batch_linger_seconds;
-    scheduler_options.best_effort_linger_seconds =
-        options_.best_effort_batch_linger_seconds;
-    scheduler_options.num_dispatchers = options_.batch_dispatchers > 0
-                                            ? options_.batch_dispatchers
-                                            : options_.num_workers;
+    scheduler_options.num_dispatchers = options_.num_workers;
     scheduler_ = std::make_unique<nn::BatchingInferenceScheduler>(
         engine_->inference(), scheduler_options);
   }

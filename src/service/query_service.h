@@ -55,24 +55,14 @@ struct QueryServiceOptions {
   /// launches. Ignored for a single-worker service (no co-scheduled query
   /// could ever share a batch, so lingering would be pure latency).
   bool enable_cross_query_batching = true;
-  /// How long the scheduler holds a partial batch open for other queries'
-  /// inputs before flushing it. 0 flushes partial batches as soon as a
+  /// How long the scheduler holds a partial batch of batch-class inputs
+  /// open for other queries' inputs before flushing it. 0 flushes partial batches as soon as a
   /// dispatcher sees them — the right setting for latency-sensitive,
   /// lightly loaded services where co-arrivals are rare anyway.
+  /// Interactive requests never linger and best-effort ones linger longest
+  /// (BatchSchedulerOptions' defaults); the scheduler runs one dispatcher
+  /// (device stream) per worker.
   double batch_linger_seconds = 5e-4;
-  /// Dispatcher threads running coalesced batches (each models one device
-  /// stream). 0 = one per worker, preserving the device-wait overlap the
-  /// unbatched service gets from its workers.
-  int batch_dispatchers = 0;
-
-  /// Batch linger for interactive-class inference (see
-  /// BatchSchedulerOptions::interactive_linger_seconds). The default 0
-  /// means interactive requests flush immediately and seal any partial
-  /// batch they join.
-  double interactive_batch_linger_seconds = 0.0;
-  /// Batch linger for best-effort-class inference (background work waits
-  /// longest for full batches).
-  double best_effort_batch_linger_seconds = 2e-3;
 
   /// Preemptive execution: a worker stepping a non-interactive query parks
   /// it between NTA rounds as soon as interactive work is waiting, runs the

@@ -6,8 +6,10 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -35,14 +37,19 @@ core::DeepEverestOptions SmallOptions() {
 }
 
 /// Deterministic post-base inputs: ingesting MakeExtras(n) after the base
-/// dataset must equal a fresh dataset holding base + extras.
+/// dataset must equal a fresh dataset holding base + extras. They spread
+/// three times as wide as the base inputs, so each ingested batch below
+/// enters a top-k answer and an index merge that misplaces it changes what
+/// a query returns.
 std::vector<service::IngestInput> MakeExtras(uint32_t count) {
   Rng rng(kSeed + 1000);
   std::vector<service::IngestInput> extras;
   for (uint32_t i = 0; i < count; ++i) {
     service::IngestInput input;
     input.values.resize(kDims);
-    for (float& v : input.values) v = static_cast<float>(rng.NextGaussian());
+    for (float& v : input.values) {
+      v = static_cast<float>(3.0 * rng.NextGaussian());
+    }
     input.label = static_cast<int>(i % 4);
     extras.push_back(std::move(input));
   }
@@ -65,6 +72,20 @@ void ExpectSameEntries(const core::TopKResult& a, const core::TopKResult& b) {
     EXPECT_EQ(a.entries[i].value, b.entries[i].value) << "rank " << i;
   }
 }
+
+/// An engine built from scratch over `dataset`, in its own store.
+struct FreshEngine {
+  FreshEngine(const nn::Model* model, data::Dataset input_dataset)
+      : dataset(std::move(input_dataset)),
+        store(storage::FileStore::Open(dir.path()).value()),
+        engine(core::DeepEverest::Create(model, &dataset, &store,
+                                         SmallOptions())
+                   .value()) {}
+  TempDir dir{"iq-fresh"};
+  data::Dataset dataset;
+  storage::FileStore store;
+  std::unique_ptr<core::DeepEverest> engine;
+};
 
 TEST(IngestLogTest, ReplayDropsTornTail) {
   TempDir dir("ilog");
@@ -157,18 +178,50 @@ TEST(IngestQueueTest, IngestWhileQueryingIsBitIdenticalToFreshScan) {
 
   const int layer = model->activation_layers()[0];
   const core::NeuronGroup group{layer, {0, 3, 6}};
+  const core::QuerySpec highest = core::HighestQuery(group, 5);
+  const core::QuerySpec similar = core::MostSimilarQuery(35, group, 4);
 
-  // Build the index at 40 and pin a baseline answer.
-  auto at40 = (*engine)->ExecuteSpec(core::HighestQuery(group, 5));
-  ASSERT_TRUE(at40.ok()) << at40.status().ToString();
-  EXPECT_EQ(at40->stats.dataset_version, 40);
+  // Every answer must equal a fresh engine's over the prefix it reports.
+  std::map<int64_t, std::unique_ptr<FreshEngine>> fresh;
+  const auto expect_fresh = [&](const core::QuerySpec& query,
+                                const core::TopKResult& got) {
+    const int64_t version = got.stats.dataset_version;
+    ASSERT_GE(version, 40);
+    ASSERT_LE(version, 52);
+    std::unique_ptr<FreshEngine>& ref = fresh[version];
+    if (ref == nullptr) {
+      ref = std::make_unique<FreshEngine>(
+          model.get(), MakeReferenceDataset(
+                           40, static_cast<uint32_t>(version - 40)));
+    }
+    auto want = ref->engine->ExecuteSpec(query);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    SCOPED_TRACE("dataset version " + std::to_string(version));
+    ExpectSameEntries(*want, got);
+  };
+  // Asks both queries and checks both answers against the fresh engine.
+  const auto query_and_check = [&]() -> int64_t {
+    int64_t version = -1;
+    for (const core::QuerySpec& query : {highest, similar}) {
+      auto got = (*engine)->ExecuteSpec(query);
+      EXPECT_TRUE(got.ok()) << got.status().ToString();
+      if (!got.ok()) return -1;
+      expect_fresh(query, *got);
+      version = got->stats.dataset_version;
+    }
+    return version;
+  };
+
+  // Build the index at 40.
+  EXPECT_EQ(query_and_check(), 40);
 
   auto queue =
       IngestQueue::Create(engine->get(), &dataset, &store.value(), {});
   ASSERT_TRUE(queue.ok()) << queue.status().ToString();
 
-  // Ingest in small batches with queries interleaved: every answer must be
-  // consistent with the dataset version it reports.
+  // Ingest in batches of 4. Per batch, one round of queries races the
+  // apply and one runs once the applier is idle, so the watermarks 44, 48
+  // and 52 are each checked on every run, whatever the timing.
   const std::vector<service::IngestInput> extras = MakeExtras(12);
   for (size_t start = 0; start < extras.size(); start += 4) {
     const std::vector<service::IngestInput> batch(
@@ -177,43 +230,18 @@ TEST(IngestQueueTest, IngestWhileQueryingIsBitIdenticalToFreshScan) {
     auto ack = (*queue)->Ingest(batch);
     ASSERT_TRUE(ack.ok()) << ack.status().ToString();
     EXPECT_EQ(ack->first_id, 40u + start);
-    auto during = (*engine)->ExecuteSpec(core::HighestQuery(group, 5));
-    ASSERT_TRUE(during.ok()) << during.status().ToString();
-    EXPECT_GE(during->stats.dataset_version, 40);
-    EXPECT_LE(during->stats.dataset_version, static_cast<int64_t>(52));
+    query_and_check();
+    ASSERT_TRUE((*queue)->WaitIdle(30.0));
+    EXPECT_EQ(query_and_check(), static_cast<int64_t>(44 + start));
   }
-  ASSERT_TRUE((*queue)->WaitIdle(30.0));
+  for (const int64_t version : {40, 44, 48, 52}) {
+    EXPECT_EQ(fresh.count(version), 1u) << "unchecked version " << version;
+  }
 
   const service::IngestStats stats = (*queue)->Stats();
   EXPECT_EQ(stats.dataset_size, 52u);
   EXPECT_EQ(stats.ingested_total, 12);
   EXPECT_EQ(stats.min_watermark, 52u);
-
-  auto at52 = (*engine)->ExecuteSpec(core::HighestQuery(group, 5));
-  ASSERT_TRUE(at52.ok());
-  EXPECT_EQ(at52->stats.dataset_version, 52);
-
-  // The merged index must answer exactly like a fresh engine built over
-  // the same 52 inputs from scratch.
-  TempDir fresh_dir("iq-fresh");
-  auto fresh_store = storage::FileStore::Open(fresh_dir.path());
-  ASSERT_TRUE(fresh_store.ok());
-  data::Dataset fresh_dataset = MakeReferenceDataset(40, 12);
-  auto fresh_engine = core::DeepEverest::Create(
-      model.get(), &fresh_dataset, &fresh_store.value(), SmallOptions());
-  ASSERT_TRUE(fresh_engine.ok());
-  auto fresh = (*fresh_engine)->ExecuteSpec(core::HighestQuery(group, 5));
-  ASSERT_TRUE(fresh.ok());
-  ExpectSameEntries(*fresh, *at52);
-
-  // Most-similar queries take the same guarantee.
-  auto similar = (*engine)->ExecuteSpec(core::MostSimilarQuery(45, group, 4));
-  auto fresh_similar =
-      (*fresh_engine)->ExecuteSpec(core::MostSimilarQuery(45, group, 4));
-  ASSERT_TRUE(similar.ok());
-  ASSERT_TRUE(fresh_similar.ok());
-  ExpectSameEntries(*fresh_similar, *similar);
-
   (*queue)->Shutdown();
 }
 

@@ -95,6 +95,77 @@ TEST(WarmRestartTest, FirstQueryRunsNoDatasetInference) {
   (*queue)->Shutdown();
 }
 
+TEST(WarmRestartTest, FirstQueryAfterIngestRunsNoDatasetInference) {
+  TempDir dir("warm-ingest");
+  auto model = nn::MakeTinyMlp(kDims, kSeed);
+  const core::NeuronGroup group{model->activation_layers()[0], {1, 4, 6}};
+  const core::QuerySpec queries[] = {core::HighestQuery(group, 5),
+                                     core::MostSimilarQuery(35, group, 4)};
+  std::vector<service::IngestInput> extras(12);
+  for (size_t i = 0; i < extras.size(); ++i) {
+    for (int d = 0; d < kDims; ++d) {
+      extras[i].values.push_back(static_cast<float>((i * 7 + d * 3) % 11) -
+                                 5.0f);
+    }
+  }
+
+  // First life: build the index, ingest a batch, let the applier merge it,
+  // commit a snapshot, then take the answers the restart must reproduce.
+  std::vector<core::TopKResult> expected;
+  size_t indexed_layers = 0;
+  {
+    auto store = storage::FileStore::Open(dir.path());
+    ASSERT_TRUE(store.ok());
+    data::Dataset dataset = MakeVectorDataset(30, kDims, kSeed + 1);
+    auto engine = core::DeepEverest::Create(model.get(), &dataset,
+                                            &store.value(), SmallOptions());
+    ASSERT_TRUE(engine.ok());
+    ASSERT_TRUE((*engine)->ExecuteSpec(queries[0]).ok());  // builds
+    indexed_layers = (*engine)->index_manager()->LoadedLayers().size();
+    auto queue =
+        IngestQueue::Create(engine->get(), &dataset, &store.value(), {});
+    ASSERT_TRUE(queue.ok()) << queue.status().ToString();
+    ASSERT_TRUE((*queue)->Ingest(extras).ok());
+    ASSERT_TRUE((*queue)->WaitIdle(30.0));
+    DE_ASSERT_OK((*queue)->SaveSnapshot());
+    for (const core::QuerySpec& query : queries) {
+      auto answer = (*engine)->ExecuteSpec(query);
+      ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+      EXPECT_EQ(answer->stats.dataset_version, 42);
+      expected.push_back(std::move(answer.value()));
+    }
+    (*queue)->Shutdown();
+  }
+
+  // Second life: the log replays the ingested inputs and the snapshot
+  // already covers them, so startup runs no inference at all.
+  auto store = storage::FileStore::Open(dir.path());
+  ASSERT_TRUE(store.ok());
+  data::Dataset dataset = MakeVectorDataset(30, kDims, kSeed + 1);
+  auto engine = core::DeepEverest::Create(model.get(), &dataset,
+                                          &store.value(), SmallOptions());
+  ASSERT_TRUE(engine.ok());
+  auto queue =
+      IngestQueue::Create(engine->get(), &dataset, &store.value(), {});
+  ASSERT_TRUE(queue.ok()) << queue.status().ToString();
+  ASSERT_TRUE((*queue)->WaitIdle(30.0));
+  EXPECT_EQ((*queue)->recovered_inputs(), extras.size());
+  EXPECT_EQ((*queue)->recovered_layers(), indexed_layers);
+  EXPECT_EQ((*engine)->inference()->stats().inputs_run, 0);
+
+  for (size_t q = 0; q < expected.size(); ++q) {
+    auto answer = (*engine)->ExecuteSpec(queries[q]);
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    EXPECT_EQ(answer->stats.dataset_version, 42);
+    ASSERT_EQ(answer->entries.size(), expected[q].entries.size());
+    for (size_t i = 0; i < expected[q].entries.size(); ++i) {
+      EXPECT_EQ(answer->entries[i].input_id, expected[q].entries[i].input_id);
+      EXPECT_EQ(answer->entries[i].value, expected[q].entries[i].value);
+    }
+  }
+  (*queue)->Shutdown();
+}
+
 }  // namespace
 }  // namespace persist
 }  // namespace deepeverest
