@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # The one entry point for every bench. It builds the tree and runs the
 # tier-1 tests, and stops before any bench if either fails. Then it runs
-# every bench_* binary at its default scale and at its ci scale, and writes
-# BENCH_<bench>.json at the repo root (bench_paper -> BENCH_paper.json):
+# each bench in the list below at its default scale and at its ci scale,
+# and writes BENCH_<bench>.json at the repo root (bench_paper ->
+# BENCH_paper.json); a bench missing from the build dir fails the run:
 #   default  every cell at the default scale, with the host and the date;
 #   ci       the deterministic fields (counters, modeled_s) of every cell at
 #            the ci scale, which CI requires exactly.
@@ -48,7 +49,6 @@ ci_scale() {
     bench_service_qos) echo DE_BENCH_INPUTS=120 DE_BENCH_QOS_INTERACTIVE=6 \
       DE_BENCH_QOS_BATCH_SESSIONS=4 DE_BENCH_QOS_OUTSTANDING=2 \
       DE_BENCH_QOS_DEVICE_SCALE=2 ;;
-    *) echo "error: $1 has no ci scale in reproduce/all.sh" >&2; return 1 ;;
   esac
 }
 
@@ -124,11 +124,14 @@ EOF
 
 mkdir -p "$REPORTS"
 failed=0
-for bench in "$BUILD"/bench_*; do
-  name=$(basename "$bench")
-  case "$name" in *_test) continue ;; esac
-  [ -f "$bench" ] && [ -x "$bench" ] || continue
-  scale=$(ci_scale "$name") || { failed=1; continue; }
+for name in bench_paper bench_ingest bench_kernels bench_service_qos; do
+  bench="$BUILD/$name"
+  if [ ! -x "$bench" ]; then
+    echo "error: $bench was not built" >&2
+    failed=1
+    continue
+  fi
+  scale=$(ci_scale "$name")
   runs="default ci"
   [ "$check" -eq 0 ] || runs="ci"
   for run in $runs; do

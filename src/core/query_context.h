@@ -113,10 +113,11 @@ class QueryContext {
   /// while the query runs.
   uint32_t pinned_dataset_version = 0;
 
-  /// Deadline `seconds` from now; unset (the default) means no deadline. Values are clamped to
-  /// [0, ~3 years]: a float→int64 cast of a huge nanosecond count would be
-  /// undefined behaviour, and callers (the HTTP front-end) feed this from
-  /// untrusted wire input. NaN clamps to 0 (immediately due).
+  /// Deadline `seconds` from now; unset (the default) means no deadline.
+  /// Values are clamped to [0, ~3 years]: a float→int64 cast of a huge
+  /// nanosecond count would be undefined behaviour, and callers (the HTTP
+  /// front-end) feed this from untrusted wire input. NaN clamps to 0
+  /// (immediately due).
   void SetDeadlineAfter(double seconds) {
     double clamped = seconds;
     if (!(clamped > 0.0)) clamped = 0.0;

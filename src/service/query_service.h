@@ -56,9 +56,10 @@ struct QueryServiceOptions {
   /// could ever share a batch, so lingering would be pure latency).
   bool enable_cross_query_batching = true;
   /// How long the scheduler holds a partial batch of batch-class inputs
-  /// open for other queries' inputs before flushing it. 0 flushes partial batches as soon as a
-  /// dispatcher sees them — the right setting for latency-sensitive,
-  /// lightly loaded services where co-arrivals are rare anyway.
+  /// open for other queries' inputs before flushing it. 0 flushes partial
+  /// batches as soon as a dispatcher sees them — the right setting for
+  /// latency-sensitive, lightly loaded services where co-arrivals are rare
+  /// anyway.
   /// Interactive requests never linger and best-effort ones linger longest
   /// (BatchSchedulerOptions' defaults); the scheduler runs one dispatcher
   /// (device stream) per worker.
