@@ -22,8 +22,7 @@ DeepEverest::DeepEverest(const nn::Model* model, const data::Dataset* dataset,
       index_manager_(&inference_, store,
                      IndexManagerOptions{config.ToLayerConfig()}) {
   if (options_.enable_iqa) {
-    iqa_cache_ = std::make_unique<IqaCache>(options_.iqa_capacity_bytes,
-                                            options_.iqa_shards);
+    iqa_cache_ = std::make_unique<IqaCache>(options_.iqa_capacity_bytes);
     // When a committed index fails validation and is rebuilt, drop the
     // layer's cached activation rows too: they are recomputable and cheap to
     // lose, and this keeps "discard corrupt derived state" a single switch.
@@ -46,9 +45,6 @@ Result<std::unique_ptr<DeepEverest>> DeepEverest::Create(
   }
   if (options.batch_size < 1) {
     return Status::InvalidArgument("batch_size must be >= 1");
-  }
-  if (options.iqa_shards < 1) {
-    return Status::InvalidArgument("iqa_shards must be >= 1");
   }
 
   int64_t total_neurons = 0;

@@ -39,9 +39,6 @@ struct DeepEverestOptions {
   /// across queries.
   bool enable_iqa = false;
   uint64_t iqa_capacity_bytes = 1ull << 30;  // paper uses a 1 GB budget
-  /// Lock stripes for the IQA cache. 1 reproduces the paper's single cache;
-  /// the concurrent query service uses more to avoid contention.
-  int iqa_shards = 1;
 };
 
 class DeepEverest;

@@ -1,30 +1,21 @@
 #ifndef DEEPEVEREST_CORE_IQA_CACHE_H_
 #define DEEPEVEREST_CORE_IQA_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
 #include <vector>
 
-#include "common/logging.h"
 #include "common/mutex.h"
 
 namespace deepeverest {
 namespace core {
 
-/// \brief In-memory activation cache for Inter-Query Acceleration (§4.7.3),
-/// sharded for concurrent query execution.
+/// \brief In-memory activation cache for Inter-Query Acceleration (§4.7.3).
 ///
 /// Caches *whole-layer* activation rows — the activations of every neuron in
 /// a layer for one input — so a later query against a different neuron group
 /// in the same layer can be served without re-running inference.
-///
-/// Entries are hashed onto `num_shards` independent shards, each protected
-/// by its own mutex and carrying its own recency list and byte budget
-/// (`capacity_bytes / num_shards`). Hit/miss/insert/evict counters are
-/// per-shard atomics, so Stats reads never take a lock. With one shard the
-/// behaviour is exactly the original single-threaded cache.
 ///
 /// Rows are stored without their exact zeros (a presence bitmap plus the
 /// remaining values; ReLU layers are about half zeros), losslessly to the
@@ -34,38 +25,26 @@ namespace core {
 ///
 /// Recency is an intrusive doubly linked list threaded through the entries
 /// (least recently used at the head, most recently used at the tail): a
-/// touch is an O(1) splice to the tail and allocates nothing, and either
-/// eviction end is O(1).
+/// touch is an O(1) splice to the tail and allocates nothing.
 ///
-/// Eviction within a shard is **most recently used** (MRU) by default: NTA
-/// processes partitions from most- to least-similar, so rows inserted early
-/// in a query belong to the most informative inputs; under pressure the
-/// cache sheds the latest rows and keeps the early ones. `kLru` is available
-/// for workloads without that access pattern (e.g. uniform serving traffic).
+/// Eviction is **most recently used** (MRU): NTA processes partitions from
+/// most- to least-similar, so rows inserted early in a query belong to the
+/// most informative inputs; under pressure the cache sheds the latest rows
+/// and keeps the early ones.
 ///
 /// The NTA hot path reads through GatherMany: one call per evaluated batch,
-/// which takes each touched shard's lock once and copies the group's
-/// columns of every hit straight into the caller's row block.
+/// which takes the lock once and copies the group's columns of every hit
+/// straight into the caller's row block.
 ///
-/// Thread-safety: all public methods are safe to call concurrently. Reads
-/// copy out under the shard lock — no pointers into the cache escape, so
+/// Thread-safety: all public methods are safe to call concurrently. One
+/// mutex guards the entries, the recency list, the byte count and the
+/// counters. Reads copy out under it — no pointers into the cache escape, so
 /// concurrent Insert/eviction can never invalidate a reader.
 class IqaCache {
  public:
-  enum class EvictionPolicy {
-    kMru,  // paper §4.7.3 default
-    kLru,
-  };
-
+  /// Counters since construction and the current occupancy, read together
+  /// under the lock.
   struct Stats {
-    int64_t hits = 0;
-    int64_t misses = 0;
-    int64_t insertions = 0;
-    int64_t evictions = 0;
-  };
-
-  /// Per-shard observability snapshot for ServiceStats dashboards.
-  struct ShardSnapshot {
     int64_t hits = 0;
     int64_t misses = 0;
     int64_t insertions = 0;
@@ -75,8 +54,7 @@ class IqaCache {
     size_t entry_count = 0;
   };
 
-  explicit IqaCache(uint64_t capacity_bytes, int num_shards = 1,
-                    EvictionPolicy policy = EvictionPolicy::kMru);
+  explicit IqaCache(uint64_t capacity_bytes);
 
   IqaCache(const IqaCache&) = delete;
   IqaCache& operator=(const IqaCache&) = delete;
@@ -89,15 +67,15 @@ class IqaCache {
   /// row's `neurons` columns (flat indices) to out_block[i * g .. i * g + g)
   /// with g = neurons.size() and sets hit[i] = 1; on a miss sets hit[i] = 0
   /// and leaves that block row untouched. Counts one hit or miss per id and
-  /// returns the number of hits. Each shard the ids touch is locked once,
-  /// and within a shard the ids are visited in the given order, so recency
-  /// ends exactly as n single lookups in that order would leave it.
+  /// returns the number of hits. Takes the lock once and visits the ids in
+  /// the given order, so recency ends exactly as n single lookups in that
+  /// order would leave it.
   size_t GatherMany(int layer, const uint32_t* ids, size_t n,
                     const std::vector<int64_t>& neurons, float* out_block,
                     uint8_t* hit);
 
-  /// Inserts a full-layer row, evicting entries from the target shard if
-  /// needed. Rows larger than the shard capacity are not cached.
+  /// Inserts a full-layer row, evicting entries if needed. Rows larger than
+  /// the capacity are not cached.
   void Insert(int layer, uint32_t input_id, const std::vector<float>& row);
 
   /// Drops every entry (e.g. when the dataset or model changes).
@@ -109,21 +87,9 @@ class IqaCache {
   /// existing entries stay valid as the dataset grows.)
   void EraseLayer(int layer);
 
-  uint64_t capacity_bytes() const { return capacity_bytes_; }
-  int num_shards() const { return static_cast<int>(shards_.size()); }
-  EvictionPolicy eviction_policy() const { return policy_; }
-
-  /// Sums over shards. Consistent when quiescent; a live snapshot under
-  /// concurrent traffic.
-  uint64_t size_bytes() const;
-  size_t entry_count() const;
-
-  /// Aggregated counters across all shards (lock-free).
+  uint64_t size_bytes() const { return stats().size_bytes; }
+  size_t entry_count() const { return stats().entry_count; }
   Stats stats() const;
-
-  /// One snapshot per shard (lock-free counters; sizes read under the
-  /// shard lock).
-  std::vector<ShardSnapshot> ShardSnapshots() const;
 
  private:
   /// A layer row without its exact zeros: bit c % 64 of present_[c / 64]
@@ -145,7 +111,7 @@ class IqaCache {
     std::unique_ptr<float[]> values_;
   };
 
-  /// One cached row, linked into its shard's recency list. Entries live in
+  /// One cached row, linked into the recency list. Entries live in
   /// unordered_map nodes, whose addresses are stable, so the links are
   /// plain pointers.
   struct Entry {
@@ -153,21 +119,6 @@ class IqaCache {
     uint64_t key = 0;
     Entry* older = nullptr;
     Entry* newer = nullptr;
-  };
-
-  /// One lock stripe: its own map, recency list, byte budget, and atomic
-  /// counters, padded apart from its neighbours.
-  struct Shard {
-    mutable common::Mutex mu;
-    uint64_t capacity_bytes = 0;  // set once at construction, then read-only
-    uint64_t size_bytes GUARDED_BY(mu) = 0;
-    std::unordered_map<uint64_t, Entry> entries GUARDED_BY(mu);
-    Entry* oldest GUARDED_BY(mu) = nullptr;  // LRU end
-    Entry* newest GUARDED_BY(mu) = nullptr;  // MRU end
-    std::atomic<int64_t> hits{0};
-    std::atomic<int64_t> misses{0};
-    std::atomic<int64_t> insertions{0};
-    std::atomic<int64_t> evictions{0};
   };
 
   static uint64_t KeyOf(int layer, uint32_t input_id) {
@@ -180,16 +131,21 @@ class IqaCache {
     return columns * sizeof(float) + 64;
   }
 
-  size_t ShardIndexOf(uint64_t key) const;
-
   /// Recency list maintenance. Touch moves an entry to the newest end.
-  static void LinkNewest(Shard* shard, Entry* entry) REQUIRES(shard->mu);
-  static void Unlink(Shard* shard, Entry* entry) REQUIRES(shard->mu);
-  static void Touch(Shard* shard, Entry* entry) REQUIRES(shard->mu);
+  void LinkNewest(Entry* entry) REQUIRES(mu_);
+  void Unlink(Entry* entry) REQUIRES(mu_);
+  void Touch(Entry* entry) REQUIRES(mu_);
 
-  uint64_t capacity_bytes_;
-  EvictionPolicy policy_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  const uint64_t capacity_bytes_;
+  mutable common::Mutex mu_;
+  std::unordered_map<uint64_t, Entry> entries_ GUARDED_BY(mu_);
+  Entry* oldest_ GUARDED_BY(mu_) = nullptr;
+  Entry* newest_ GUARDED_BY(mu_) = nullptr;  // the eviction end
+  uint64_t size_bytes_ GUARDED_BY(mu_) = 0;
+  int64_t hits_ GUARDED_BY(mu_) = 0;
+  int64_t misses_ GUARDED_BY(mu_) = 0;
+  int64_t insertions_ GUARDED_BY(mu_) = 0;
+  int64_t evictions_ GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace core

@@ -33,12 +33,6 @@ void FrameRecord(const IngestRecord& record, std::vector<uint8_t>* out) {
 
 }  // namespace
 
-Status IngestLog::Append(const IngestRecord& record) {
-  std::vector<uint8_t> bytes;
-  FrameRecord(record, &bytes);
-  return store_->Append(key_, bytes, sync_);
-}
-
 Status IngestLog::AppendBatch(const std::vector<IngestRecord>& records) {
   if (records.empty()) return Status::OK();
   std::vector<uint8_t> bytes;

@@ -38,12 +38,9 @@ class IngestLog {
   IngestLog(storage::FileStore* store, std::string model, bool sync = true)
       : store_(store), key_(KeyFor(model)), sync_(sync) {}
 
-  /// Durably appends one record. Returns only after the bytes are on disk
-  /// (when sync is on) — the caller may then expose the input to readers.
-  Status Append(const IngestRecord& record);
-
-  /// Appends a whole batch as one write (one fsync for the batch instead of
-  /// one per record — the ingest throughput path).
+  /// Durably appends a batch of records as one write (one fsync for the
+  /// batch). Returns only after the bytes are on disk (when sync is on) —
+  /// the caller may then expose the inputs to readers.
   Status AppendBatch(const std::vector<IngestRecord>& records);
 
   /// Replays every intact record in order. Records after the first torn or

@@ -271,34 +271,22 @@ void CollectModelMetrics(MetricsEmitter* emitter, const std::string& model,
                        cls.approx_latency_sum_seconds, count);
   }
 
-  if (!stats.iqa_shards.empty()) {
-    int64_t hits = 0;
-    int64_t misses = 0;
-    int64_t evictions = 0;
-    uint64_t size_bytes = 0;
-    uint64_t capacity_bytes = 0;
-    for (const auto& shard : stats.iqa_shards) {
-      hits += shard.hits;
-      misses += shard.misses;
-      evictions += shard.evictions;
-      size_bytes += shard.size_bytes;
-      capacity_bytes += shard.capacity_bytes;
-    }
-    emitter->Counter("deepeverest_iqa_hits_total",
-                     "IQA activation-cache hits, summed over shards.",
-                     by_model, static_cast<double>(hits));
+  if (stats.iqa.has_value()) {
+    const core::IqaCache::Stats& iqa = *stats.iqa;
+    emitter->Counter("deepeverest_iqa_hits_total", "IQA activation-cache hits.",
+                     by_model, static_cast<double>(iqa.hits));
     emitter->Counter("deepeverest_iqa_misses_total",
-                     "IQA activation-cache misses, summed over shards.",
-                     by_model, static_cast<double>(misses));
+                     "IQA activation-cache misses.", by_model,
+                     static_cast<double>(iqa.misses));
     emitter->Counter("deepeverest_iqa_evictions_total",
-                     "IQA activation-cache evictions, summed over shards.",
-                     by_model, static_cast<double>(evictions));
+                     "IQA activation-cache evictions.", by_model,
+                     static_cast<double>(iqa.evictions));
     emitter->Gauge("deepeverest_iqa_cache_bytes",
-                   "Bytes of cached activations across shards.", by_model,
-                   static_cast<double>(size_bytes));
+                   "Bytes of cached activations.", by_model,
+                   static_cast<double>(iqa.size_bytes));
     emitter->Gauge("deepeverest_iqa_cache_capacity_bytes",
-                   "Configured IQA cache capacity across shards.", by_model,
-                   static_cast<double>(capacity_bytes));
+                   "Configured IQA cache capacity.", by_model,
+                   static_cast<double>(iqa.capacity_bytes));
   }
 
   if (stats.batching_enabled) {

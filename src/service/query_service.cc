@@ -564,7 +564,7 @@ ServiceStats QueryService::Snapshot() const {
     if (stats.worker_utilization > 1.0) stats.worker_utilization = 1.0;
   }
   if (engine_->iqa_cache() != nullptr) {
-    stats.iqa_shards = engine_->iqa_cache()->ShardSnapshots();
+    stats.iqa = engine_->iqa_cache()->stats();
   }
   if (scheduler_ != nullptr) {
     stats.batching_enabled = true;

@@ -248,8 +248,8 @@ class QueryService {
   /// joins the workers. Idempotent; called by the destructor.
   void Shutdown();
 
-  /// Current counters, latency percentiles, utilization, and IQA shard
-  /// hit rates.
+  /// Current counters, latency percentiles, utilization, and IQA cache
+  /// counters.
   ServiceStats Snapshot() const;
 
   /// A recently finished query's trace, while it is still in the ring

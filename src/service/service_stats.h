@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "common/qos.h"
@@ -194,8 +195,9 @@ struct ServiceStats {
   /// busy / (uptime * workers), in [0, 1].
   double worker_utilization = 0.0;
 
-  /// Per-shard IQA cache counters; empty when the engine runs without IQA.
-  std::vector<core::IqaCache::ShardSnapshot> iqa_shards;
+  /// IQA cache counters and occupancy; absent when the engine runs without
+  /// IQA.
+  std::optional<core::IqaCache::Stats> iqa;
 
   /// Cross-query inference batching. When enabled, concurrent queries'
   /// ComputeLayer calls coalesce into shared device batches; `batching`

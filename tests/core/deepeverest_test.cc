@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -197,6 +198,59 @@ TEST(DeepEverestTest, IqaCacheSpeedsUpRelatedQueries) {
   auto related = (*de)->ExecuteSpec(MostSimilarQuery(3, {layer, {0, 2, 6}}, 5));
   ASSERT_TRUE(related.ok());
   EXPECT_GT(related->stats.iqa_hits, 0);
+}
+
+// The constructor connects IndexManager's invalidation hook to the IQA
+// cache: when a committed index fails validation and is rebuilt, the
+// layer's cached rows are dropped with it.
+TEST(DeepEverestTest, CorruptIndexRebuildErasesLayerFromIqa) {
+  TinySystem sys(40, 47, 8);
+  TempDir dir("de-iqa-inval");
+  auto store = storage::FileStore::Open(dir.path());
+  ASSERT_TRUE(store.ok());
+  const int layer = sys.model->activation_layers()[1];
+  {
+    auto builder = DeepEverest::Create(sys.model.get(), &sys.dataset,
+                                       &store.value(), SmallOptions());
+    ASSERT_TRUE(builder.ok());
+    ASSERT_TRUE((*builder)->ExecuteSpec(HighestQuery({layer, {0}}, 1)).ok());
+  }
+  const std::string segment =
+      testing_util::SegmentPath(&store.value(), sys.model->name(), layer);
+  ASSERT_FALSE(segment.empty());
+  testing_util::FlipByteAt(segment, std::filesystem::file_size(segment) / 2);
+
+  DeepEverestOptions options = SmallOptions();
+  options.enable_iqa = true;
+  options.iqa_capacity_bytes = 1 << 24;
+  auto de = DeepEverest::Create(sys.model.get(), &sys.dataset, &store.value(),
+                                options);
+  ASSERT_TRUE(de.ok());
+  // TOP 3 NEURONS OF 5: resolving the group caches input 5's row, then the
+  // index ensure finds the corrupt segment and rebuilds the layer.
+  QuerySpec spec;
+  spec.layer = layer;
+  spec.top_neurons = 3;
+  spec.top_of = 5;
+  spec.k = 4;
+  auto answer = (*de)->ExecuteSpec(spec);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_GT((*de)->iqa_cache()->stats().insertions, 0);
+  EXPECT_FALSE((*de)->iqa_cache()->Lookup(layer, 5, nullptr));
+
+  TempDir fresh_dir("de-iqa-fresh");
+  auto fresh_store = storage::FileStore::Open(fresh_dir.path());
+  ASSERT_TRUE(fresh_store.ok());
+  auto fresh = DeepEverest::Create(sys.model.get(), &sys.dataset,
+                                   &fresh_store.value(), SmallOptions());
+  ASSERT_TRUE(fresh.ok());
+  auto expected = (*fresh)->ExecuteSpec(spec);
+  ASSERT_TRUE(expected.ok());
+  ASSERT_EQ(answer->entries.size(), expected->entries.size());
+  for (size_t i = 0; i < expected->entries.size(); ++i) {
+    EXPECT_EQ(answer->entries[i].input_id, expected->entries[i].input_id);
+    EXPECT_EQ(answer->entries[i].value, expected->entries[i].value);
+  }
 }
 
 TEST(DeepEverestTest, ConfigSelectionRespectsBudget) {

@@ -6,7 +6,6 @@
 #include "core/index_manager.h"
 
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -19,6 +18,8 @@ namespace deepeverest {
 namespace core {
 namespace {
 
+using testing_util::FlipByteAt;
+using testing_util::SegmentPath;
 using testing_util::TempDir;
 using testing_util::TinySystem;
 
@@ -26,30 +27,6 @@ IndexManagerOptions Opts() {
   IndexManagerOptions options;
   options.layer_config = LayerIndexConfig{4, 0.1};
   return options;
-}
-
-/// File path of `layer`'s segment in the model's committed snapshot.
-std::string SegmentPath(storage::FileStore* store, const std::string& model,
-                        int layer) {
-  auto manifest = persist::ReadManifest(store, model);
-  EXPECT_TRUE(manifest.ok()) << manifest.status().ToString();
-  if (!manifest.ok()) return "";
-  for (const persist::SegmentInfo& seg : manifest->segments) {
-    if (seg.layer == layer) return store->root() + "/" + seg.key;
-  }
-  ADD_FAILURE() << "layer " << layer << " is not committed";
-  return "";
-}
-
-void FlipByteAt(const std::string& path, size_t offset) {
-  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-  ASSERT_TRUE(f.good()) << path;
-  f.seekg(static_cast<std::streamoff>(offset));
-  char byte = 0;
-  f.read(&byte, 1);
-  byte = static_cast<char>(byte ^ 0x10);
-  f.seekp(static_cast<std::streamoff>(offset));
-  f.write(&byte, 1);
 }
 
 /// Builds `layer` in a first manager, damages its committed segment with

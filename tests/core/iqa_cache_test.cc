@@ -147,18 +147,6 @@ TEST(IqaCacheTest, MruEvictionKeepsOldest) {
   EXPECT_GE(cache.stats().evictions, 1);
 }
 
-TEST(IqaCacheTest, LruEvictionKeepsNewest) {
-  IqaCache cache(300, /*num_shards=*/1, IqaCache::EvictionPolicy::kLru);
-  cache.Insert(0, 1, Row(1.0f));
-  cache.Insert(0, 2, Row(2.0f));
-  cache.Insert(0, 3, Row(3.0f));
-  cache.Insert(0, 4, Row(4.0f));
-  EXPECT_FALSE(Contains(&cache, 0, 1));  // least recently used, evicted
-  EXPECT_TRUE(Contains(&cache, 0, 2));
-  EXPECT_TRUE(Contains(&cache, 0, 3));
-  EXPECT_TRUE(Contains(&cache, 0, 4));
-}
-
 TEST(IqaCacheTest, LookupRefreshesRecency) {
   IqaCache cache(300);
   cache.Insert(0, 1, Row(1.0f));
@@ -187,6 +175,8 @@ TEST(IqaCacheTest, OversizedRowNotCached) {
   cache.Insert(0, 1, Row(1.0f, 1000));  // 4 KB > capacity
   EXPECT_EQ(cache.entry_count(), 0u);
   EXPECT_FALSE(Contains(&cache, 0, 1));
+  cache.Insert(0, 2, Row(2.0f, 9));  // 9 * 4 + 64 = the whole capacity
+  EXPECT_TRUE(Contains(&cache, 0, 2));
 }
 
 TEST(IqaCacheTest, SizeAccounting) {
@@ -205,53 +195,15 @@ TEST(IqaCacheTest, ClearEmpties) {
   EXPECT_FALSE(Contains(&cache, 0, 1));
 }
 
-TEST(IqaCacheTest, ShardCountersSumToTotals) {
-  IqaCache cache(1 << 20, /*num_shards=*/4);
-  EXPECT_EQ(cache.num_shards(), 4);
-  for (uint32_t id = 0; id < 64; ++id) cache.Insert(0, id, Row(1.0f));
-  for (uint32_t id = 0; id < 64; ++id) EXPECT_TRUE(Contains(&cache, 0, id));
-  for (uint32_t id = 64; id < 80; ++id) EXPECT_FALSE(Contains(&cache, 0, id));
-
-  const IqaCache::Stats total = cache.stats();
-  EXPECT_EQ(total.hits, 64);
-  EXPECT_EQ(total.misses, 16);
-  EXPECT_EQ(total.insertions, 64);
-
-  int64_t shard_hits = 0, shard_misses = 0, shard_inserts = 0;
-  size_t shard_entries = 0;
-  for (const auto& snap : cache.ShardSnapshots()) {
-    shard_hits += snap.hits;
-    shard_misses += snap.misses;
-    shard_inserts += snap.insertions;
-    shard_entries += snap.entry_count;
-  }
-  EXPECT_EQ(shard_hits, total.hits);
-  EXPECT_EQ(shard_misses, total.misses);
-  EXPECT_EQ(shard_inserts, total.insertions);
-  EXPECT_EQ(shard_entries, cache.entry_count());
-}
-
-TEST(IqaCacheTest, ShardingSpreadsEntries) {
-  IqaCache cache(1 << 20, /*num_shards=*/8);
-  for (uint32_t id = 0; id < 256; ++id) cache.Insert(0, id, Row(1.0f));
-  int populated = 0;
-  for (const auto& snap : cache.ShardSnapshots()) {
-    if (snap.entry_count > 0) ++populated;
-  }
-  // splitmix64 over 256 sequential ids must touch most of 8 shards.
-  EXPECT_GE(populated, 6);
-}
-
-/// The eviction policy written out from its definition: entries in
-/// recency order (oldest first); a hit or a refresh moves an entry to the
-/// newest end; an insert evicts from the newest end (MRU) or the oldest end
-/// (LRU) until the new row fits. Rows cost payload + 64 bytes.
+/// MRU eviction written out from its definition: entries in recency order
+/// (oldest first); a hit or a refresh moves an entry to the newest end; an
+/// insert evicts from the newest end until the new row fits. Rows cost
+/// payload + 64 bytes.
 class ReferenceCache {
  public:
   using Key = std::pair<int, uint32_t>;
 
-  ReferenceCache(uint64_t capacity, IqaCache::EvictionPolicy policy)
-      : capacity_(capacity), policy_(policy) {}
+  explicit ReferenceCache(uint64_t capacity) : capacity_(capacity) {}
 
   /// Returns the victims, in eviction order.
   std::vector<Key> Insert(Key key, uint64_t bytes) {
@@ -259,9 +211,7 @@ class ReferenceCache {
     if (bytes > capacity_) return victims;
     if (Touch(key)) return victims;  // refresh: same size, no eviction
     while (size_ + bytes > capacity_ && !order_.empty()) {
-      const Key victim = policy_ == IqaCache::EvictionPolicy::kMru
-                             ? order_.back()
-                             : order_.front();
+      const Key victim = order_.back();
       Erase(victim);
       victims.push_back(victim);
       ++evictions_;
@@ -306,7 +256,6 @@ class ReferenceCache {
   }
 
   uint64_t capacity_;
-  IqaCache::EvictionPolicy policy_;
   std::vector<Key> order_;
   std::map<Key, uint64_t> bytes_;
   uint64_t size_ = 0;
@@ -324,31 +273,17 @@ std::vector<float> KeyedRow(int layer, uint32_t id) {
                             static_cast<float>(layer * 1000 + id));
 }
 
-void ExpectSizesConsistent(const IqaCache& cache, const ReferenceCache& ref,
-                           int step) {
-  EXPECT_EQ(cache.size_bytes(), ref.size_bytes()) << "step " << step;
-  EXPECT_EQ(cache.entry_count(), ref.entry_count()) << "step " << step;
-  uint64_t shard_bytes = 0;
-  size_t shard_entries = 0;
-  for (const auto& snap : cache.ShardSnapshots()) {
-    shard_bytes += snap.size_bytes;
-    shard_entries += snap.entry_count;
-  }
-  EXPECT_EQ(shard_bytes, cache.size_bytes()) << "step " << step;
-  EXPECT_EQ(shard_entries, cache.entry_count()) << "step " << step;
-}
-
 /// A seeded interleaving of Insert (new and refresh), GatherMany,
 /// EraseLayer and Clear, checked op by op against ReferenceCache: every
 /// insert's victims are exactly the reference's (each is gone, and the
 /// eviction counter moved by their number), every gathered id hits exactly
 /// when the reference holds it, and the byte and entry totals agree after
 /// every operation.
-void RunVictimSequence(IqaCache::EvictionPolicy policy) {
+TEST(IqaCacheTest, MruVictimSequenceMatchesPolicyDefinition) {
   constexpr uint64_t kCapacity = 600;
-  IqaCache cache(kCapacity, /*num_shards=*/1, policy);
-  ReferenceCache ref(kCapacity, policy);
-  Rng rng(policy == IqaCache::EvictionPolicy::kMru ? 17 : 18);
+  IqaCache cache(kCapacity);
+  ReferenceCache ref(kCapacity);
+  Rng rng(17);
   const std::vector<int64_t> neurons = {3, 0};  // valid for both widths
   int64_t victims_seen = 0;
   for (int step = 0; step < 600; ++step) {
@@ -396,29 +331,21 @@ void RunVictimSequence(IqaCache::EvictionPolicy policy) {
       cache.Clear();
       ref.Clear();
     }
-    ExpectSizesConsistent(cache, ref, step);
+    EXPECT_EQ(cache.size_bytes(), ref.size_bytes()) << "step " << step;
+    EXPECT_EQ(cache.entry_count(), ref.entry_count()) << "step " << step;
   }
   EXPECT_EQ(ref.evictions(), victims_seen);
   EXPECT_GT(victims_seen, 50);  // the sequence really ran under pressure
 }
 
-TEST(IqaCacheTest, MruVictimSequenceMatchesPolicyDefinition) {
-  RunVictimSequence(IqaCache::EvictionPolicy::kMru);
-}
-
-TEST(IqaCacheTest, LruVictimSequenceMatchesPolicyDefinition) {
-  RunVictimSequence(IqaCache::EvictionPolicy::kLru);
-}
-
-/// GatherMany's counters are exactly its per-id outcomes, whether the ids
-/// fall in one shard or spread over four (each locked once per call).
-void RunGatherManyCounters(int num_shards) {
-  IqaCache cache(1 << 20, num_shards);
+/// GatherMany's counters are exactly its per-id outcomes.
+TEST(IqaCacheTest, GatherManyCountersMatchPerIdOutcomes) {
+  IqaCache cache(1 << 20);
   for (uint32_t id = 0; id < 64; id += 2) {
     cache.Insert(0, id, KeyedRow(0, id));
   }
   cache.Insert(1, 1, KeyedRow(1, 1));  // other layer: must not hit layer 0
-  Rng rng(static_cast<uint64_t>(num_shards));
+  Rng rng(1);
   int64_t hits_total = 0;
   int64_t misses_total = 0;
   for (int batch = 0; batch < 50; ++batch) {
@@ -442,29 +369,13 @@ void RunGatherManyCounters(int num_shards) {
     const IqaCache::Stats stats = cache.stats();
     EXPECT_EQ(stats.hits, hits_total);
     EXPECT_EQ(stats.misses, misses_total);
-    int64_t shard_hits = 0;
-    int64_t shard_misses = 0;
-    for (const auto& snap : cache.ShardSnapshots()) {
-      shard_hits += snap.hits;
-      shard_misses += snap.misses;
-    }
-    EXPECT_EQ(shard_hits, stats.hits);
-    EXPECT_EQ(shard_misses, stats.misses);
   }
   EXPECT_GT(hits_total, 0);
   EXPECT_GT(misses_total, 0);
 }
 
-TEST(IqaCacheTest, GatherManyCountersMatchPerIdOutcomesOneShard) {
-  RunGatherManyCounters(1);
-}
-
-TEST(IqaCacheTest, GatherManyCountersMatchPerIdOutcomesFourShards) {
-  RunGatherManyCounters(4);
-}
-
 TEST(IqaCacheTest, ConcurrentMixedTrafficIsSafeAndCounted) {
-  IqaCache cache(1 << 22, /*num_shards=*/8);
+  IqaCache cache(1 << 22);
   constexpr int kThreads = 8;
   constexpr uint32_t kOpsPerThread = 400;
   std::atomic<int64_t> observed_hits{0};
@@ -477,7 +388,7 @@ TEST(IqaCacheTest, ConcurrentMixedTrafficIsSafeAndCounted) {
         cache.Insert(0, id, Row(static_cast<float>(id)));
         if (cache.Lookup(0, id, &row)) {
           observed_hits.fetch_add(1);
-          // The row read under the shard lock is always internally
+          // The row read under the lock is always internally
           // consistent: whole-row writes can never be observed torn.
           EXPECT_EQ(row[0], static_cast<float>(id));
         }

@@ -240,7 +240,7 @@ class NtaGoldenCountersTest : public ::testing::Test {
   std::unique_ptr<NtaEngine> engines_[2];
   // About 50 of the 240 x 2 rows fit (16- and 12-float rows cost 128 and
   // 112 bytes), so the sequence evicts from its first queries on.
-  IqaCache cache_{6000, /*num_shards=*/1, IqaCache::EvictionPolicy::kMru};
+  IqaCache cache_{6000};
 };
 
 TEST_F(NtaGoldenCountersTest, SequenceAndInterleavedPairMatchRecordedCounters) {
@@ -344,7 +344,7 @@ TEST_F(NtaGoldenCountersTest, ProgressEventsMatchRecordedSequence) {
   } cases[] = {{kProgressSimilar, kGoldenProgressSimilar, "most-similar"},
                {kProgressHighest, kGoldenProgressHighest, "highest"}};
   for (const auto& c : cases) {
-    IqaCache cache(6000, /*num_shards=*/1, IqaCache::EvictionPolicy::kMru);
+    IqaCache cache(6000);
     std::vector<NtaProgress> events;
     QueryContext ctx;
     ctx.iqa = &cache;

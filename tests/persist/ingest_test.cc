@@ -98,7 +98,7 @@ TEST(IngestLogTest, ReplayDropsTornTail) {
     record.input_id = i;
     record.label = static_cast<int>(i);
     record.values = {1.0f * i, 2.0f * i};
-    DE_ASSERT_OK(log.Append(record));
+    DE_ASSERT_OK(log.AppendBatch({record}));
   }
   // A crash mid-append leaves a torn frame at the tail.
   DE_ASSERT_OK(store->Append(IngestLog::KeyFor("m"),
@@ -126,7 +126,7 @@ TEST(IngestLogTest, ReplayDropsTruncatedLastRecord) {
     IngestRecord record;
     record.input_id = i;
     record.values = {3.0f, 4.0f, 5.0f};
-    DE_ASSERT_OK(log.Append(record));
+    DE_ASSERT_OK(log.AppendBatch({record}));
   }
   const std::string path = store->root() + "/" + IngestLog::KeyFor("m");
   const auto size = std::filesystem::file_size(path);

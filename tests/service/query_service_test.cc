@@ -1,14 +1,18 @@
 // Tests for the concurrent query service: result equivalence with
 // sequential execution, admission backpressure, session fairness, and
-// IQA shard accounting.
+// IQA accounting.
 #include "service/query_service.h"
 
 #include <gtest/gtest.h>
 
 #include <future>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/deepeverest.h"
+#include "service/engine_registry.h"
+#include "service/metrics_registry.h"
 #include "testing/test_util.h"
 
 namespace deepeverest {
@@ -21,16 +25,13 @@ using core::TopKResult;
 using testing_util::TempDir;
 using testing_util::TinySystem;
 
-DeepEverestOptions EngineOptions(int iqa_shards = 0) {
+DeepEverestOptions EngineOptions(bool iqa = false) {
   DeepEverestOptions options;
   options.batch_size = 8;
   options.num_partitions_override = 4;
   options.mai_ratio_override = 0.1;
-  if (iqa_shards > 0) {
-    options.enable_iqa = true;
-    options.iqa_capacity_bytes = 1 << 24;
-    options.iqa_shards = iqa_shards;
-  }
+  options.enable_iqa = iqa;
+  options.iqa_capacity_bytes = 1 << 24;
   return options;
 }
 
@@ -151,7 +152,7 @@ TEST(QueryServiceTest, OutOfRangeNeuronOnColdLayerFailsCleanly) {
 // regardless of scheduling and cache state (ties break on input id).
 TEST(QueryServiceTest, ConcurrentResultsMatchSequential) {
   // Sequential reference on its own engine (fresh store, fresh caches).
-  ServiceFixture seq_fix(60, 73, EngineOptions(/*iqa_shards=*/1));
+  ServiceFixture seq_fix(60, 73, EngineOptions(/*iqa=*/true));
   ASSERT_TRUE(seq_fix.engine->PreprocessAllLayers().ok());
   const std::vector<core::QuerySpec> workload =
       MakeWorkload(*seq_fix.sys.model, 40);
@@ -163,7 +164,7 @@ TEST(QueryServiceTest, ConcurrentResultsMatchSequential) {
   }
 
   // Concurrent run on an identical engine behind the service.
-  ServiceFixture fix(60, 73, EngineOptions(/*iqa_shards=*/8));
+  ServiceFixture fix(60, 73, EngineOptions(/*iqa=*/true));
   ASSERT_TRUE(fix.engine->PreprocessAllLayers().ok());
   QueryServiceOptions service_options;
   service_options.num_workers = 8;
@@ -188,7 +189,8 @@ TEST(QueryServiceTest, ConcurrentResultsMatchSequential) {
   EXPECT_EQ(stats.completed, static_cast<int64_t>(workload.size()));
   EXPECT_EQ(stats.failed, 0);
   EXPECT_EQ(stats.queue_depth, 0u);
-  EXPECT_EQ(stats.iqa_shards.size(), 8u);
+  ASSERT_TRUE(stats.iqa.has_value());
+  EXPECT_EQ(stats.iqa->hits, fix.engine->iqa_cache()->stats().hits);
 }
 
 // Cold start: concurrent queries race on incremental index builds — the
@@ -199,7 +201,7 @@ TEST(QueryServiceTest, ConcurrentResultsMatchSequential) {
 // to the canonical sequential run. (Before the tie-complete mode this test
 // could only use a validity oracle.)
 TEST(QueryServiceTest, ColdStartConcurrentResultsMatchCanonical) {
-  ServiceFixture seq_fix(60, 79, EngineOptions(/*iqa_shards=*/1));
+  ServiceFixture seq_fix(60, 79, EngineOptions(/*iqa=*/true));
   const std::vector<core::QuerySpec> workload =
       MakeWorkload(*seq_fix.sys.model, 24);
   std::vector<TopKResult> expected;
@@ -209,7 +211,7 @@ TEST(QueryServiceTest, ColdStartConcurrentResultsMatchCanonical) {
     expected.push_back(std::move(result.value()));
   }
 
-  ServiceFixture fix(60, 79, EngineOptions(/*iqa_shards=*/8));
+  ServiceFixture fix(60, 79, EngineOptions(/*iqa=*/true));
   QueryServiceOptions service_options;
   service_options.num_workers = 8;
   service_options.max_queue_depth = workload.size();
@@ -305,15 +307,15 @@ TEST(QueryServiceTest, PerSessionLimitKeepsOtherSessionsAdmitted) {
   EXPECT_EQ((*service)->Snapshot().rejected_session_limit, session_rejected);
 }
 
-// Satellite contract: with ample capacity the shard hit counters sum to the
-// sequential single-cache hit count — sharding must not change what the IQA
-// cache can serve.
-TEST(QueryServiceTest, ShardHitCountersSumToSequentialHitCount) {
+// With ample capacity the service's IQA hit counter equals the sequential
+// engine's: running behind the service must not change what the IQA cache
+// can serve.
+TEST(QueryServiceTest, ServiceIqaHitsMatchSequentialHitCount) {
   const int kQueries = 36;
 
-  // Sequential run, single-shard cache, in the service's execution mode so
-  // the evaluation (and therefore cache hit) pattern is identical.
-  ServiceFixture seq_fix(50, 76, EngineOptions(/*iqa_shards=*/1));
+  // Sequential run in the service's execution mode, so the evaluation (and
+  // therefore cache hit) pattern is identical.
+  ServiceFixture seq_fix(50, 76, EngineOptions(/*iqa=*/true));
   const std::vector<core::QuerySpec> workload =
       MakeWorkload(*seq_fix.sys.model, kQueries);
   for (const core::QuerySpec& query : workload) {
@@ -322,9 +324,9 @@ TEST(QueryServiceTest, ShardHitCountersSumToSequentialHitCount) {
   const auto seq_stats = seq_fix.engine->iqa_cache()->stats();
   ASSERT_GT(seq_stats.hits, 0);
 
-  // Same workload, same engine config, 8-shard cache, submitted through the
-  // service one at a time (sequential schedule, sharded data structure).
-  ServiceFixture fix(50, 76, EngineOptions(/*iqa_shards=*/8));
+  // Same workload, same engine config, submitted through the service one at
+  // a time.
+  ServiceFixture fix(50, 76, EngineOptions(/*iqa=*/true));
   QueryServiceOptions service_options;
   service_options.num_workers = 1;
   service_options.max_queue_depth = 64;
@@ -334,12 +336,56 @@ TEST(QueryServiceTest, ShardHitCountersSumToSequentialHitCount) {
     ASSERT_TRUE((*service)->Execute(query).ok());
   }
 
-  int64_t shard_hits = 0;
   const ServiceStats stats = (*service)->Snapshot();
-  ASSERT_EQ(stats.iqa_shards.size(), 8u);
-  for (const auto& shard : stats.iqa_shards) shard_hits += shard.hits;
-  EXPECT_EQ(shard_hits, seq_stats.hits);
-  EXPECT_EQ(shard_hits, fix.engine->iqa_cache()->stats().hits);
+  ASSERT_TRUE(stats.iqa.has_value());
+  EXPECT_EQ(stats.iqa->hits, seq_stats.hits);
+  EXPECT_EQ(stats.iqa->hits, fix.engine->iqa_cache()->stats().hits);
+}
+
+// /v1/metrics publishes one engine's IQA cache as five deepeverest_iqa_*
+// series, the capacity gauge at the configured capacity; an engine without
+// IQA publishes none.
+TEST(QueryServiceTest, IqaMetricsFollowTheCacheOrAreAbsent) {
+  ServiceFixture with_iqa(40, 82, EngineOptions(/*iqa=*/true));
+  ServiceFixture without_iqa(40, 82, EngineOptions());
+  QueryServiceOptions service_options;
+  service_options.num_workers = 1;
+  auto cached = QueryService::Create(with_iqa.engine.get(), service_options);
+  auto plain = QueryService::Create(without_iqa.engine.get(), service_options);
+  ASSERT_TRUE(cached.ok());
+  ASSERT_TRUE(plain.ok());
+  for (const core::QuerySpec& query : MakeWorkload(*with_iqa.sys.model, 6)) {
+    ASSERT_TRUE((*cached)->Execute(query).ok());
+  }
+  EngineRegistry models;
+  ASSERT_TRUE(models.Register("cached", cached->get()).ok());
+  ASSERT_TRUE(models.Register("plain", plain->get()).ok());
+  MetricsRegistry metrics;
+  RegisterServiceMetrics(&metrics, &models);
+  const std::string text = metrics.RenderPrometheusText();
+  ASSERT_TRUE(ValidatePrometheusText(text).ok());
+
+  const core::IqaCache::Stats iqa = with_iqa.engine->iqa_cache()->stats();
+  EXPECT_GT(iqa.insertions, 0);
+  const std::pair<const char*, int64_t> series[] = {
+      {"deepeverest_iqa_hits_total", iqa.hits},
+      {"deepeverest_iqa_misses_total", iqa.misses},
+      {"deepeverest_iqa_evictions_total", iqa.evictions},
+      {"deepeverest_iqa_cache_bytes", static_cast<int64_t>(iqa.size_bytes)},
+      {"deepeverest_iqa_cache_capacity_bytes", int64_t{1} << 24}};
+  for (const auto& [name, value] : series) {
+    EXPECT_NE(text.find(std::string(name) + "{model=\"cached\"} " +
+                        std::to_string(value) + "\n"),
+              std::string::npos)
+        << name;
+  }
+  // Those five are every IQA sample: "plain" publishes none.
+  size_t iqa_samples = 0;
+  for (size_t at = text.find("\ndeepeverest_iqa_"); at != std::string::npos;
+       at = text.find("\ndeepeverest_iqa_", at + 1)) {
+    ++iqa_samples;
+  }
+  EXPECT_EQ(iqa_samples, 5u);
 }
 
 TEST(QueryServiceTest, DrainWaitsAndShutdownCancelsQueued) {

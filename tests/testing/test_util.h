@@ -2,6 +2,7 @@
 #define DEEPEVEREST_TESTS_TESTING_TEST_UTIL_H_
 
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <system_error>
@@ -16,6 +17,7 @@
 #include "data/dataset.h"
 #include "nn/inference.h"
 #include "nn/model_zoo.h"
+#include "persist/snapshot.h"
 #include "storage/file_store.h"
 
 namespace deepeverest {
@@ -139,6 +141,31 @@ inline void ExpectValidTopK(const core::TopKResult& expected,
     EXPECT_TRUE(found) << "input " << e.input_id << " (value " << e.value
                        << ") missing from result";
   }
+}
+
+/// File path of `layer`'s segment in the model's committed snapshot.
+inline std::string SegmentPath(storage::FileStore* store,
+                               const std::string& model, int layer) {
+  auto manifest = persist::ReadManifest(store, model);
+  EXPECT_TRUE(manifest.ok()) << manifest.status().ToString();
+  if (!manifest.ok()) return "";
+  for (const persist::SegmentInfo& seg : manifest->segments) {
+    if (seg.layer == layer) return store->root() + "/" + seg.key;
+  }
+  ADD_FAILURE() << "layer " << layer << " is not committed";
+  return "";
+}
+
+/// Flips one bit of the byte at `offset` in the file at `path`.
+inline void FlipByteAt(const std::string& path, size_t offset) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(f.good()) << path;
+  f.seekg(static_cast<std::streamoff>(offset));
+  char byte = 0;
+  f.read(&byte, 1);
+  byte = static_cast<char>(byte ^ 0x10);
+  f.seekp(static_cast<std::streamoff>(offset));
+  f.write(&byte, 1);
 }
 
 }  // namespace testing_util
