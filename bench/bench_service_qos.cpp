@@ -18,8 +18,10 @@
 // fewer partitions = more inputs per NTA round = longer rounds), in three
 // arms: no bulk load ("baseline"), bulk parked between rounds the moment
 // interactive work arrives ("preempt on", the service default), and bulk
-// run to completion ("preempt off"). With preemption on, p99 should stay
-// near the baseline whatever the round length.
+// run to completion ("preempt off"). A query parks only between rounds, so
+// preemption keeps p99 near the baseline only where rounds are short: at 8
+// and 32 partitions it sits well below "preempt off", while at 2 partitions,
+// where a round is about half the dataset, on and off are alike.
 //
 // Every answer, in every arm, must be bit-identical to a sequential
 // reference with exactly its `inputs_run` (receipt-metered attribution is

@@ -18,13 +18,13 @@ BatchingInferenceScheduler::BatchingInferenceScheduler(
     InferenceEngine* engine, BatchSchedulerOptions options)
     : engine_(engine),
       batch_size_(engine->batch_size()),
+      num_dispatchers_(std::max(1, options.num_dispatchers)),
       linger_{LingerNanos(options.interactive_linger_seconds),
               LingerNanos(options.linger_seconds),
               LingerNanos(options.best_effort_linger_seconds)} {
   DE_CHECK_GT(batch_size_, 0);
-  const int n = options.num_dispatchers > 0 ? options.num_dispatchers : 1;
-  dispatchers_.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
+  dispatchers_.reserve(static_cast<size_t>(num_dispatchers_));
+  for (int i = 0; i < num_dispatchers_; ++i) {
     dispatchers_.emplace_back([this] { DispatcherLoop(); });
   }
 }
@@ -88,10 +88,16 @@ Status BatchingInferenceScheduler::ComputeLayer(
     BatchSchedulerClassStats& class_stats = stats_.per_class[QosIndex(qos)];
     ++class_stats.requests;
     class_stats.inputs_enqueued += static_cast<int64_t>(input_ids.size());
-    work_cv_.NotifyAll();
+    // One dispatcher serves (or times) this arrival; none is needed when
+    // the layer is not ready and an idle one already sleeps until an
+    // earlier deadline (it rescans then).
+    if (queue.pending_inputs >= static_cast<size_t>(batch_size_) ||
+        request.flush_at < timer_) {
+      work_cv_.NotifyOne();
+    }
     // `request.done` lives on this stack frame but is written by the
     // dispatcher under mu_; the explicit loop keeps every read under mu_.
-    while (!request.done) done_cv_.Wait(&mu_);
+    while (!request.done) request.done_cv.Wait(&mu_);
   }
   if (receipt != nullptr) *receipt += request.receipt;
   if (!request.status.ok()) {
@@ -101,96 +107,104 @@ Status BatchingInferenceScheduler::ComputeLayer(
   return Status::OK();
 }
 
+BatchingInferenceScheduler::Selection BatchingInferenceScheduler::SelectLocked(
+    Clock::time_point now) const {
+  // A layer is *ready* when it has a full batch pending or any pending
+  // request's class linger window has expired (always, when stopping) —
+  // interactive requests carry a zero window by default, so a layer they
+  // join becomes ready (sealed) immediately. Among ready layers the most
+  // urgent pending class wins, then the oldest head — FIFO across
+  // equal-class layers, so sustained full-batch traffic on one layer cannot
+  // starve an expired partial request on another (hot layers keep
+  // presenting newer heads while a waiting head's arrival stays fixed).
+  Selection selection;
+  for (const auto& [layer, queue] : pending_) {
+    if (queue.requests.empty()) continue;
+    const Clock::time_point arrival = queue.requests.front()->arrival;
+    // The layer's flush deadline and priority come from its most urgent
+    // pending request (queues are at most a few requests deep — one per
+    // blocked worker — so the scan is cheap).
+    Clock::time_point deadline = Clock::time_point::max();
+    int best_class = QosIndex(QosClass::kBestEffort);
+    for (const Request* request : queue.requests) {
+      if (request->flush_at < deadline) deadline = request->flush_at;
+      if (QosIndex(request->qos) < best_class) {
+        best_class = QosIndex(request->qos);
+      }
+    }
+    const bool full = queue.pending_inputs >= static_cast<size_t>(batch_size_);
+    if (full || stopping_ || now >= deadline) {
+      const bool better = !selection.has_ready ||
+                          best_class < selection.best_class ||
+                          (best_class == selection.best_class &&
+                           arrival < selection.arrival);
+      if (better) {
+        selection.has_ready = true;
+        selection.layer = layer;
+        selection.partial = !full;
+        selection.best_class = best_class;
+        selection.arrival = arrival;
+      }
+    } else if (deadline < selection.next_deadline) {
+      selection.next_deadline = deadline;
+    }
+  }
+  return selection;
+}
+
 void BatchingInferenceScheduler::DispatcherLoop() {
   common::MutexLock lock(&mu_);
   for (;;) {
-    if (pending_.empty()) {
-      if (stopping_) return;
-      while (!stopping_ && pending_.empty()) work_cv_.Wait(&mu_);
-      continue;
-    }
-
-    // Pick the layer to serve. A layer is *ready* when it has a full batch
-    // pending or any pending request's class linger window has expired
-    // (always, when stopping) — interactive requests carry a zero window by
-    // default, so a layer they join becomes ready (sealed) immediately.
-    // Among ready layers the most urgent pending class wins, then the
-    // oldest head — FIFO across equal-class layers, so sustained full-batch
-    // traffic on one layer cannot starve an expired partial request on
-    // another (hot layers keep presenting newer heads while a waiting
-    // head's arrival stays fixed).
+    if (pending_.empty() && stopping_) return;
     const Clock::time_point now = Clock::now();
-    bool has_ready = false;
-    int ready_layer = 0;
-    bool ready_is_partial = false;
-    int ready_class = 0;
-    Clock::time_point ready_arrival{};
-    bool has_waiting = false;
-    Clock::time_point next_deadline{};
-    for (const auto& [layer, queue] : pending_) {
-      if (queue.requests.empty()) continue;
-      const Clock::time_point arrival = queue.requests.front()->arrival;
-      // The layer's flush deadline and priority come from its most urgent
-      // pending request (queues are at most a few requests deep — one per
-      // blocked worker — so the scan is cheap).
-      Clock::time_point deadline = Clock::time_point::max();
-      int best_class = QosIndex(QosClass::kBestEffort);
-      for (const Request* request : queue.requests) {
-        if (request->flush_at < deadline) deadline = request->flush_at;
-        if (QosIndex(request->qos) < best_class) {
-          best_class = QosIndex(request->qos);
-        }
+    const Selection selection = SelectLocked(now);
+    if (!selection.has_ready) {
+      if (selection.next_deadline < timer_) {
+        // Time the earliest lingering partial; new arrivals or the deadline
+        // re-run the selection above.
+        const Clock::time_point deadline = selection.next_deadline;
+        timer_ = deadline;
+        work_cv_.WaitUntil(&mu_, deadline);
+        if (timer_ == deadline) timer_ = Clock::time_point::max();
+      } else {
+        work_cv_.Wait(&mu_);
       }
-      const bool full =
-          queue.pending_inputs >= static_cast<size_t>(batch_size_);
-      if (full || stopping_ || now >= deadline) {
-        const bool better =
-            !has_ready || best_class < ready_class ||
-            (best_class == ready_class && arrival < ready_arrival);
-        if (better) {
-          has_ready = true;
-          ready_layer = layer;
-          ready_arrival = arrival;
-          ready_is_partial = !full;
-          ready_class = best_class;
-        }
-      } else if (!has_waiting || deadline < next_deadline) {
-        has_waiting = true;
-        next_deadline = deadline;
-      }
-    }
-    if (!has_ready) {
-      if (!has_waiting) {  // defensive: map held only empty queues
-        pending_.clear();
-        continue;
-      }
-      // Wait for more inputs to top a batch up; new arrivals or the
-      // deadline re-run the selection above.
-      work_cv_.WaitUntil(&mu_, next_deadline);
       continue;
     }
-    const int layer = ready_layer;
-    if (ready_is_partial && !stopping_) {
-      ++stats_.linger_flushes;
-      if (ready_class == QosIndex(QosClass::kInteractive)) {
-        ++stats_.sealed_by_interactive;
+    const int layer = selection.layer;
+    // A full-ready layer gives this turn its even share of its full
+    // batches; a partial flush is one batch.
+    size_t capacity = static_cast<size_t>(batch_size_);
+    if (selection.partial) {
+      if (!stopping_) {
+        ++stats_.linger_flushes;
+        if (selection.best_class == QosIndex(QosClass::kInteractive)) {
+          ++stats_.sealed_by_interactive;
+        }
       }
+    } else {
+      const size_t full_batches = pending_[layer].pending_inputs / capacity;
+      const size_t dispatchers = static_cast<size_t>(num_dispatchers_);
+      capacity *= (full_batches + dispatchers - 1) / dispatchers;
     }
 
     std::vector<uint32_t> batch_ids;
     std::vector<Slice> slices;
-    GatherBatchLocked(layer, &batch_ids, &slices);
-    if (batch_ids.empty()) continue;
+    GatherLocked(layer, capacity, &batch_ids, &slices);
+    // Work left behind gets one more dispatcher: now when it is ready, or
+    // as its timer when it lingers and no idle dispatcher times it yet.
+    const Selection rest = SelectLocked(now);
+    if (rest.has_ready || rest.next_deadline < timer_) work_cv_.NotifyOne();
     RunBatch(layer, std::move(batch_ids), std::move(slices));
   }
 }
 
-void BatchingInferenceScheduler::GatherBatchLocked(
-    int layer, std::vector<uint32_t>* batch_ids, std::vector<Slice>* slices) {
+void BatchingInferenceScheduler::GatherLocked(int layer, size_t capacity,
+                                              std::vector<uint32_t>* batch_ids,
+                                              std::vector<Slice>* slices) {
   auto it = pending_.find(layer);
   if (it == pending_.end()) return;
   LayerQueue& queue = it->second;
-  const size_t capacity = static_cast<size_t>(batch_size_);
   batch_ids->reserve(std::min(capacity, queue.pending_inputs));
   while (!queue.requests.empty() && batch_ids->size() < capacity) {
     Request* request = queue.requests.front();
@@ -218,61 +232,90 @@ void BatchingInferenceScheduler::RunBatch(int layer,
   // and other dispatchers keep launching while this batch computes).
   mu_.Unlock();
   std::vector<std::vector<float>> batch_rows;
-  InferenceReceipt batch_receipt;
+  InferenceReceipt call_receipt;
   const Status status =
-      engine_->ComputeLayer(batch_ids, layer, &batch_rows, &batch_receipt);
+      engine_->ComputeLayer(batch_ids, layer, &batch_rows, &call_receipt);
   mu_.Lock();
 
-  const int64_t n = static_cast<int64_t>(batch_ids.size());
+  // The engine meters the call per logical batch of batch_size_ inputs;
+  // counters and receipt shares are split the same way. A call of several
+  // batches takes only full ones, so its batches cost the same.
+  const size_t n = batch_ids.size();
+  const size_t capacity = static_cast<size_t>(batch_size_);
+  const size_t num_batches = (n + capacity - 1) / capacity;
   // ComputeLayer meters macs as n * CumulativeMacs(layer), so this division
   // recovers the per-input cost exactly.
   const int64_t macs_per_input =
-      status.ok() && n > 0 ? batch_receipt.macs / n : 0;
-  bool class_aboard[kNumQosClasses] = {};
+      status.ok() ? call_receipt.macs / static_cast<int64_t>(n) : 0;
+  const double batch_runs =
+      call_receipt.batches_run / static_cast<double>(num_batches);
+  const double batch_seconds =
+      call_receipt.simulated_gpu_seconds / static_cast<double>(num_batches);
+  size_t slice_index = 0;
+  size_t slice_offset = 0;  // ids of slices[slice_index] already charged
+  for (size_t begin = 0; begin < n; begin += capacity) {
+    const size_t batch_n = std::min(capacity, n - begin);
+    bool class_aboard[kNumQosClasses] = {};
+    size_t contributors = 0;
+    for (size_t charged = 0; charged < batch_n; ++contributors) {
+      const Slice& slice = slices[slice_index];
+      const size_t piece =
+          std::min(slice.count - slice_offset, batch_n - charged);
+      Request* request = slice.request;
+      BatchSchedulerClassStats& class_stats =
+          stats_.per_class[QosIndex(request->qos)];
+      class_stats.inputs_dispatched += static_cast<int64_t>(piece);
+      if (!class_aboard[QosIndex(request->qos)]) {
+        class_aboard[QosIndex(request->qos)] = true;
+        ++class_stats.batches_joined;
+      }
+      if (status.ok()) {
+        const double share =
+            static_cast<double>(piece) / static_cast<double>(batch_n);
+        request->receipt.inputs_run += static_cast<int64_t>(piece);
+        request->receipt.batches_run += share * batch_runs;
+        request->receipt.macs += macs_per_input * static_cast<int64_t>(piece);
+        request->receipt.simulated_gpu_seconds += share * batch_seconds;
+      }
+      charged += piece;
+      slice_offset += piece;
+      if (slice_offset == slice.count) {
+        ++slice_index;
+        slice_offset = 0;
+      }
+    }
+    stats_.batches_dispatched += 1;
+    stats_.inputs_dispatched += static_cast<int64_t>(batch_n);
+    if (contributors > 1) stats_.shared_batches += 1;
+    // Occupancy histogram bucket for fill in (i/8, (i+1)/8]: with
+    // batch_n >= 1, ceil(fill * 8) - 1 lands exactly there.
+    const size_t fill_bucket =
+        (batch_n * BatchSchedulerStats::kFillBuckets + capacity - 1) /
+            capacity -
+        1;
+    stats_.fill_histogram[fill_bucket] += 1;
+  }
+
   size_t offset = 0;
   for (const Slice& slice : slices) {
     Request* request = slice.request;
-    BatchSchedulerClassStats& class_stats =
-        stats_.per_class[QosIndex(request->qos)];
-    class_stats.inputs_dispatched += static_cast<int64_t>(slice.count);
-    if (!class_aboard[QosIndex(request->qos)]) {
-      class_aboard[QosIndex(request->qos)] = true;
-      ++class_stats.batches_joined;
-    }
     if (status.ok()) {
       for (size_t i = 0; i < slice.count; ++i) {
         (*request->rows)[slice.src_begin + i] =
             std::move(batch_rows[offset + i]);
       }
-      const double share =
-          static_cast<double>(slice.count) / static_cast<double>(n);
-      request->receipt.inputs_run += static_cast<int64_t>(slice.count);
-      request->receipt.batches_run += share * batch_receipt.batches_run;
-      request->receipt.macs +=
-          macs_per_input * static_cast<int64_t>(slice.count);
-      request->receipt.simulated_gpu_seconds +=
-          share * batch_receipt.simulated_gpu_seconds;
     } else if (request->status.ok()) {
       request->status = status;
     }
-    request->completed += slice.count;
     offset += slice.count;
-    if (request->completed == request->ids->size()) request->done = true;
+    request->completed += slice.count;
+    if (request->completed == request->ids->size()) {
+      // Signalled under mu_: the caller cannot leave its wait (and destroy
+      // the request) before this thread releases the lock.
+      request->done = true;
+      request->done_cv.NotifyOne();
+    }
   }
-  stats_.batches_dispatched += 1;
-  stats_.inputs_dispatched += n;
-  if (slices.size() > 1) stats_.shared_batches += 1;
-  // Occupancy histogram bucket for fill in (i/8, (i+1)/8]: with n >= 1,
-  // ceil(fill * 8) - 1 lands exactly there; clamp defends against a
-  // hypothetical overfull batch.
-  const int fill_bucket = std::min(
-      BatchSchedulerStats::kFillBuckets - 1,
-      static_cast<int>((n * BatchSchedulerStats::kFillBuckets + batch_size_ -
-                        1) /
-                       batch_size_) -
-          1);
-  stats_.fill_histogram[static_cast<size_t>(std::max(0, fill_bucket))] += 1;
-  done_cv_.NotifyAll();
 }
 
 BatchSchedulerStats BatchingInferenceScheduler::stats() const {

@@ -100,6 +100,25 @@ struct BatchSchedulerStats {
 /// Among ready layers, dispatch prefers the layer carrying the most urgent
 /// class, then the oldest head — so interactive inference never queues
 /// behind a backlog of ready bulk layers.
+///
+/// One dispatcher turn is one engine call. On a layer with f >= 1 full
+/// batches pending, the turn takes its even share of them, ceil(f /
+/// num_dispatchers) device batches, so a deep queue costs one handoff per
+/// dispatcher instead of one per batch; a partial flush is one batch. The
+/// engine meters (and, when simulating the device, sleeps) per batch, and
+/// the scheduler's counters and receipt shares are split the same way, per
+/// logical batch of batch_size inputs.
+///
+/// Who wakes whom: a thread is woken only for work that concerns it. Each
+/// blocked caller waits on its own request's signal, set once under the
+/// lock when its last row lands. An arrival wakes one dispatcher, unless
+/// its layer is not ready yet and an idle dispatcher is already sleeping
+/// until an earlier flush deadline. A dispatcher that leaves work behind
+/// after its gather wakes one more: when that work is ready, or when it
+/// lingers and no idle dispatcher is timing its deadline (one idle
+/// dispatcher at a time sleeps until the earliest deadline; the others
+/// sleep until woken). Only shutdown wakes every dispatcher.
+///
 /// Each caller receives exactly the rows it asked for and
 /// an InferenceReceipt charging it its own inputs plus its occupancy share
 /// of every shared launch — so per-query `inputs_run` is exact under any
@@ -152,6 +171,9 @@ class BatchingInferenceScheduler {
     const std::vector<uint32_t>* ids = nullptr;
     std::vector<std::vector<float>>* rows = nullptr;
     InferenceReceipt receipt;
+    /// Signalled (under mu_) once, when `done` is set: the one wake-up
+    /// this caller gets.
+    common::CondVar done_cv;
     size_t dispatched = 0;  // ids handed to some batch so far
     size_t completed = 0;   // ids whose rows (or failure) have resolved
     Status status;          // first error, if any
@@ -168,20 +190,36 @@ class BatchingInferenceScheduler {
     size_t pending_inputs = 0;      // sum of undispatched ids
   };
 
-  /// A request's contribution to one batch.
+  /// A request's contribution to one engine call.
   struct Slice {
     Request* request;
     size_t src_begin;  // index into request->ids
     size_t count;
   };
 
+  /// What one scan of pending_ found.
+  struct Selection {
+    bool has_ready = false;
+    int layer = 0;         // the ready layer to serve, when has_ready
+    bool partial = false;  // it holds less than one full batch
+    int best_class = 0;    // QosIndex of its most urgent request
+    Clock::time_point arrival{};  // its head's arrival
+    /// The earliest flush deadline among layers not ready yet (max() when
+    /// there are none).
+    Clock::time_point next_deadline = Clock::time_point::max();
+  };
+
   void DispatcherLoop();
-  /// Pops up to batch_size_ pending ids of `layer` into a batch.
-  void GatherBatchLocked(int layer, std::vector<uint32_t>* batch_ids,
-                         std::vector<Slice>* slices) REQUIRES(mu_);
-  /// Runs one gathered batch (mu_ is released around the engine call and
-  /// reacquired before scattering rows + receipt shares back to the
-  /// contributing requests, so mu_ is held on entry AND exit).
+  /// Picks the layer to serve at `now` (see DispatcherLoop).
+  Selection SelectLocked(Clock::time_point now) const REQUIRES(mu_);
+  /// Pops up to `capacity` pending ids of `layer` into one engine call.
+  void GatherLocked(int layer, size_t capacity,
+                    std::vector<uint32_t>* batch_ids,
+                    std::vector<Slice>* slices) REQUIRES(mu_);
+  /// Runs one gathered engine call of one or more logical batches (mu_ is
+  /// released around the engine call and reacquired before scattering rows
+  /// + receipt shares back to the contributing requests, so mu_ is held on
+  /// entry AND exit).
   void RunBatch(int layer, std::vector<uint32_t> batch_ids,
                 std::vector<Slice> slices) REQUIRES(mu_);
 
@@ -189,12 +227,15 @@ class BatchingInferenceScheduler {
   // Derived from BatchSchedulerOptions at construction; the options struct
   // itself is not kept (nothing may change after the dispatchers start).
   int batch_size_;
+  int num_dispatchers_;
   std::array<std::chrono::nanoseconds, kNumQosClasses> linger_;
 
   mutable common::Mutex mu_;
-  common::CondVar work_cv_;  // wakes dispatchers
-  common::CondVar done_cv_;  // wakes blocked callers
+  common::CondVar work_cv_;  // wakes dispatchers (callers: Request::done_cv)
   bool stopping_ GUARDED_BY(mu_) = false;
+  /// The flush deadline an idle dispatcher is sleeping until, or max() when
+  /// none is: a lingering partial needs one timer, not every idle thread.
+  Clock::time_point timer_ GUARDED_BY(mu_) = Clock::time_point::max();
   std::map<int, LayerQueue> pending_ GUARDED_BY(mu_);
   BatchSchedulerStats stats_ GUARDED_BY(mu_);
 

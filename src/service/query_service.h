@@ -62,7 +62,11 @@ struct QueryServiceOptions {
   /// anyway.
   /// Interactive requests never linger and best-effort ones linger longest
   /// (BatchSchedulerOptions' defaults); the scheduler runs one dispatcher
-  /// (device stream) per worker.
+  /// (device stream) per worker. Only the dispatcher timing the earliest
+  /// lingering partial wakes at its deadline; a worker is woken once, when
+  /// its request's last row lands, and a dispatcher turn on a deep queue
+  /// runs its even share of the full batches, ceil(full / workers), in one
+  /// engine call.
   double batch_linger_seconds = 5e-4;
 
   /// Preemptive execution: a worker stepping a non-interactive query parks

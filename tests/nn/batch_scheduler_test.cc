@@ -1,12 +1,14 @@
 // Tests for the cross-query batching scheduler: row correctness vs. direct
 // engine calls, exact per-caller receipts, cross-caller coalescing, linger
-// flushes of partial batches, and error handling.
+// flushes of partial batches, even-share multi-batch turns, wake-up
+// protocol stress, and error handling.
 #include "nn/batch_scheduler.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -354,37 +356,117 @@ TEST(BatchSchedulerTest, BatchRequestLingersFullWindowWithoutSealing) {
   EXPECT_EQ(stats.per_class[QosIndex(QosClass::kBatch)].requests, 1);
 }
 
-TEST(BatchSchedulerTest, ManyThreadsManyLayersStress) {
-  TinySystem sys(48, 906, /*batch_size=*/16);
-  const std::vector<int>& layers = sys.model->activation_layers();
-  BatchSchedulerOptions options;
-  options.linger_seconds = 0.0005;
-  options.num_dispatchers = 2;
-  BatchingInferenceScheduler scheduler(sys.engine.get(), options);
+// One turn on a full-ready layer takes its even share of the full batches,
+// ceil(5 / 4) = 2 device batches in one engine call here, yet counters and
+// receipt shares are split per logical batch: the scheduler reports the
+// same batches, fills and cost as a direct engine call of the same inputs.
+TEST(BatchSchedulerTest, DeepQueueRunsInEvenSharesMeteredPerBatch) {
+  constexpr int kBatch = 16;
+  TinySystem sys(5 * kBatch + 3, 911, kBatch);
+  const int layer = sys.model->activation_layers()[0];
+  const std::vector<uint32_t> ids = Ids(0, 5 * kBatch + 3);
 
-  std::atomic<int> failures{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&, t] {
-      for (int round = 0; round < 6; ++round) {
-        const int layer = layers[static_cast<size_t>((t + round) %
-                                                     layers.size())];
-        const std::vector<uint32_t> ids =
-            Ids(static_cast<uint32_t>((t * 5 + round) % 24), 17);
-        std::vector<std::vector<float>> rows;
-        InferenceReceipt receipt;
-        if (!scheduler.ComputeLayer(ids, layer, &rows, &receipt).ok() ||
-            rows.size() != ids.size() || receipt.inputs_run != 17) {
-          failures.fetch_add(1);
-        }
-      }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  EXPECT_EQ(failures.load(), 0);
+  std::vector<std::vector<float>> direct_rows;
+  InferenceReceipt direct_receipt;
+  ASSERT_TRUE(
+      sys.engine->ComputeLayer(ids, layer, &direct_rows, &direct_receipt)
+          .ok());
+
+  BatchSchedulerOptions options;
+  options.num_dispatchers = 4;
+  BatchingInferenceScheduler scheduler(sys.engine.get(), options);
+  std::vector<std::vector<float>> rows;
+  InferenceReceipt receipt;
+  ASSERT_TRUE(scheduler.ComputeLayer(ids, layer, &rows, &receipt).ok());
+  EXPECT_EQ(rows, direct_rows);
+  EXPECT_EQ(receipt.inputs_run, direct_receipt.inputs_run);
+  EXPECT_DOUBLE_EQ(receipt.batches_run, direct_receipt.batches_run);
+  EXPECT_EQ(receipt.macs, direct_receipt.macs);
+  EXPECT_DOUBLE_EQ(receipt.simulated_gpu_seconds,
+                   direct_receipt.simulated_gpu_seconds);
+
   const BatchSchedulerStats stats = scheduler.stats();
-  EXPECT_EQ(stats.requests, 48);
-  EXPECT_EQ(stats.inputs_enqueued, stats.inputs_dispatched);
+  EXPECT_EQ(stats.batches_dispatched, 6);  // 5 full + the 3-input flush
+  EXPECT_EQ(stats.inputs_dispatched, 5 * kBatch + 3);
+  EXPECT_EQ(stats.shared_batches, 0);
+  EXPECT_EQ(stats.fill_histogram[BatchSchedulerStats::kFillBuckets - 1], 5);
+  EXPECT_EQ(stats.fill_histogram[1], 1);  // 3/16 is in (1/8, 2/8]
+  EXPECT_EQ(stats.per_class[QosIndex(QosClass::kBatch)].batches_joined, 6);
+}
+
+// Lost-wake and conservation stress over 1, 2 and 4 dispatchers: callers
+// of every QoS class file requests of 1 to 3 batches on rotating layers.
+// Every row must equal a direct engine call's, every receipt must charge
+// exactly its own inputs, and the receipts' batch shares must sum to the
+// batches dispatched. A lost wake-up leaves a caller (and the test)
+// blocked, which ctest reports as a timeout.
+TEST(BatchSchedulerTest, ManyThreadsManyLayersStress) {
+  constexpr int kBatch = 16;
+  constexpr uint32_t kInputs = 3 * kBatch;
+  TinySystem sys(kInputs, 906, kBatch);
+  const std::vector<int>& layers = sys.model->activation_layers();
+  std::vector<std::vector<std::vector<float>>> reference(layers.size());
+  for (size_t l = 0; l < layers.size(); ++l) {
+    ASSERT_TRUE(sys.engine
+                    ->ComputeLayer(Ids(0, kInputs), layers[l], &reference[l],
+                                   nullptr)
+                    .ok());
+  }
+  const QosClass kClasses[] = {QosClass::kInteractive, QosClass::kBatch,
+                               QosClass::kBestEffort};
+
+  for (const int dispatchers : {1, 2, 4}) {
+    SCOPED_TRACE("num_dispatchers = " + std::to_string(dispatchers));
+    BatchSchedulerOptions options;
+    options.linger_seconds = 0.0005;
+    options.best_effort_linger_seconds = 0.001;
+    options.num_dispatchers = dispatchers;
+    BatchingInferenceScheduler scheduler(sys.engine.get(), options);
+
+    constexpr int kThreads = 8;
+    constexpr int kRounds = 12;
+    std::atomic<int> failures{0};
+    std::atomic<int64_t> inputs{0};
+    std::vector<double> batches_run(kThreads, 0.0);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (int round = 0; round < kRounds; ++round) {
+          const size_t l = static_cast<size_t>(t + round) % layers.size();
+          const uint32_t count =
+              1 + static_cast<uint32_t>(t * 7 + round * 5) % kInputs;
+          const uint32_t begin =
+              static_cast<uint32_t>(t * 11 + round * 3) % (kInputs - count + 1);
+          const QosClass qos = kClasses[(t + round) % 3];
+          std::vector<std::vector<float>> rows;
+          InferenceReceipt receipt;
+          const Status status = scheduler.ComputeLayer(
+              Ids(begin, count), layers[l], &rows, &receipt, qos);
+          bool ok = status.ok() && rows.size() == count &&
+                    receipt.inputs_run == static_cast<int64_t>(count);
+          for (uint32_t i = 0; ok && i < count; ++i) {
+            ok = rows[i] == reference[l][begin + i];
+          }
+          if (!ok) failures.fetch_add(1);
+          inputs.fetch_add(count);
+          batches_run[static_cast<size_t>(t)] += receipt.batches_run;
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    EXPECT_EQ(failures.load(), 0);
+
+    const BatchSchedulerStats stats = scheduler.stats();
+    EXPECT_EQ(stats.requests, kThreads * kRounds);
+    EXPECT_EQ(stats.inputs_enqueued, inputs.load());
+    EXPECT_EQ(stats.inputs_dispatched, inputs.load());
+    double shares = 0.0;
+    for (const double b : batches_run) shares += b;
+    EXPECT_NEAR(shares, static_cast<double>(stats.batches_dispatched), 1e-6);
+    int64_t histogram = 0;
+    for (const int64_t bucket : stats.fill_histogram) histogram += bucket;
+    EXPECT_EQ(histogram, stats.batches_dispatched);
+  }
 }
 
 }  // namespace
