@@ -40,7 +40,7 @@ struct TraceSpan {
 /// monotonic clock.
 ///
 /// Every service query gets one at admission; it rides the query's
-/// QueryContext through QueryService → DeepEverest → NtaEngine →
+/// QueryContext through QueryService → QueryExecution →
 /// BatchingInferenceScheduler, so each layer appends spans without any
 /// signature churn. Span nesting is implicit: StartSpan parents to the
 /// innermost span still open, which matches the strictly LIFO way the

@@ -41,55 +41,6 @@ struct DeepEverestOptions {
   uint64_t iqa_capacity_bytes = 1ull << 30;  // paper uses a 1 GB budget
 };
 
-class DeepEverest;
-
-/// \brief One in-flight QuerySpec as a first-class, resumable object: the
-/// whole-query phase machine (derived-group resolution → incremental index
-/// ensure → scan or round-sliced NTA) with all state checkpointed between
-/// `Step()` calls.
-///
-/// Created by DeepEverest::BeginSpec(). The first Steps run the coarse
-/// phases (resolution costs at most one inference pass; the index ensure may
-/// build the layer index); once NTA starts, every further Step runs exactly
-/// one NTA round. The final result — and its receipt-metered `inputs_run`
-/// attribution over the *whole* execution, resolution and index build
-/// included — is identical to an uninterrupted ExecuteSpec call.
-///
-/// Ownership/threading: single-owner state, NOT internally synchronised. At
-/// most one thread may touch the object at a time; a cross-thread handoff
-/// must be ordered by an external synchronisation point (the QueryService
-/// parks executions in its mutex-guarded dispatch queue). The QueryContext
-/// passed to BeginSpec must outlive the execution; cancellation and deadline
-/// are re-validated at every Step, so an execution whose deadline expired
-/// while parked aborts on its first resumed Step.
-class QueryExecution {
- public:
-  ~QueryExecution();
-  QueryExecution(const QueryExecution&) = delete;
-  QueryExecution& operator=(const QueryExecution&) = delete;
-
-  /// Runs one unit of work (one phase transition or one NTA round). A
-  /// non-OK status finishes the execution; TakeResult() returns the same
-  /// status. Calling Step() once done is a no-op.
-  Status Step();
-
-  /// True once the query finished (answer ready or terminal error).
-  bool done() const;
-
-  /// Steps to completion and returns the final result.
-  Result<TopKResult> Run();
-
-  /// After done(): the final result or the terminal error. `wall_seconds`
-  /// is accumulated *active* stepping time; parked time is not charged.
-  Result<TopKResult> TakeResult();
-
- private:
-  friend class DeepEverest;
-  struct Impl;
-  explicit QueryExecution(std::unique_ptr<Impl> impl);
-  std::unique_ptr<Impl> impl_;
-};
-
 /// \brief The DeepEverest system: declarative top-k queries over DNN
 /// activations, accelerated by NPI + MAI + NTA with incremental indexing.
 ///
@@ -108,10 +59,11 @@ class QueryExecution {
 /// rebuilding.
 ///
 /// The system has ONE execution mechanism: every query is a core::QuerySpec
-/// run through the resumable QueryExecution phase machine (BeginSpec);
-/// ExecuteSpec, the QueryEngine entry point it shares with the baselines,
-/// runs it to completion. There is no separate non-resumable path and no
-/// entry point that bypasses ValidateSpec or QueryContext.
+/// run through the resumable QueryExecution phase machine (BeginSpec), the
+/// same object NtaEngine::Begin starts at its NTA phase; ExecuteSpec, the
+/// QueryEngine entry point it shares with the baselines, runs it to
+/// completion. There is no separate non-resumable path and no entry point
+/// that bypasses ValidateSpec or QueryContext.
 class DeepEverest final : public QueryEngine {
  public:
   /// `model`, `dataset`, and `store` must outlive the returned object.

@@ -4,10 +4,13 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <optional>
+#include <string>
 #include <utility>
 
 #include "common/stopwatch.h"
 #include "common/trace.h"
+#include "core/deepeverest.h"
 #include "nn/batch_scheduler.h"
 
 namespace deepeverest {
@@ -259,91 +262,78 @@ Status EvaluateGroup(nn::InferenceEngine* inference, const NeuronGroup& group,
 
 }  // namespace
 
-/// All checkpointed state of one NTA query. Every former loop local of the
+/// All checkpointed state of one query. Every former loop local of the
 /// run-to-completion implementation lives here, so a Step boundary is a
-/// complete checkpoint: the candidate set, the threshold inputs (MAI
-/// cursors / partition bounds), the round counter, and the IQA/receipt
-/// bookkeeping all survive a park and a cross-thread handoff.
+/// complete checkpoint: the resolved group, the pinned index, the candidate
+/// set, the threshold inputs (MAI cursors / partition bounds), the round
+/// counter, and the IQA/receipt bookkeeping all survive a park and a
+/// cross-thread handoff.
 ///
-/// Every round runs one skeleton (StepRound): claim candidates, evaluate
-/// them in one batch, update the top-k, compute the threshold, test for
-/// termination. A phase supplies only where the candidates come from and,
-/// with the query kind, which threshold rule bounds the unseen inputs:
+/// A BeginSpec execution starts by resolving its group and ensuring its
+/// layer's index, one Step each; the ensure may answer by fresh scan (§4.6).
+/// Otherwise NTA runs: a most-similar query's prologue evaluates the target,
+/// then every round runs one skeleton (StepRound): claim candidates,
+/// evaluate them in one batch, update the top-k, compute the threshold, test
+/// for termination. A phase supplies only where the candidates come from
+/// and, with the query kind, which threshold rule bounds the unseen inputs:
 ///  - kMai: lockstep sweeps over the MAI cursors (§4.7.1), similarity
 ///    ordered for most-similar queries and in descending activation (TA
 ///    sorted access) for highest queries;
 ///  - kPartitions: one partition per neuron per round, in each neuron's
 ///    partition order (by dPar, eq. 2, for most-similar; highest first for
 ///    highest).
-struct NtaExecution::Impl {
+struct QueryExecution::Impl {
   enum class Phase {
-    kPrologue,    // most-similar: target evaluation + cursor setup
-    kMai,         // MAI cursor rounds
-    kPartitions,  // partition rounds (§4.4)
+    kResolve,      // derived-group resolution (≤ one inference pass)
+    kEnsureIndex,  // incremental index ensure; may answer via fresh scan
+    kPrologue,     // most-similar: target evaluation + cursor setup
+    kMai,          // MAI cursor rounds
+    kPartitions,   // partition rounds (§4.4)
     kDone,
   };
 
-  Impl(nn::InferenceEngine* inference_in, const LayerIndex* index_in,
-       QueryContext* ctx_in, const NeuronGroup& group_in,
-       const NtaOptions& options_in, bool highest_in)
-      : inference(inference_in),
-        index(index_in),
-        ctx(ctx_in),
-        group(group_in),
-        options(options_in),
-        dist(options_in.dist != nullptr ? options_in.dist : L2Distance()),
-        g(group_in.neurons.size()),
-        highest(highest_in),
-        use_mai(options_in.use_mai && index_in->has_mai()),
-        mai_count(index_in->mai_count()),
+  Impl(QueryContext* ctx_in, bool highest_in, int64_t target_id_in,
+       const std::vector<float>& target_acts_in)
+      : ctx(ctx_in),
         start_receipt(ctx_in->receipt),
-        num_partitions(index_in->num_partitions()),
-        state(g),
-        top(options_in.k, /*smaller_is_better=*/!highest_in),
-        round_members(g),
-        per_neuron(g) {
-    if (!highest) return;
-    // A highest query needs no prologue. Sorted access reads every neuron's
-    // MAI first (exact values, descending), then whole partitions, highest
-    // first; the MAI already covers partition 0.
-    ord.assign(g, {});
-    for (std::vector<uint32_t>& list : ord) {
-      for (int pid = use_mai ? 1 : 0; pid < num_partitions; ++pid) {
-        list.push_back(static_cast<uint32_t>(pid));
-      }
-    }
-    if (use_mai) {
-      cursors.resize(g);
-      for (size_t gi = 0; gi < g; ++gi) cursors[gi].gi = gi;
-      phase = Phase::kMai;
-    } else {
-      EnterPartitions();
-    }
-  }
+        highest(highest_in),
+        target_id(target_id_in),
+        target_acts(target_acts_in) {}
 
-  // --- immutable query shape ----------------------------------------------
-  nn::InferenceEngine* inference;
-  const LayerIndex* index;
+  // --- query shape ----------------------------------------------------------
   QueryContext* ctx;
-  NeuronGroup group;
-  NtaOptions options;
-  DistancePtr dist;
-  size_t g;
-  bool highest;
-  bool use_mai;
-  uint32_t mai_count;
   nn::InferenceReceipt start_receipt;
-  int num_partitions;
-  bool has_target_id = false;
-  uint32_t target_id = 0;
+  bool highest;
+  int64_t target_id;               // a dataset input, or -1
   std::vector<float> target_acts;  // set at Begin, or by the prologue
+  NeuronGroup group;  // set at Begin, or by the resolve phase
+  // BeginSpec only: the system that resolves the group and ensures the
+  // index, and the spec it runs.
+  DeepEverest* system = nullptr;
+  QuerySpec spec;
+  // The query's pinned index version (BeginSpec): holding the shared_ptr
+  // keeps this exact index alive even if ingest swaps a newer one into the
+  // IndexManager mid-query, so every round sees one consistent dataset
+  // prefix and the answer is bit-identical to a fresh scan over it.
+  LayerIndexPtr index_ref;
+  NtaOptions options;  // set at Begin, or by the ensure phase
+  // Set by StartNta.
+  nn::InferenceEngine* inference = nullptr;
+  const LayerIndex* index = nullptr;
+  DistancePtr dist;
+  size_t g = 0;
+  bool use_mai = false;
+  uint32_t mai_count = 0;
+  int num_partitions = 0;
 
   // --- checkpointed run state ---------------------------------------------
-  Phase phase = Phase::kPrologue;
+  Phase phase = Phase::kResolve;
   Status error = Status::OK();
-  RunState state;
+  std::optional<TopKResult> scanned;  // the ensure phase's fresh-scan answer
+  int nta_span = -1;  // BeginSpec's "nta" span, open while NTA runs
+  RunState state{0};
   size_t offered = 0;  // arena rows [0, offered) were offered to `top`
-  TopKSet top;
+  TopKSet top{0, false};
   int64_t rounds = 0;
   bool finished = false;  // threshold met or user early stop
   bool terminated_early = false;
@@ -367,6 +357,78 @@ struct NtaExecution::Impl {
   std::vector<std::vector<uint32_t>> round_members;
   std::vector<double> offer_values;
   std::vector<double> per_neuron;
+
+  void EndNtaSpan() {
+    if (nta_span >= 0 && ctx->trace != nullptr) ctx->trace->EndSpan(nta_span);
+    nta_span = -1;
+  }
+
+  // The checks every query passes once its group is known: the group
+  // against the model, the target input against the dataset, and the
+  // target vector against the group.
+  Status ValidateQuery(const nn::InferenceEngine& engine) const {
+    DE_RETURN_NOT_OK(ValidateNeuronGroup(engine.model(), group));
+    if (target_id >= 0 &&
+        static_cast<uint64_t>(target_id) >= engine.dataset().size()) {
+      return Status::OutOfRange("target input " + std::to_string(target_id) +
+                                " out of range");
+    }
+    if (!target_acts.empty() && target_acts.size() != group.neurons.size()) {
+      return Status::InvalidArgument("target activation count mismatch");
+    }
+    return Status::OK();
+  }
+
+  // Sets up the NTA state for `options` over `index_in` and enters the
+  // query's first NTA phase: the prologue for a most-similar query. A highest query needs no
+  // prologue: sorted access reads every neuron's MAI first (exact values,
+  // descending), then whole partitions, highest first; the MAI already
+  // covers partition 0.
+  Status StartNta(nn::InferenceEngine* inference_in,
+                  const LayerIndex* index_in) {
+    const int64_t layer_neurons =
+        inference_in->model().NeuronCount(group.layer);
+    if (layer_neurons != index_in->num_neurons()) {
+      return Status::FailedPrecondition(
+          "index neuron count " + std::to_string(index_in->num_neurons()) +
+          " does not match layer " + std::to_string(group.layer) + " (" +
+          std::to_string(layer_neurons) + " neurons)");
+    }
+    // The index may lag a live-growing dataset (ingest): it must cover a
+    // prefix of the dataset, never more inputs than exist.
+    if (index_in->num_inputs() > inference_in->dataset().size()) {
+      return Status::FailedPrecondition("index built for a different dataset");
+    }
+    inference = inference_in;
+    index = index_in;
+    dist = options.dist != nullptr ? options.dist : L2Distance();
+    g = group.neurons.size();
+    use_mai = options.use_mai && index->has_mai();
+    mai_count = index->mai_count();
+    num_partitions = index->num_partitions();
+    state = RunState(g);
+    top = TopKSet(options.k, /*smaller_is_better=*/!highest);
+    round_members.resize(g);
+    per_neuron.resize(g);
+    if (!highest) {
+      phase = Phase::kPrologue;
+      return Status::OK();
+    }
+    ord.assign(g, {});
+    for (std::vector<uint32_t>& list : ord) {
+      for (int pid = use_mai ? 1 : 0; pid < num_partitions; ++pid) {
+        list.push_back(static_cast<uint32_t>(pid));
+      }
+    }
+    if (use_mai) {
+      cursors.resize(g);
+      for (size_t gi = 0; gi < g; ++gi) cursors[gi].gi = gi;
+      phase = Phase::kMai;
+    } else {
+      EnterPartitions();
+    }
+    return Status::OK();
+  }
 
   Status Evaluate() { return EvaluateGroup(inference, group, ctx, &state); }
 
@@ -597,17 +659,105 @@ struct NtaExecution::Impl {
 
   // --- steps: each runs one unit of work and sets the next phase ----------
 
+  Status StepResolve() {
+    group.layer = spec.layer;
+    if (spec.has_derived_group()) {
+      // Resolution runs under the query's context: metered into its
+      // receipt, routed through its batch scheduler, aborted by
+      // deadline/cancel.
+      const int64_t reference =
+          spec.top_of >= 0 ? spec.top_of : spec.target_id;
+      SpanScope span(ctx->trace.get(), "resolve_group");
+      DE_ASSIGN_OR_RETURN(
+          group.neurons,
+          system->MaximallyActivatedNeurons(static_cast<uint32_t>(reference),
+                                            spec.layer, spec.top_neurons,
+                                            ctx));
+      span.AddInt("inputs_run",
+                  ctx->receipt.inputs_run - start_receipt.inputs_run);
+    } else {
+      group.neurons = spec.neurons;
+    }
+    phase = Phase::kEnsureIndex;
+    return Status::OK();
+  }
+
+  Status StepEnsureIndex() {
+    // Validated before the index ensure: the §4.6 fresh-scan path reads
+    // activation rows with unchecked indexing.
+    DE_RETURN_NOT_OK(ValidateQuery(*system->inference()));
+    DE_RETURN_NOT_OK(ctx->CheckRunnable());
+
+    // Per-query receipt metering via the context: any index-build inference
+    // is charged to the query that actually performed the build (§4.6
+    // trigger); NTA meters its own calls into the same receipt. Unlike a
+    // before/after stats() delta, concurrent queries on the shared engine
+    // can never leak into these numbers.
+    const nn::InferenceReceipt ensure_start = ctx->receipt;
+    storage::LayerActivationMatrix fresh;
+    {
+      SpanScope span(ctx->trace.get(), "index.ensure");
+      PreprocessTimings timings;
+      DE_ASSIGN_OR_RETURN(index_ref, system->index_manager()->EnsureIndex(
+                                         group.layer, &fresh, &timings,
+                                         &ctx->receipt));
+      span.AddInt("inputs_run",
+                  ctx->receipt.inputs_run - ensure_start.inputs_run);
+      span.AddInt("built", fresh.num_inputs > 0 ? 1 : 0);
+      if (fresh.num_inputs > 0) {
+        // Sort & partition vs the snapshot commit that persists it.
+        span.AddDouble("index_s", timings.index_seconds);
+        span.AddDouble("commit_s", timings.persist_seconds);
+      }
+    }
+    // Pin the dataset version this query answers over. Candidates only ever
+    // come from the pinned index, so the result covers exactly the prefix
+    // [0, pinned_dataset_version) even while ingest grows the dataset.
+    ctx->pinned_dataset_version = index_ref->num_inputs();
+    // The build (or the wait on another thread's build) may have consumed
+    // the whole deadline budget; abort before scanning or running NTA.
+    DE_RETURN_NOT_OK(ctx->CheckRunnable());
+
+    // Answer from the freshly computed matrix when possible (§4.6): the
+    // index was just built, which computed every input's activations
+    // anyway. A most-similar target ingested after the build started is not
+    // covered by `fresh`; fall through to NTA, whose prologue computes the
+    // target's activations via inference.
+    const bool target_in_fresh =
+        target_id < 0 || static_cast<uint64_t>(target_id) < fresh.num_inputs;
+    if (fresh.num_inputs > 0 && target_in_fresh) {
+      SpanScope span(ctx->trace.get(), "scan");
+      DE_ASSIGN_OR_RETURN(scanned, ScanSpec(fresh, group, spec));
+      phase = Phase::kDone;
+      return Status::OK();
+    }
+
+    options.k = spec.k;
+    options.theta = spec.theta;
+    // Canonical serving mode: tie-complete termination makes the result
+    // bit-identical to a fresh activation scan even on exact value ties at
+    // the k-th boundary, so every entry point — and every park/resume
+    // schedule — returns the same answer.
+    options.tie_complete = true;
+    DE_ASSIGN_OR_RETURN(options.dist, MakeDistance(spec.distance));
+
+    // The NTA phases span many Steps; keep their span open across them.
+    if (ctx->trace != nullptr) nta_span = ctx->trace->StartSpan("nta");
+    return StartNta(system->inference(), index_ref.get());
+  }
+
   Status StepPrologue() {
     DE_RETURN_NOT_OK(ctx->CheckRunnable());
     // Step 2: compute the target's activations (one inference pass when the
     // target is a dataset input).
-    if (has_target_id) {
+    if (target_id >= 0) {
       SpanScope span(ctx->trace.get(), "nta.target");
       const int64_t inputs_before = ctx->receipt.inputs_run;
-      state.Claim(target_id);
+      const uint32_t target = static_cast<uint32_t>(target_id);
+      state.Claim(target);
       DE_RETURN_NOT_OK(Evaluate());
       span.AddInt("inputs_run", ctx->receipt.inputs_run - inputs_before);
-      const float* row = state.Row(target_id);
+      const float* row = state.Row(target);
       target_acts.assign(row, row + g);
       offered = state.evaluated();  // the target is never a candidate
     }
@@ -686,28 +836,62 @@ struct NtaExecution::Impl {
   }
 };
 
-NtaExecution::NtaExecution(std::unique_ptr<Impl> impl)
+QueryExecution::QueryExecution(std::unique_ptr<Impl> impl)
     : impl_(std::move(impl)) {}
 
-NtaExecution::~NtaExecution() = default;
+QueryExecution::~QueryExecution() {
+  // Abandoned mid-NTA (e.g. service shutdown with a parked query): close
+  // the open span so the trace stays well-formed.
+  if (impl_ != nullptr) impl_->EndNtaSpan();
+}
 
-bool NtaExecution::done() const { return impl_->phase == Impl::Phase::kDone; }
+std::unique_ptr<QueryExecution> QueryExecution::ForSpec(DeepEverest* system,
+                                                        const QuerySpec& spec,
+                                                        QueryContext* ctx) {
+  std::unique_ptr<Impl> impl(
+      new Impl(ctx, spec.kind == QuerySpec::Kind::kHighest, spec.target_id,
+               spec.target_activations));
+  impl->system = system;
+  impl->spec = spec;
+  return std::unique_ptr<QueryExecution>(new QueryExecution(std::move(impl)));
+}
 
-Status NtaExecution::Step() {
+bool QueryExecution::done() const {
+  return impl_->phase == Impl::Phase::kDone;
+}
+
+Status QueryExecution::Step() {
   Impl& im = *impl_;
   if (im.phase == Impl::Phase::kDone) return im.error;
   ActiveTimeCharge charge(&im.active_seconds);
-  const Status s =
-      im.phase == Impl::Phase::kPrologue ? im.StepPrologue() : im.StepRound();
+  Status s = Status::OK();
+  switch (im.phase) {
+    case Impl::Phase::kResolve:
+      s = im.StepResolve();
+      break;
+    case Impl::Phase::kEnsureIndex:
+      s = im.StepEnsureIndex();
+      break;
+    case Impl::Phase::kPrologue:
+      s = im.StepPrologue();
+      break;
+    case Impl::Phase::kMai:
+    case Impl::Phase::kPartitions:
+      s = im.StepRound();
+      break;
+    case Impl::Phase::kDone:
+      break;
+  }
   if (!s.ok()) {
     // A failed step finishes the execution; TakeResult() reports the error.
     im.error = s;
     im.phase = Impl::Phase::kDone;
   }
+  if (im.phase == Impl::Phase::kDone) im.EndNtaSpan();
   return s;
 }
 
-Result<TopKResult> NtaExecution::Run() {
+Result<TopKResult> QueryExecution::Run() {
   while (!done()) {
     const Status s = Step();
     if (!s.ok()) return s;
@@ -715,28 +899,30 @@ Result<TopKResult> NtaExecution::Run() {
   return TakeResult();
 }
 
-Result<TopKResult> NtaExecution::TakeResult() {
+Result<TopKResult> QueryExecution::TakeResult() {
   Impl& im = *impl_;
   if (im.phase != Impl::Phase::kDone) {
-    return Status::FailedPrecondition("NTA execution is not finished");
+    return Status::FailedPrecondition("query execution is not finished");
   }
   if (!im.error.ok()) return im.error;
   TopKResult result;
-  result.entries = im.top.entries();
+  result.entries =
+      im.scanned ? std::move(im.scanned->entries) : im.top.entries();
   // This query's exact inference cost: the delta of the context receipt
-  // over the whole execution (a per-query context starts at zero, so
-  // usually the receipt itself).
-  result.stats.inputs_run =
-      im.ctx->receipt.inputs_run - im.start_receipt.inputs_run;
-  result.stats.batches_run =
+  // over the whole execution, derived-group resolution and index-build
+  // inference included (a per-query context starts at zero, so usually the
+  // receipt itself).
+  QueryStats& stats = result.stats;
+  stats.inputs_run = im.ctx->receipt.inputs_run - im.start_receipt.inputs_run;
+  stats.batches_run =
       im.ctx->receipt.batches_run - im.start_receipt.batches_run;
-  result.stats.simulated_gpu_seconds =
-      im.ctx->receipt.simulated_gpu_seconds -
-      im.start_receipt.simulated_gpu_seconds;
-  result.stats.rounds = im.rounds;
-  result.stats.iqa_hits = im.state.iqa_hits;
-  result.stats.terminated_early = im.terminated_early;
-  result.stats.wall_seconds = im.active_seconds;
+  stats.simulated_gpu_seconds = im.ctx->receipt.simulated_gpu_seconds -
+                                im.start_receipt.simulated_gpu_seconds;
+  stats.rounds = im.rounds;
+  stats.iqa_hits = im.state.iqa_hits;
+  stats.terminated_early = im.terminated_early;
+  stats.wall_seconds = im.active_seconds;
+  stats.dataset_version = im.ctx->pinned_dataset_version;
   return result;
 }
 
@@ -759,37 +945,15 @@ Status ValidateNeuronGroup(const nn::Model& model, const NeuronGroup& group) {
   return Status::OK();
 }
 
-Result<std::unique_ptr<NtaExecution>> NtaEngine::Begin(
+Result<std::unique_ptr<QueryExecution>> NtaEngine::Begin(
     const NeuronGroup& group, QuerySpec::Kind kind, int64_t target_id,
     const std::vector<float>& target_acts, const NtaOptions& options,
     QueryContext* ctx) {
-  DE_RETURN_NOT_OK(ValidateNeuronGroup(inference_->model(), group));
-  const int64_t layer_neurons = inference_->model().NeuronCount(group.layer);
-  if (layer_neurons != index_->num_neurons()) {
-    return Status::FailedPrecondition(
-        "index neuron count " + std::to_string(index_->num_neurons()) +
-        " does not match layer " + std::to_string(group.layer) + " (" +
-        std::to_string(layer_neurons) + " neurons)");
-  }
-  // The index may lag a live-growing dataset (ingest): it must cover a
-  // prefix of the dataset, never more inputs than exist.
-  if (index_->num_inputs() > inference_->dataset().size()) {
-    return Status::FailedPrecondition("index built for a different dataset");
-  }
   const bool highest = kind == QuerySpec::Kind::kHighest;
-  const bool has_target_id = target_id >= 0;
-  if (highest ? has_target_id || !target_acts.empty()
-              : has_target_id == !target_acts.empty()) {
+  if (highest ? target_id >= 0 || !target_acts.empty()
+              : (target_id >= 0) == !target_acts.empty()) {
     return Status::InvalidArgument(
         "a highest query takes no target, a most-similar query exactly one");
-  }
-  if (has_target_id &&
-      static_cast<uint64_t>(target_id) >= inference_->dataset().size()) {
-    return Status::OutOfRange("target input " + std::to_string(target_id) +
-                              " out of range");
-  }
-  if (!target_acts.empty() && target_acts.size() != group.neurons.size()) {
-    return Status::InvalidArgument("target activation count mismatch");
   }
   if (options.k < 1) return Status::InvalidArgument("k must be >= 1");
   if (!(options.theta > 0.0) || options.theta > 1.0) {
@@ -799,40 +963,36 @@ Result<std::unique_ptr<NtaExecution>> NtaEngine::Begin(
     return Status::InvalidArgument(
         "a QueryContext is required to begin an execution");
   }
-  std::unique_ptr<NtaExecution::Impl> impl(new NtaExecution::Impl(
-      inference_, index_, ctx, group, options, highest));
-  impl->has_target_id = has_target_id;
-  if (has_target_id) impl->target_id = static_cast<uint32_t>(target_id);
-  impl->target_acts = target_acts;
-  return std::unique_ptr<NtaExecution>(new NtaExecution(std::move(impl)));
+  std::unique_ptr<QueryExecution::Impl> impl(
+      new QueryExecution::Impl(ctx, highest, target_id, target_acts));
+  impl->group = group;
+  impl->options = options;
+  DE_RETURN_NOT_OK(impl->ValidateQuery(*inference_));
+  DE_RETURN_NOT_OK(impl->StartNta(inference_, index_));
+  return std::unique_ptr<QueryExecution>(new QueryExecution(std::move(impl)));
 }
 
 // ---------------------------------------------------------------------------
-// Reference executors
+// Fresh scan
 // ---------------------------------------------------------------------------
 
 namespace {
 
-std::vector<uint32_t> AllIds(uint32_t n) {
-  std::vector<uint32_t> ids(n);
-  std::iota(ids.begin(), ids.end(), 0u);
-  return ids;
-}
-
-/// Rows the reference executors feed the batched distance calls per block:
+/// Rows the scans feed the batched distance calls per block:
 /// large enough to amortise the virtual + kernel dispatch, small enough to
 /// stay cache-resident alongside the gather source.
 constexpr size_t kScanBlockRows = 256;
 
-/// Streams `num_inputs` rows through `row_of`/`skip` in blocks: gathers the
-/// group's columns into a contiguous scratch block, runs one batched
-/// `aggregate` call per block, and offers every result. The fresh-scan
-/// references run through the same dispatched kernels as the service path,
-/// which is what keeps the §4.6 bit-equality invariant per dispatch mode.
-template <typename RowOf, typename SkipFn, typename AggregateFn>
-void ScanBlocked(uint32_t num_inputs, const std::vector<int64_t>& neurons,
-                 RowOf row_of, SkipFn skip, AggregateFn aggregate,
-                 TopKSet* top) {
+/// Streams the rows of `matrix` not `skip`ped in blocks: gathers the group's
+/// columns into a contiguous scratch block, runs one batched `aggregate`
+/// call per block, and offers every result. The fresh scan runs through the
+/// same dispatched kernels as NTA, which is what keeps the §4.6 bit-equality
+/// invariant per dispatch mode.
+template <typename SkipFn, typename AggregateFn>
+void ScanBlocked(const storage::LayerActivationMatrix& matrix,
+                 const std::vector<int64_t>& neurons, SkipFn skip,
+                 AggregateFn aggregate, TopKSet* top) {
+  const uint32_t num_inputs = matrix.num_inputs;
   const size_t g = neurons.size();
   std::vector<float> block(kScanBlockRows * g);
   std::vector<double> results(kScanBlockRows);
@@ -844,7 +1004,7 @@ void ScanBlocked(uint32_t num_inputs, const std::vector<int64_t>& neurons,
     size_t r = 0;
     for (; id < num_inputs && r < kScanBlockRows; ++id) {
       if (skip(id)) continue;
-      const float* row = row_of(id);
+      const float* row = matrix.Row(id);
       for (size_t i = 0; i < g; ++i) {
         block[r * g + i] = row[static_cast<size_t>(neurons[i])];
       }
@@ -866,7 +1026,7 @@ TopKResult ScanMostSimilar(const storage::LayerActivationMatrix& matrix,
   TopKSet top(k, /*smaller_is_better=*/true);
   const size_t g = neurons.size();
   ScanBlocked(
-      matrix.num_inputs, neurons, [&](uint32_t id) { return matrix.Row(id); },
+      matrix, neurons,
       [&](uint32_t id) { return exclude_target && id == target_id; },
       [&](const float* block, size_t rows, double* out) {
         dist->AggregateAbsDiffMany(block, g, rows, target_acts.data(), g, out);
@@ -883,7 +1043,7 @@ TopKResult ScanHighest(const storage::LayerActivationMatrix& matrix,
   TopKSet top(k, /*smaller_is_better=*/false);
   const size_t g = neurons.size();
   ScanBlocked(
-      matrix.num_inputs, neurons, [&](uint32_t id) { return matrix.Row(id); },
+      matrix, neurons,
       [](uint32_t) { return false; },
       [&](const float* block, size_t rows, double* out) {
         dist->AggregateValuesMany(block, g, rows, g, out);
@@ -927,62 +1087,6 @@ Result<TopKResult> ScanSpec(const storage::LayerActivationMatrix& matrix,
   }
   return ScanMostSimilar(matrix, group.neurons, target_acts, spec.k, dist,
                          /*exclude_target=*/true, target_id);
-}
-
-Result<TopKResult> BruteForceMostSimilar(nn::InferenceEngine* inference,
-                                         const NeuronGroup& group,
-                                         const std::vector<float>& target_acts,
-                                         int k, const DistancePtr& dist,
-                                         bool exclude_target,
-                                         uint32_t target_id) {
-  const DistancePtr d = dist != nullptr ? dist : L2Distance();
-  std::vector<std::vector<float>> rows;
-  const std::vector<uint32_t> ids = AllIds(inference->dataset().size());
-  nn::InferenceReceipt receipt;
-  DE_RETURN_NOT_OK(inference->ComputeLayer(ids, group.layer, &rows, &receipt));
-  TopKSet top(k, /*smaller_is_better=*/true);
-  const size_t g = group.neurons.size();
-  ScanBlocked(
-      static_cast<uint32_t>(ids.size()), group.neurons,
-      [&](uint32_t id) { return rows[id].data(); },
-      [&](uint32_t id) { return exclude_target && id == target_id; },
-      [&](const float* block, size_t num_rows, double* out) {
-        d->AggregateAbsDiffMany(block, g, num_rows, target_acts.data(), g,
-                                out);
-      },
-      &top);
-  TopKResult result;
-  result.entries = top.entries();
-  result.stats.inputs_run = receipt.inputs_run;
-  result.stats.batches_run = receipt.batches_run;
-  result.stats.simulated_gpu_seconds = receipt.simulated_gpu_seconds;
-  return result;
-}
-
-Result<TopKResult> BruteForceHighest(nn::InferenceEngine* inference,
-                                     const NeuronGroup& group, int k,
-                                     const DistancePtr& dist) {
-  const DistancePtr d = dist != nullptr ? dist : L2Distance();
-  std::vector<std::vector<float>> rows;
-  const std::vector<uint32_t> ids = AllIds(inference->dataset().size());
-  nn::InferenceReceipt receipt;
-  DE_RETURN_NOT_OK(inference->ComputeLayer(ids, group.layer, &rows, &receipt));
-  TopKSet top(k, /*smaller_is_better=*/false);
-  const size_t g = group.neurons.size();
-  ScanBlocked(
-      static_cast<uint32_t>(ids.size()), group.neurons,
-      [&](uint32_t id) { return rows[id].data(); },
-      [](uint32_t) { return false; },
-      [&](const float* block, size_t num_rows, double* out) {
-        d->AggregateValuesMany(block, g, num_rows, g, out);
-      },
-      &top);
-  TopKResult result;
-  result.entries = top.entries();
-  result.stats.inputs_run = receipt.inputs_run;
-  result.stats.batches_run = receipt.batches_run;
-  result.stats.simulated_gpu_seconds = receipt.simulated_gpu_seconds;
-  return result;
 }
 
 }  // namespace core

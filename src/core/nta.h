@@ -45,8 +45,8 @@ struct NtaOptions {
 };
 
 /// Checks `group` against the model: non-empty, an existing layer, every
-/// neuron inside that layer. DeepEverest runs it before the fresh-scan path
-/// reads activation rows unchecked; NtaEngine adds its index-shape checks.
+/// neuron inside that layer. QueryExecution runs it before the fresh-scan
+/// path reads activation rows unchecked, and NTA adds its index-shape checks.
 Status ValidateNeuronGroup(const nn::Model& model, const NeuronGroup& group);
 
 /// Runs `ids` to `layer` through the context's batch scheduler, or
@@ -58,38 +58,44 @@ Status ComputeLayerInContext(nn::InferenceEngine* inference,
                              QueryContext* ctx,
                              std::vector<std::vector<float>>* rows);
 
+class DeepEverest;
 class NtaEngine;
 
-/// \brief One in-flight NTA query as a first-class, resumable object: the
-/// candidate top-k set, the threshold state, the per-neuron sorted-access
-/// cursors (MAI and partition), and the IQA/receipt bookkeeping all live
-/// here instead of on a run-to-completion stack frame.
+/// \brief One in-flight query as a first-class, resumable object: the
+/// whole-query phase machine (derived-group resolution → incremental index
+/// ensure → fresh scan, or the NTA prologue and rounds) with all its state —
+/// the resolved group, the pinned index, the candidate top-k set, the
+/// threshold state, the per-neuron sorted-access cursors, and the
+/// IQA/receipt bookkeeping — checkpointed between `Step()` calls.
 ///
-/// Created by NtaEngine::Begin(). Each `Step()` runs exactly one unit of
-/// work — the target-evaluation prologue or one NTA round — and returns with
-/// all state checkpointed, so a caller may stop between rounds, hand the
-/// object to another thread, and continue later. Results are bit-identical to an uninterrupted run: the round
-/// structure, threshold arithmetic, and tie-complete termination are
-/// exactly those of the former run-to-completion loop.
+/// DeepEverest::BeginSpec() creates one at derived-group resolution;
+/// NtaEngine::Begin() creates one at the NTA phase, over its caller's index.
+/// Each `Step()` runs exactly one unit of work: the resolution (at most one
+/// inference pass), the index ensure (which may build the layer index and
+/// answer by scanning the matrix the build computed), the most-similar
+/// target prologue, or one NTA round. A caller may stop between Steps, hand
+/// the object to another thread, and continue later. The final result — and
+/// its receipt-metered `inputs_run` attribution over the *whole* execution,
+/// resolution and index build included — is bit-identical to an
+/// uninterrupted Run().
 ///
-/// Ownership/threading: the execution is NOT internally synchronised. It is
-/// single-owner state — at most one thread may call Step()/Run()/
-/// TakeResult() at a time, and a handoff between threads must be ordered by
-/// an external synchronisation point (the QueryService hands executions off
-/// through its mutex-guarded dispatch queue). The QueryContext passed at
-/// Begin must outlive the execution; cancellation/deadline are re-checked
-/// via that context at the start of every Step, so a resumed execution
+/// Ownership/threading: single-owner state, NOT internally synchronised. At
+/// most one thread may call Step()/Run()/TakeResult() at a time; a handoff
+/// between threads must be ordered by an external synchronisation point (the
+/// QueryService parks executions in its mutex-guarded dispatch queue). The
+/// QueryContext passed at Begin must outlive the execution; cancellation and
+/// deadline are re-checked via that context at every Step, so an execution
 /// whose deadline passed while it was parked aborts before doing any work.
-class NtaExecution {
+class QueryExecution {
  public:
-  ~NtaExecution();
-  NtaExecution(const NtaExecution&) = delete;
-  NtaExecution& operator=(const NtaExecution&) = delete;
+  ~QueryExecution();
+  QueryExecution(const QueryExecution&) = delete;
+  QueryExecution& operator=(const QueryExecution&) = delete;
 
-  /// Runs one unit of work (at most one NTA round). A non-OK status
-  /// (Cancelled, DeadlineExceeded, inference failure) finishes the
-  /// execution: `done()` becomes true and TakeResult() returns the same
-  /// status. Calling Step() once done is a no-op.
+  /// Runs one unit of work. A non-OK status (invalid group, Cancelled,
+  /// DeadlineExceeded, inference failure) finishes the execution: `done()`
+  /// becomes true and TakeResult() returns the same status. Calling Step()
+  /// once done is a no-op.
   Status Step();
 
   /// True once the query finished — answer complete, early-terminated,
@@ -106,9 +112,14 @@ class NtaExecution {
   Result<TopKResult> TakeResult();
 
  private:
+  friend class DeepEverest;
   friend class NtaEngine;
   struct Impl;
-  explicit NtaExecution(std::unique_ptr<Impl> impl);
+  explicit QueryExecution(std::unique_ptr<Impl> impl);
+  /// BeginSpec's execution of an already validated `spec`.
+  static std::unique_ptr<QueryExecution> ForSpec(DeepEverest* system,
+                                                 const QuerySpec& spec,
+                                                 QueryContext* ctx);
   std::unique_ptr<Impl> impl_;
 };
 
@@ -119,8 +130,9 @@ class NtaExecution {
 /// affect the answer. Instance optimal in the number of inputs accessed
 /// (Theorem 4.1).
 ///
-/// The engine has ONE entry point: Begin() returns a resumable NtaExecution
-/// that is stepped one round at a time (Run() steps it to completion).
+/// The engine has ONE entry point: Begin() returns a resumable QueryExecution
+/// that starts at the NTA phase and is stepped one round at a time (Run()
+/// steps it to completion).
 ///
 /// Begin takes the QueryContext carrying the query's execution plumbing
 /// (QoS class, deadline, cancellation, receipt, progress sink, IQA cache,
@@ -146,7 +158,7 @@ class NtaEngine {
   /// per group neuron (e.g. an out-of-dataset probe). Highest queries
   /// require non-negative activations (true for the ReLU layers DeepEverest
   /// queries). `ctx` must be non-null and outlive the returned execution.
-  Result<std::unique_ptr<NtaExecution>> Begin(
+  Result<std::unique_ptr<QueryExecution>> Begin(
       const NeuronGroup& group, QuerySpec::Kind kind, int64_t target_id,
       const std::vector<float>& target_acts, const NtaOptions& options,
       QueryContext* ctx);
@@ -155,20 +167,6 @@ class NtaEngine {
   nn::InferenceEngine* inference_;
   const LayerIndex* index_;
 };
-
-/// \brief Reference brute-force executors used by tests: they compute
-/// activations for every input and scan. These define the ground truth NTA
-/// must match.
-Result<TopKResult> BruteForceMostSimilar(nn::InferenceEngine* inference,
-                                         const NeuronGroup& group,
-                                         const std::vector<float>& target_acts,
-                                         int k, const DistancePtr& dist,
-                                         bool exclude_target,
-                                         uint32_t target_id);
-
-Result<TopKResult> BruteForceHighest(nn::InferenceEngine* inference,
-                                     const NeuronGroup& group, int k,
-                                     const DistancePtr& dist);
 
 /// \brief Answers `spec` over a fully materialised activation matrix of its
 /// layer: the §4.6 fresh-scan path and every baseline run it, differing only

@@ -40,7 +40,7 @@ struct NtaProgress {
 
 /// \brief Per-query execution context, created once at admission and
 /// threaded through every layer the query touches
-/// (QueryService → DeepEverest::Execute → NtaEngine →
+/// (QueryService → DeepEverest::BeginSpec → QueryExecution →
 /// BatchingInferenceScheduler).
 ///
 /// The context carries everything that belongs to ONE query execution and

@@ -20,6 +20,8 @@ namespace deepeverest {
 namespace core {
 namespace {
 
+using testing_util::BruteForceHighest;
+using testing_util::BruteForceMostSimilar;
 using testing_util::ExpectValidTopK;
 using testing_util::TempDir;
 using testing_util::TinySystem;

@@ -1,16 +1,19 @@
-// Resumable execution semantics of NtaEngine::Begin* / NtaExecution and
-// DeepEverest::BeginSpec / QueryExecution: a manually stepped execution —
-// including one whose steps are split across threads, the park/resume
-// handoff shape — must be bit-identical to the run-to-completion
-// convenience, and the object must enforce its own protocol (no result
-// before done, idempotent terminal state, no stepping without a context).
+// Resumable execution semantics of QueryExecution, begun at the NTA phase by
+// NtaEngine::Begin or at group resolution by DeepEverest::BeginSpec: a
+// manually stepped execution — including one whose steps are split across
+// threads, the park/resume handoff shape — must be bit-identical to the
+// run-to-completion convenience, each Step must run one recorded unit of
+// work, and the object must enforce its own protocol (no result before
+// done, idempotent terminal state, no stepping without a context).
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "common/trace.h"
 #include "core/deepeverest.h"
 #include "core/nta.h"
 #include "testing/test_util.h"
@@ -55,7 +58,7 @@ NtaOptions ExactOptions(int k) {
   return options;
 }
 
-TEST(NtaExecutionTest, ManualStepLoopMatchesRun) {
+TEST(QueryExecutionTest, ManualStepLoopMatchesRun) {
   TinySystem sys(60, 17, /*batch_size=*/8);
   const int layer = sys.model->activation_layers()[1];
   auto index = BuildIndexFor(sys.engine.get(), layer, LayerIndexConfig{4, 0.2});
@@ -70,7 +73,7 @@ TEST(NtaExecutionTest, ManualStepLoopMatchesRun) {
   auto begun = nta.Begin(group, QuerySpec::Kind::kMostSimilar, 7, {},
                          ExactOptions(8), &ctx);
   ASSERT_TRUE(begun.ok()) << begun.status().ToString();
-  NtaExecution& exec = **begun;
+  QueryExecution& exec = **begun;
   int steps = 0;
   while (!exec.done()) {
     DE_ASSERT_OK(exec.Step());
@@ -84,7 +87,7 @@ TEST(NtaExecutionTest, ManualStepLoopMatchesRun) {
   EXPECT_EQ(reference->stats.rounds, stepped->stats.rounds);
 }
 
-TEST(NtaExecutionTest, HighestStepLoopMatchesRun) {
+TEST(QueryExecutionTest, HighestStepLoopMatchesRun) {
   TinySystem sys(60, 23, /*batch_size=*/8);
   const int layer = sys.model->activation_layers()[0];
   auto index = BuildIndexFor(sys.engine.get(), layer, LayerIndexConfig{5, 0.3});
@@ -107,7 +110,7 @@ TEST(NtaExecutionTest, HighestStepLoopMatchesRun) {
   EXPECT_EQ(reference->stats.inputs_run, stepped->stats.inputs_run);
 }
 
-TEST(NtaExecutionTest, TakeResultBeforeDoneIsFailedPrecondition) {
+TEST(QueryExecutionTest, TakeResultBeforeDoneIsFailedPrecondition) {
   TinySystem sys(40, 29, /*batch_size=*/8);
   const int layer = sys.model->activation_layers()[0];
   auto index = BuildIndexFor(sys.engine.get(), layer, LayerIndexConfig{4, 0.2});
@@ -127,7 +130,7 @@ TEST(NtaExecutionTest, TakeResultBeforeDoneIsFailedPrecondition) {
   EXPECT_TRUE((*begun)->TakeResult().ok());
 }
 
-TEST(NtaExecutionTest, BeginRequiresContext) {
+TEST(QueryExecutionTest, BeginRequiresContext) {
   TinySystem sys(40, 31, /*batch_size=*/8);
   const int layer = sys.model->activation_layers()[0];
   auto index = BuildIndexFor(sys.engine.get(), layer, LayerIndexConfig{4, 0.2});
@@ -139,7 +142,7 @@ TEST(NtaExecutionTest, BeginRequiresContext) {
   EXPECT_EQ(begun.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(NtaExecutionTest, BeginRejectsTargetsThatDoNotFitTheKind) {
+TEST(QueryExecutionTest, BeginRejectsTargetsThatDoNotFitTheKind) {
   TinySystem sys(40, 31, /*batch_size=*/8);
   const int layer = sys.model->activation_layers()[0];
   auto index = BuildIndexFor(sys.engine.get(), layer, LayerIndexConfig{4, 0.2});
@@ -169,7 +172,7 @@ TEST(NtaExecutionTest, BeginRejectsTargetsThatDoNotFitTheKind) {
   EXPECT_EQ(code(QuerySpec::Kind::kMostSimilar, 3, {}), StatusCode::kOk);
 }
 
-TEST(NtaExecutionTest, StepsSplitAcrossThreadsAreBitIdentical) {
+TEST(QueryExecutionTest, StepsSplitAcrossThreadsAreBitIdentical) {
   // The park/resume ownership handoff in miniature: each step runs on a
   // fresh thread (strictly serialized, as the service's mutex serializes
   // park → resume), and the result must equal the single-threaded run.
@@ -187,7 +190,7 @@ TEST(NtaExecutionTest, StepsSplitAcrossThreadsAreBitIdentical) {
   auto begun = nta.Begin(group, QuerySpec::Kind::kMostSimilar, 11, {},
                          ExactOptions(7), &ctx);
   ASSERT_TRUE(begun.ok());
-  NtaExecution* exec = begun->get();
+  QueryExecution* exec = begun->get();
   while (!exec->done()) {
     std::thread worker([exec] {
       const Status status = exec->Step();
@@ -304,6 +307,133 @@ TEST(QueryExecutionTest, AbandonedExecutionDestructsCleanly) {
   begun->reset();  // mid-flight abandonment: spans must be closed, no leak
   ctx.trace->Finish();
   EXPECT_FALSE(ctx.trace->Snapshot().has_open_spans);
+}
+
+// The spans one execution opened, split by the Step that opened them:
+// `steps[i]` is the half-open range of span indices in `spans` that Step i
+// added. The trace only appends, so the final snapshot holds every Step's.
+struct SteppedSpans {
+  std::vector<std::pair<size_t, size_t>> steps;
+  std::vector<TraceSpan> spans;
+};
+
+SteppedSpans StepRecordingSpans(QueryExecution* exec, const Trace& trace) {
+  SteppedSpans out;
+  while (!exec->done()) {
+    const size_t before = trace.Snapshot().spans.size();
+    const Status status = exec->Step();
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    out.steps.emplace_back(before, trace.Snapshot().spans.size());
+  }
+  out.spans = trace.Snapshot().spans;
+  return out;
+}
+
+int64_t IntAttr(const TraceSpan& span, const std::string& key) {
+  for (const TraceAttr& attr : span.attrs) {
+    if (attr.key == key && attr.is_int) return attr.int_value;
+  }
+  ADD_FAILURE() << span.name << " has no int attribute " << key;
+  return -1;
+}
+
+// The names of the spans a Step opened directly under `parent` (nested
+// spans, such as a round's compute_layer calls, are left out).
+std::vector<std::string> OpenedUnder(const SteppedSpans& run, size_t step,
+                                     int parent) {
+  std::vector<std::string> names;
+  for (size_t i = run.steps[step].first; i < run.steps[step].second; ++i) {
+    if (run.spans[i].parent == parent) names.push_back(run.spans[i].name);
+  }
+  return names;
+}
+
+// Pins the unit of work of one Step, and the spans it opens, on three query
+// shapes: the service parks between Steps, and perfbench's traced window
+// sorts Steps by whether they built an index.
+TEST(QueryExecutionTest, StepUnitsAndSpansMatchRecordedSequence) {
+  using Names = std::vector<std::string>;
+  TinySystem sys(80, 59, 8);
+  TempDir dir("exec");
+  auto store = storage::FileStore::Open(dir.path());
+  ASSERT_TRUE(store.ok());
+  auto de = DeepEverest::Create(sys.model.get(), &sys.dataset, &store.value(),
+                                SmallOptions());
+  ASSERT_TRUE(de.ok());
+  const int layer = sys.model->activation_layers()[1];
+
+  // (a) A cold highest query: resolve, then the ensure that builds the index
+  // and answers by scanning the freshly computed matrix.
+  {
+    QueryContext ctx;
+    ctx.trace = std::make_shared<Trace>(Trace::NextId());
+    auto begun =
+        (*de)->BeginSpec(HighestQuery(NeuronGroup{layer, {0, 4}}, 5), &ctx);
+    ASSERT_TRUE(begun.ok()) << begun.status().ToString();
+    const SteppedSpans run = StepRecordingSpans(begun->get(), *ctx.trace);
+    ASSERT_EQ(run.steps.size(), 2u);
+    EXPECT_EQ(OpenedUnder(run, 0, -1), Names{});
+    ASSERT_EQ(OpenedUnder(run, 1, -1), (Names{"index.ensure", "scan"}));
+    EXPECT_EQ(IntAttr(run.spans[run.steps[1].first], "built"), 1);
+    EXPECT_TRUE((*begun)->TakeResult().ok());
+  }
+
+  // (b) A warm most-similar query over `TOP 3 NEURONS OF target`: resolve,
+  // ensure (no build) opening the one `nta` span, the target prologue, then
+  // one round per Step.
+  {
+    QuerySpec spec;
+    spec.kind = QuerySpec::Kind::kMostSimilar;
+    spec.k = 6;
+    spec.layer = layer;
+    spec.top_neurons = 3;
+    spec.target_id = 9;
+    QueryContext ctx;
+    ctx.trace = std::make_shared<Trace>(Trace::NextId());
+    auto begun = (*de)->BeginSpec(spec, &ctx);
+    ASSERT_TRUE(begun.ok()) << begun.status().ToString();
+    const SteppedSpans run = StepRecordingSpans(begun->get(), *ctx.trace);
+    auto result = (*begun)->TakeResult();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_GE(run.steps.size(), 4u);
+    EXPECT_EQ(OpenedUnder(run, 0, -1), Names{"resolve_group"});
+    ASSERT_EQ(OpenedUnder(run, 1, -1), (Names{"index.ensure", "nta"}));
+    EXPECT_EQ(IntAttr(run.spans[run.steps[1].first], "built"), 0);
+    const int nta = static_cast<int>(run.steps[1].second) - 1;
+    EXPECT_EQ(OpenedUnder(run, 2, -1), Names{});
+    EXPECT_EQ(OpenedUnder(run, 2, nta), Names{"nta.target"});
+    for (size_t step = 3; step < run.steps.size(); ++step) {
+      EXPECT_EQ(OpenedUnder(run, step, -1), Names{}) << "step " << step;
+      EXPECT_EQ(OpenedUnder(run, step, nta), Names{"nta.round"})
+          << "step " << step;
+    }
+    EXPECT_EQ(static_cast<int64_t>(run.steps.size()) - 3,
+              result->stats.rounds);
+    EXPECT_GT(result->stats.rounds, 1);
+  }
+
+  // (c) An engine-direct highest query: no prologue, one round per Step.
+  {
+    auto index = BuildIndexFor(sys.engine.get(), layer,
+                               LayerIndexConfig{4, 0.2});
+    ASSERT_TRUE(index.ok());
+    NtaEngine nta(sys.engine.get(), &index.value());
+    QueryContext ctx;
+    ctx.trace = std::make_shared<Trace>(Trace::NextId());
+    auto begun = nta.Begin(NeuronGroup{layer, {1, 3}},
+                           QuerySpec::Kind::kHighest, -1, {}, ExactOptions(6),
+                           &ctx);
+    ASSERT_TRUE(begun.ok()) << begun.status().ToString();
+    const SteppedSpans run = StepRecordingSpans(begun->get(), *ctx.trace);
+    auto result = (*begun)->TakeResult();
+    ASSERT_TRUE(result.ok());
+    for (size_t step = 0; step < run.steps.size(); ++step) {
+      EXPECT_EQ(OpenedUnder(run, step, -1), Names{"nta.round"})
+          << "step " << step;
+    }
+    EXPECT_EQ(static_cast<int64_t>(run.steps.size()), result->stats.rounds);
+    EXPECT_GT(result->stats.rounds, 1);
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@ namespace deepeverest {
 namespace core {
 namespace {
 
+using testing_util::BruteForceMostSimilar;
 using testing_util::ExpectValidTopK;
 using testing_util::TinySystem;
 using testing_util::RunNtaSimilar;

@@ -163,8 +163,8 @@ class NtaGoldenCountersTest : public ::testing::Test {
                        q.neurons};
   }
 
-  std::unique_ptr<NtaExecution> Begin(const GoldenQuery& q,
-                                      QueryContext* ctx) {
+  std::unique_ptr<QueryExecution> Begin(const GoldenQuery& q,
+                                        QueryContext* ctx) {
     NtaOptions options;
     options.k = q.k;
     options.use_mai = q.use_mai;
@@ -250,7 +250,7 @@ TEST_F(NtaGoldenCountersTest, SequenceAndInterleavedPairMatchRecordedCounters) {
   for (size_t i = 0; i < sizeof(kQueries) / sizeof(kQueries[0]); ++i) {
     QueryContext ctx;
     ctx.iqa = &cache_;
-    std::unique_ptr<NtaExecution> exec = Begin(kQueries[i], &ctx);
+    std::unique_ptr<QueryExecution> exec = Begin(kQueries[i], &ctx);
     ASSERT_NE(exec, nullptr);
     auto result = exec->Run();
     ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -265,8 +265,8 @@ TEST_F(NtaGoldenCountersTest, SequenceAndInterleavedPairMatchRecordedCounters) {
   ctx_x.iqa = &cache_;
   QueryContext ctx_y;
   ctx_y.iqa = &cache_;
-  std::unique_ptr<NtaExecution> x = Begin(kPairX, &ctx_x);
-  std::unique_ptr<NtaExecution> y = Begin(kPairY, &ctx_y);
+  std::unique_ptr<QueryExecution> x = Begin(kPairX, &ctx_x);
+  std::unique_ptr<QueryExecution> y = Begin(kPairY, &ctx_y);
   ASSERT_NE(x, nullptr);
   ASSERT_NE(y, nullptr);
   int64_t x_evictions = -1;
@@ -301,7 +301,7 @@ TEST_F(NtaGoldenCountersTest, ModeSequenceMatchesRecordedCounters) {
        ++i) {
     QueryContext ctx;
     ctx.iqa = &cache_;
-    std::unique_ptr<NtaExecution> exec = Begin(kModeQueries[i], &ctx);
+    std::unique_ptr<QueryExecution> exec = Begin(kModeQueries[i], &ctx);
     ASSERT_NE(exec, nullptr);
     auto result = exec->Run();
     ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -352,7 +352,7 @@ TEST_F(NtaGoldenCountersTest, ProgressEventsMatchRecordedSequence) {
       events.push_back(p);
       return true;
     };
-    std::unique_ptr<NtaExecution> exec = Begin(c.query, &ctx);
+    std::unique_ptr<QueryExecution> exec = Begin(c.query, &ctx);
     ASSERT_NE(exec, nullptr);
     auto result = exec->Run();
     ASSERT_TRUE(result.ok()) << result.status().ToString();

@@ -76,7 +76,7 @@ inline Result<core::TopKResult> RunNta(core::NtaEngine* nta,
   core::QueryContext local_ctx;
   if (ctx == nullptr) ctx = &local_ctx;
   DE_ASSIGN_OR_RETURN(
-      std::unique_ptr<core::NtaExecution> execution,
+      std::unique_ptr<core::QueryExecution> execution,
       nta->Begin(group, kind, target_id, target_acts, options, ctx));
   return execution->Run();
 }
@@ -87,6 +87,28 @@ inline Result<core::TopKResult> RunNtaSimilar(
     const core::NtaOptions& options, core::QueryContext* ctx = nullptr) {
   return RunNta(nta, group, core::QuerySpec::Kind::kMostSimilar, target_id,
                 {}, options, ctx);
+}
+
+/// The brute-force reference answers: every input's activations at the
+/// group's layer, then the fresh scan over that matrix.
+inline Result<core::TopKResult> BruteForceMostSimilar(
+    nn::InferenceEngine* inference, const core::NeuronGroup& group,
+    const std::vector<float>& target_acts, int k,
+    const core::DistancePtr& dist, bool exclude_target, uint32_t target_id) {
+  DE_ASSIGN_OR_RETURN(const storage::LayerActivationMatrix matrix,
+                      inference->ComputeLayerMatrix(
+                          group.layer, 0, inference->dataset().size()));
+  return core::ScanMostSimilar(matrix, group.neurons, target_acts, k, dist,
+                               exclude_target, target_id);
+}
+
+inline Result<core::TopKResult> BruteForceHighest(
+    nn::InferenceEngine* inference, const core::NeuronGroup& group, int k,
+    const core::DistancePtr& dist) {
+  DE_ASSIGN_OR_RETURN(const storage::LayerActivationMatrix matrix,
+                      inference->ComputeLayerMatrix(
+                          group.layer, 0, inference->dataset().size()));
+  return core::ScanHighest(matrix, group.neurons, k, dist);
 }
 
 /// A scoped temp directory removed on destruction.
