@@ -8,8 +8,10 @@ namespace nn {
 namespace {
 
 std::chrono::nanoseconds LingerNanos(double seconds) {
-  return std::chrono::nanoseconds(
-      static_cast<int64_t>(std::max(0.0, seconds) * 1e9));
+  // Clamped to [0, ~3 years] before the cast, which is undefined out of
+  // range; NaN clamps to 0.
+  const double clamped = seconds > 0.0 ? std::min(seconds, 1e8) : 0.0;
+  return std::chrono::nanoseconds(static_cast<int64_t>(clamped * 1e9));
 }
 
 }  // namespace
@@ -18,28 +20,14 @@ BatchingInferenceScheduler::BatchingInferenceScheduler(
     InferenceEngine* engine, BatchSchedulerOptions options)
     : engine_(engine),
       batch_size_(engine->batch_size()),
-      num_dispatchers_(std::max(1, options.num_dispatchers)),
+      num_streams_(std::max(1, options.num_dispatchers)),
       linger_{LingerNanos(options.interactive_linger_seconds),
               LingerNanos(options.linger_seconds),
-              LingerNanos(options.best_effort_linger_seconds)} {
+              LingerNanos(options.best_effort_linger_seconds)},
+      free_streams_(num_streams_),
+      batch_time_(static_cast<size_t>(engine->model().num_layers()),
+                  std::chrono::nanoseconds::max()) {
   DE_CHECK_GT(batch_size_, 0);
-  dispatchers_.reserve(static_cast<size_t>(num_dispatchers_));
-  for (int i = 0; i < num_dispatchers_; ++i) {
-    dispatchers_.emplace_back([this] { DispatcherLoop(); });
-  }
-}
-
-BatchingInferenceScheduler::~BatchingInferenceScheduler() {
-  {
-    common::MutexLock lock(&mu_);
-    stopping_ = true;
-  }
-  // Dispatchers drain whatever is still queued (without lingering), so any
-  // caller blocked in ComputeLayer is served before the threads exit.
-  work_cv_.NotifyAll();
-  for (std::thread& dispatcher : dispatchers_) {
-    if (dispatcher.joinable()) dispatcher.join();
-  }
 }
 
 Status BatchingInferenceScheduler::ComputeLayer(
@@ -71,15 +59,14 @@ Status BatchingInferenceScheduler::ComputeLayer(
   Request request;
   request.ids = &input_ids;
   request.rows = rows;
+  request.layer = layer;
   request.qos = qos;
   {
     common::MutexLock lock(&mu_);
-    if (stopping_) {
-      rows->clear();
-      return Status::FailedPrecondition("batch scheduler is shutting down");
-    }
     request.arrival = Clock::now();
-    request.flush_at = request.arrival + linger_[QosIndex(qos)];
+    request.flush_at =
+        request.arrival + std::min(linger_[QosIndex(qos)],
+                                   batch_time_[static_cast<size_t>(layer)]);
     LayerQueue& queue = pending_[layer];
     queue.requests.push_back(&request);
     queue.pending_inputs += input_ids.size();
@@ -88,16 +75,31 @@ Status BatchingInferenceScheduler::ComputeLayer(
     BatchSchedulerClassStats& class_stats = stats_.per_class[QosIndex(qos)];
     ++class_stats.requests;
     class_stats.inputs_enqueued += static_cast<int64_t>(input_ids.size());
-    // One dispatcher serves (or times) this arrival; none is needed when
-    // the layer is not ready and an idle one already sleeps until an
-    // earlier deadline (it rescans then).
-    if (queue.pending_inputs >= static_cast<size_t>(batch_size_) ||
-        request.flush_at < timer_) {
-      work_cv_.NotifyOne();
+    // `request.done` lives on this stack frame but is written by whichever
+    // caller runs its last rows, under mu_; every read stays under mu_.
+    while (!request.done) {
+      const Clock::time_point now = Clock::now();
+      const Selection selection =
+          free_streams_ > 0 ? SelectLocked(now) : Selection{};
+      // Only work at least as urgent as the caller's own: an interactive
+      // query is never held up by a bulk batch it started.
+      if (selection.has_ready && selection.best_class <= QosIndex(qos)) {
+        RunSelectedLocked(selection);
+        // Leaving: hand the stream just released to a sleeper with work.
+        if (request.done) WakeOneLocked(SelectLocked(Clock::now()));
+        continue;
+      }
+      WakeOneLocked(selection);  // ready work this caller may not run
+      sleepers_.push_back(&request);
+      if (request.dispatched < input_ids.size() && now < request.flush_at) {
+        request.done_cv.WaitUntil(&mu_, request.flush_at);
+      } else {
+        request.done_cv.Wait(&mu_);
+      }
+      // A waker removes the caller it signals; other wake-ups leave it in.
+      const auto it = std::find(sleepers_.begin(), sleepers_.end(), &request);
+      if (it != sleepers_.end()) sleepers_.erase(it);
     }
-    // `request.done` lives on this stack frame but is written by the
-    // dispatcher under mu_; the explicit loop keeps every read under mu_.
-    while (!request.done) request.done_cv.Wait(&mu_);
   }
   if (receipt != nullptr) *receipt += request.receipt;
   if (!request.status.ok()) {
@@ -110,20 +112,17 @@ Status BatchingInferenceScheduler::ComputeLayer(
 BatchingInferenceScheduler::Selection BatchingInferenceScheduler::SelectLocked(
     Clock::time_point now) const {
   // A layer is *ready* when it has a full batch pending or any pending
-  // request's class linger window has expired (always, when stopping) —
-  // interactive requests carry a zero window by default, so a layer they
-  // join becomes ready (sealed) immediately. Among ready layers the most
+  // request's linger window has expired. Among ready layers the most
   // urgent pending class wins, then the oldest head — FIFO across
   // equal-class layers, so sustained full-batch traffic on one layer cannot
-  // starve an expired partial request on another (hot layers keep
-  // presenting newer heads while a waiting head's arrival stays fixed).
+  // starve an expired partial request on another.
   Selection selection;
   for (const auto& [layer, queue] : pending_) {
     if (queue.requests.empty()) continue;
     const Clock::time_point arrival = queue.requests.front()->arrival;
     // The layer's flush deadline and priority come from its most urgent
     // pending request (queues are at most a few requests deep — one per
-    // blocked worker — so the scan is cheap).
+    // blocked caller — so the scan is cheap).
     Clock::time_point deadline = Clock::time_point::max();
     int best_class = QosIndex(QosClass::kBestEffort);
     for (const Request* request : queue.requests) {
@@ -133,70 +132,66 @@ BatchingInferenceScheduler::Selection BatchingInferenceScheduler::SelectLocked(
       }
     }
     const bool full = queue.pending_inputs >= static_cast<size_t>(batch_size_);
-    if (full || stopping_ || now >= deadline) {
-      const bool better = !selection.has_ready ||
-                          best_class < selection.best_class ||
-                          (best_class == selection.best_class &&
-                           arrival < selection.arrival);
-      if (better) {
-        selection.has_ready = true;
-        selection.layer = layer;
-        selection.partial = !full;
-        selection.best_class = best_class;
-        selection.arrival = arrival;
-      }
-    } else if (deadline < selection.next_deadline) {
-      selection.next_deadline = deadline;
+    if (!full && now < deadline) continue;
+    const bool better = !selection.has_ready ||
+                        best_class < selection.best_class ||
+                        (best_class == selection.best_class &&
+                         arrival < selection.arrival);
+    if (better) {
+      selection.has_ready = true;
+      selection.layer = layer;
+      selection.partial = !full;
+      selection.best_class = best_class;
+      selection.arrival = arrival;
     }
   }
   return selection;
 }
 
-void BatchingInferenceScheduler::DispatcherLoop() {
-  common::MutexLock lock(&mu_);
-  for (;;) {
-    if (pending_.empty() && stopping_) return;
-    const Clock::time_point now = Clock::now();
-    const Selection selection = SelectLocked(now);
-    if (!selection.has_ready) {
-      if (selection.next_deadline < timer_) {
-        // Time the earliest lingering partial; new arrivals or the deadline
-        // re-run the selection above.
-        const Clock::time_point deadline = selection.next_deadline;
-        timer_ = deadline;
-        work_cv_.WaitUntil(&mu_, deadline);
-        if (timer_ == deadline) timer_ = Clock::time_point::max();
-      } else {
-        work_cv_.Wait(&mu_);
-      }
-      continue;
+void BatchingInferenceScheduler::RunSelectedLocked(const Selection& selection) {
+  const int layer = selection.layer;
+  // A full-ready layer gives this call its even share of its full batches;
+  // a partial flush is one batch.
+  size_t capacity = static_cast<size_t>(batch_size_);
+  if (selection.partial) {
+    ++stats_.linger_flushes;
+    if (selection.best_class == QosIndex(QosClass::kInteractive)) {
+      ++stats_.sealed_by_interactive;
     }
-    const int layer = selection.layer;
-    // A full-ready layer gives this turn its even share of its full
-    // batches; a partial flush is one batch.
-    size_t capacity = static_cast<size_t>(batch_size_);
-    if (selection.partial) {
-      if (!stopping_) {
-        ++stats_.linger_flushes;
-        if (selection.best_class == QosIndex(QosClass::kInteractive)) {
-          ++stats_.sealed_by_interactive;
-        }
-      }
-    } else {
-      const size_t full_batches = pending_[layer].pending_inputs / capacity;
-      const size_t dispatchers = static_cast<size_t>(num_dispatchers_);
-      capacity *= (full_batches + dispatchers - 1) / dispatchers;
-    }
-
-    std::vector<uint32_t> batch_ids;
-    std::vector<Slice> slices;
-    GatherLocked(layer, capacity, &batch_ids, &slices);
-    // Work left behind gets one more dispatcher: now when it is ready, or
-    // as its timer when it lingers and no idle dispatcher times it yet.
-    const Selection rest = SelectLocked(now);
-    if (rest.has_ready || rest.next_deadline < timer_) work_cv_.NotifyOne();
-    RunBatch(layer, std::move(batch_ids), std::move(slices));
+  } else {
+    const size_t full_batches = pending_[layer].pending_inputs / capacity;
+    const size_t streams = static_cast<size_t>(num_streams_);
+    capacity *= (full_batches + streams - 1) / streams;
   }
+  std::vector<uint32_t> batch_ids;
+  std::vector<Slice> slices;
+  GatherLocked(layer, capacity, &batch_ids, &slices);
+  --free_streams_;
+  // Ready work left behind gets one more caller while a stream is free.
+  WakeOneLocked(SelectLocked(Clock::now()));
+  RunBatch(layer, std::move(batch_ids), std::move(slices));
+  ++free_streams_;
+}
+
+void BatchingInferenceScheduler::WakeOneLocked(const Selection& selection) {
+  if (!selection.has_ready || free_streams_ == 0) return;
+  // Prefer a caller whose own rows wait on the layer to serve, else one
+  // that may run it and was not signalled done already.
+  auto pick = std::find_if(
+      sleepers_.begin(), sleepers_.end(), [&](const Request* request) {
+        return request->layer == selection.layer &&
+               request->dispatched < request->ids->size();
+      });
+  if (pick == sleepers_.end()) {
+    pick = std::find_if(
+        sleepers_.begin(), sleepers_.end(), [&](const Request* request) {
+          return !request->done &&
+                 QosIndex(request->qos) >= selection.best_class;
+        });
+  }
+  if (pick == sleepers_.end()) return;
+  (*pick)->done_cv.NotifyOne();
+  sleepers_.erase(pick);
 }
 
 void BatchingInferenceScheduler::GatherLocked(int layer, size_t capacity,
@@ -229,12 +224,14 @@ void BatchingInferenceScheduler::RunBatch(int layer,
                                           std::vector<uint32_t> batch_ids,
                                           std::vector<Slice> slices) {
   // The engine call must not run under mu_ (other callers keep enqueueing
-  // and other dispatchers keep launching while this batch computes).
+  // and launching on other streams while this batch computes).
   mu_.Unlock();
   std::vector<std::vector<float>> batch_rows;
   InferenceReceipt call_receipt;
+  const Clock::time_point start = Clock::now();
   const Status status =
       engine_->ComputeLayer(batch_ids, layer, &batch_rows, &call_receipt);
+  const Clock::duration took = Clock::now() - start;
   mu_.Lock();
 
   // The engine meters the call per logical batch of batch_size_ inputs;
@@ -243,6 +240,11 @@ void BatchingInferenceScheduler::RunBatch(int layer,
   const size_t n = batch_ids.size();
   const size_t capacity = static_cast<size_t>(batch_size_);
   const size_t num_batches = (n + capacity - 1) / capacity;
+  if (status.ok()) {
+    batch_time_[static_cast<size_t>(layer)] =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(took) /
+        static_cast<int64_t>(num_batches);
+  }
   // ComputeLayer meters macs as n * CumulativeMacs(layer), so this division
   // recovers the per-input cost exactly.
   const int64_t macs_per_input =

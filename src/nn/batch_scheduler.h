@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <thread>
 #include <vector>
 
 #include "common/mutex.h"
@@ -21,19 +20,20 @@ struct BatchSchedulerOptions {
   /// How long a partial batch waits for other queries' inputs before being
   /// flushed anyway, for kBatch-class requests. The window trades a little
   /// latency for batch fill; it should stay well below one batch's device
-  /// time.
+  /// time, so once a layer has run a batch, every window on it is capped at
+  /// the layer's measured engine time per batch.
   double linger_seconds = 5e-4;
   /// Linger for kInteractive requests. The default 0 means an interactive
-  /// request never waits out a window: it is dispatched as soon as a
-  /// dispatcher sees it, *sealing* any partial batch it joined (the batch
-  /// launches immediately with whatever else is pending on that layer).
+  /// request never waits out a window: its layer is ready as soon as it
+  /// arrives, *sealing* any partial batch it joined (the batch launches
+  /// immediately with whatever else is pending on that layer).
   double interactive_linger_seconds = 0.0;
   /// Linger for kBestEffort requests: background work waits longest, for
   /// maximally full batches.
   double best_effort_linger_seconds = 2e-3;
-  /// Threads running coalesced batches against the engine. Each dispatcher
-  /// models one device stream: with n dispatchers, n batches overlap their
-  /// (simulated) device time, as n CUDA streams would.
+  /// Device streams: how many engine calls may run at once. With n streams,
+  /// n batches overlap their (simulated) device time, as n CUDA streams
+  /// would. The callers run the engine calls; no thread is started.
   int num_dispatchers = 1;
 };
 
@@ -91,33 +91,30 @@ struct BatchSchedulerStats {
 /// \brief Coalesces concurrent same-layer ComputeLayer calls into shared
 /// device batches, QoS-aware.
 ///
-/// Callers block in ComputeLayer while dispatcher threads drain per-layer
-/// queues: a batch is launched as soon as a layer has the engine's batch_size
-/// inputs pending, or when any pending request has lingered past its class's
-/// linger window (partial flush). Interactive requests have a zero window
-/// by default, so they flush immediately and seal whatever partial batch
-/// they joined; batch/best-effort requests wait longer for fuller batches.
-/// Among ready layers, dispatch prefers the layer carrying the most urgent
-/// class, then the oldest head — so interactive inference never queues
-/// behind a backlog of ready bulk layers.
+/// The callers run the batches; the scheduler owns no thread. Until its
+/// request is done, a caller takes a free stream (one of num_dispatchers)
+/// whenever a layer is ready and runs one engine call of that layer's
+/// rows, its own or not, unless the layer's most urgent class is less
+/// urgent than its own: an interactive query never waits out a bulk batch
+/// it started. A layer is ready when it has batch_size inputs pending, or
+/// when a pending request has lingered past its window (partial flush):
+/// its class's, capped at the layer's measured engine time per batch. An
+/// interactive request's zero window seals the partial batch it joins.
+/// Ready layers are served most urgent class first, then oldest head.
 ///
-/// One dispatcher turn is one engine call. On a layer with f >= 1 full
-/// batches pending, the turn takes its even share of them, ceil(f /
-/// num_dispatchers) device batches, so a deep queue costs one handoff per
-/// dispatcher instead of one per batch; a partial flush is one batch. The
-/// engine meters (and, when simulating the device, sleeps) per batch, and
-/// the scheduler's counters and receipt shares are split the same way, per
-/// logical batch of batch_size inputs.
+/// On a layer with f >= 1 full batches pending, one engine call takes its
+/// even share, ceil(f / num_dispatchers) device batches; a partial flush is
+/// one batch. The engine meters (and, when simulating the device, sleeps)
+/// per batch, and the scheduler's counters and receipt shares are split
+/// the same way, per logical batch of batch_size inputs.
 ///
-/// Who wakes whom: a thread is woken only for work that concerns it. Each
-/// blocked caller waits on its own request's signal, set once under the
-/// lock when its last row lands. An arrival wakes one dispatcher, unless
-/// its layer is not ready yet and an idle dispatcher is already sleeping
-/// until an earlier flush deadline. A dispatcher that leaves work behind
-/// after its gather wakes one more: when that work is ready, or when it
-/// lingers and no idle dispatcher is timing its deadline (one idle
-/// dispatcher at a time sleeps until the earliest deadline; the others
-/// sleep until woken). Only shutdown wakes every dispatcher.
+/// Who wakes whom: a caller with nothing to run sleeps on its own
+/// request's signal, until its flush deadline while it has rows queued.
+/// It is signalled when its last row lands, or to take a free stream for
+/// ready work it may run (a caller with rows on that layer first). The
+/// signal comes from a caller that leaves, done, after releasing a stream;
+/// from one that leaves ready work behind its gather; and from one that
+/// sees ready work it may not run. Nothing is broadcast.
 ///
 /// Each caller receives exactly the rows it asked for and
 /// an InferenceReceipt charging it its own inputs plus its occupancy share
@@ -130,14 +127,13 @@ struct BatchSchedulerStats {
 /// per-input pure, so batch composition cannot change any activation.
 ///
 /// Thread-safety: ComputeLayer and stats() are safe to call concurrently.
-/// The engine must outlive the scheduler; the destructor drains pending
-/// work and joins the dispatchers.
+/// The engine must outlive the scheduler, and no call may be in flight
+/// when it is destroyed.
 class BatchingInferenceScheduler {
  public:
   /// Does not take ownership of `engine`.
   BatchingInferenceScheduler(InferenceEngine* engine,
                              BatchSchedulerOptions options = {});
-  ~BatchingInferenceScheduler();
 
   BatchingInferenceScheduler(const BatchingInferenceScheduler&) = delete;
   BatchingInferenceScheduler& operator=(const BatchingInferenceScheduler&) =
@@ -145,12 +141,14 @@ class BatchingInferenceScheduler {
 
   /// Drop-in for InferenceEngine::ComputeLayer: computes layer `layer` for
   /// each input in `input_ids` (rows->at(i) corresponds to input_ids[i]),
-  /// possibly sharing device batches with concurrent callers. Blocks until
-  /// every requested row is available. This call's exact cost — fractional
-  /// for shared launches — is *added* to `receipt` when non-null. `qos` is
-  /// the calling query's class; it selects the linger window and the
-  /// dispatch priority of the batches this call rides in (results are
-  /// identical across classes — only latency and batch fill differ).
+  /// possibly sharing device batches with concurrent callers. Returns once
+  /// every requested row is available, meanwhile running engine calls (of
+  /// its own or other callers' rows) on the calling thread. This call's
+  /// exact cost — fractional for shared launches — is *added* to `receipt`
+  /// when non-null. `qos` is the calling query's class; it selects the
+  /// linger window, the dispatch priority of the batches this call rides in
+  /// and which batches the call may run (results are identical across
+  /// classes — only latency and batch fill differ).
   Status ComputeLayer(const std::vector<uint32_t>& input_ids, int layer,
                       std::vector<std::vector<float>>* rows,
                       InferenceReceipt* receipt = nullptr,
@@ -171,18 +169,17 @@ class BatchingInferenceScheduler {
     const std::vector<uint32_t>* ids = nullptr;
     std::vector<std::vector<float>>* rows = nullptr;
     InferenceReceipt receipt;
-    /// Signalled (under mu_) once, when `done` is set: the one wake-up
-    /// this caller gets.
+    /// What its caller sleeps on (under mu_): signalled when `done` is set,
+    /// or to hand the caller a stream for ready work.
     common::CondVar done_cv;
     size_t dispatched = 0;  // ids handed to some batch so far
     size_t completed = 0;   // ids whose rows (or failure) have resolved
     Status status;          // first error, if any
     bool done = false;
+    int layer = 0;
     QosClass qos = QosClass::kBatch;
     Clock::time_point arrival;
-    /// arrival + the class linger window: when this request forces a
-    /// partial flush of its layer.
-    Clock::time_point flush_at;
+    Clock::time_point flush_at;  // when it forces a partial flush
   };
 
   struct LayerQueue {
@@ -197,21 +194,20 @@ class BatchingInferenceScheduler {
     size_t count;
   };
 
-  /// What one scan of pending_ found.
+  /// The ready layer one scan of pending_ picked, if any.
   struct Selection {
     bool has_ready = false;
     int layer = 0;         // the ready layer to serve, when has_ready
     bool partial = false;  // it holds less than one full batch
     int best_class = 0;    // QosIndex of its most urgent request
     Clock::time_point arrival{};  // its head's arrival
-    /// The earliest flush deadline among layers not ready yet (max() when
-    /// there are none).
-    Clock::time_point next_deadline = Clock::time_point::max();
   };
 
-  void DispatcherLoop();
-  /// Picks the layer to serve at `now` (see DispatcherLoop).
+  /// Picks the ready layer to serve at `now`.
   Selection SelectLocked(Clock::time_point now) const REQUIRES(mu_);
+  /// Takes a stream, gathers `selection`'s engine call, runs it and
+  /// releases the stream (mu_ is released around the engine call).
+  void RunSelectedLocked(const Selection& selection) REQUIRES(mu_);
   /// Pops up to `capacity` pending ids of `layer` into one engine call.
   void GatherLocked(int layer, size_t capacity,
                     std::vector<uint32_t>* batch_ids,
@@ -222,24 +218,26 @@ class BatchingInferenceScheduler {
   /// entry AND exit).
   void RunBatch(int layer, std::vector<uint32_t> batch_ids,
                 std::vector<Slice> slices) REQUIRES(mu_);
+  /// Wakes one sleeper that may run `selection`'s ready work (preferably one
+  /// queued on its layer), if it found any and a stream is free.
+  void WakeOneLocked(const Selection& selection) REQUIRES(mu_);
 
   InferenceEngine* engine_;
   // Derived from BatchSchedulerOptions at construction; the options struct
-  // itself is not kept (nothing may change after the dispatchers start).
+  // itself is not kept.
   int batch_size_;
-  int num_dispatchers_;
+  int num_streams_;
   std::array<std::chrono::nanoseconds, kNumQosClasses> linger_;
 
   mutable common::Mutex mu_;
-  common::CondVar work_cv_;  // wakes dispatchers (callers: Request::done_cv)
-  bool stopping_ GUARDED_BY(mu_) = false;
-  /// The flush deadline an idle dispatcher is sleeping until, or max() when
-  /// none is: a lingering partial needs one timer, not every idle thread.
-  Clock::time_point timer_ GUARDED_BY(mu_) = Clock::time_point::max();
+  int free_streams_ GUARDED_BY(mu_);
+  /// Callers asleep in ComputeLayer, in the order they fell asleep.
+  std::vector<Request*> sleepers_ GUARDED_BY(mu_);
+  /// Per layer, the last engine call's wall time per logical batch: the
+  /// cap on its requests' linger windows (max() until measured).
+  std::vector<std::chrono::nanoseconds> batch_time_ GUARDED_BY(mu_);
   std::map<int, LayerQueue> pending_ GUARDED_BY(mu_);
   BatchSchedulerStats stats_ GUARDED_BY(mu_);
-
-  std::vector<std::thread> dispatchers_;
 };
 
 }  // namespace nn

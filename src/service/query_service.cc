@@ -1,6 +1,7 @@
 #include "service/query_service.h"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 #include <utility>
 
@@ -145,8 +146,10 @@ Result<std::unique_ptr<QueryService>> QueryService::Create(
   if (options.max_queue_depth < 1) {
     return Status::InvalidArgument("max_queue_depth must be >= 1");
   }
-  if (options.batch_linger_seconds < 0.0) {
-    return Status::InvalidArgument("batch_linger_seconds must be >= 0");
+  if (!std::isfinite(options.batch_linger_seconds) ||
+      options.batch_linger_seconds < 0.0) {
+    return Status::InvalidArgument(
+        "batch_linger_seconds must be finite and >= 0");
   }
   return std::unique_ptr<QueryService>(new QueryService(engine, options));
 }
@@ -158,7 +161,9 @@ QueryService::QueryService(core::DeepEverest* engine,
       trace_ring_(options.trace_ring_capacity) {
   // With a single worker at most one query is ever in flight, so batches
   // could never be shared — skip the scheduler rather than pay its linger
-  // window on every partial round.
+  // window on every partial round. Otherwise each worker runs its own
+  // inference calls through the scheduler, one stream per worker, so the
+  // streams never make a worker wait for another's engine call.
   if (options_.enable_cross_query_batching && options_.num_workers > 1) {
     nn::BatchSchedulerOptions scheduler_options;
     scheduler_options.linger_seconds = options_.batch_linger_seconds;

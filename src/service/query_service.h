@@ -56,17 +56,17 @@ struct QueryServiceOptions {
   /// could ever share a batch, so lingering would be pure latency).
   bool enable_cross_query_batching = true;
   /// How long the scheduler holds a partial batch of batch-class inputs
-  /// open for other queries' inputs before flushing it. 0 flushes partial
-  /// batches as soon as a dispatcher sees them — the right setting for
+  /// open for other queries' inputs before flushing it; must be finite and
+  /// >= 0. 0 flushes partial batches at once — the right setting for
   /// latency-sensitive, lightly loaded services where co-arrivals are rare
-  /// anyway.
+  /// anyway. Once a layer has run a batch, its window is capped at that
+  /// layer's measured engine time per batch.
   /// Interactive requests never linger and best-effort ones linger longest
-  /// (BatchSchedulerOptions' defaults); the scheduler runs one dispatcher
-  /// (device stream) per worker. Only the dispatcher timing the earliest
-  /// lingering partial wakes at its deadline; a worker is woken once, when
-  /// its request's last row lands, and a dispatcher turn on a deep queue
-  /// runs its even share of the full batches, ceil(full / workers), in one
-  /// engine call.
+  /// (BatchSchedulerOptions' defaults). Workers run the engine calls
+  /// themselves, with one device stream per worker: a worker sleeps only
+  /// while its partial batch lingers or another worker is running its
+  /// rows, and an engine call on a deep queue runs its even share of the
+  /// full batches, ceil(full / workers).
   double batch_linger_seconds = 5e-4;
 
   /// Preemptive execution: a worker stepping a non-interactive query parks

@@ -1,6 +1,7 @@
 // Tests for the cross-query batching scheduler: row correctness vs. direct
 // engine calls, exact per-caller receipts, cross-caller coalescing, linger
-// flushes of partial batches, even-share multi-batch turns, wake-up
+// flushes of partial batches and their measured-time cap, even-share
+// multi-batch engine calls, class priority for a released stream, wake-up
 // protocol stress, and error handling.
 #include "nn/batch_scheduler.h"
 
@@ -74,7 +75,7 @@ TEST(BatchSchedulerTest, ConcurrentCallersCoalesceWithExactReceipts) {
   ASSERT_TRUE(
       sys.engine->ComputeLayer(Ids(0, 64), layer, &reference, nullptr).ok());
 
-  // 8 callers x 8 inputs with a generous linger: the dispatcher should pack
+  // 8 callers x 8 inputs with a generous linger: the scheduler should pack
   // them into far fewer launches than the 8 a solo run would pay.
   BatchSchedulerOptions options;
   options.linger_seconds = 0.05;
@@ -195,57 +196,54 @@ TEST(BatchSchedulerTest, RejectsInvalidInputsSynchronously) {
 
 // Starvation regression: sustained full-batch traffic on one layer must
 // not postpone an expired partial request on another layer — ready queues
-// are served oldest-head-first across layers. The hot threads stop as soon
-// as the small request completes; if it were starved until the hot traffic
-// drained, they would run to their iteration cap instead.
+// are served oldest-head-first across layers. The hot threads run until
+// the small request completes, or for at most 10 s; if it were starved
+// until the hot traffic drained, some hot thread would have stopped on
+// that cap first.
 TEST(BatchSchedulerTest, ExpiredPartialIsNotStarvedByFullBatches) {
   TinySystem sys(48, 907, /*batch_size=*/16);
   const std::vector<int>& layers = sys.model->activation_layers();
   ASSERT_GE(layers.size(), 2u);
   BatchSchedulerOptions options;
   options.linger_seconds = 0.001;
-  options.num_dispatchers = 1;  // a single dispatcher must still be fair
+  options.num_dispatchers = 1;  // a single stream must still be fair
   BatchingInferenceScheduler scheduler(sys.engine.get(), options);
 
-  constexpr int kMaxIters = 500;
+  constexpr double kCapSeconds = 10.0;
   std::atomic<bool> small_done{false};
-  std::vector<int> iters(3, 0);
+  std::atomic<int> hot_running{3};
+  Stopwatch watch;
   std::vector<std::thread> hot;
   for (int t = 0; t < 3; ++t) {
     hot.emplace_back([&, t] {
       // Each request is exactly one full batch, keeping the hot layer's
       // queue dispatchable without ever waiting on the linger window.
       std::vector<std::vector<float>> rows;
-      for (int& i = iters[static_cast<size_t>(t)];
-           i < kMaxIters && !small_done.load(); ++i) {
+      while (!small_done.load() && watch.ElapsedSeconds() < kCapSeconds) {
         ASSERT_TRUE(scheduler
                         .ComputeLayer(Ids(static_cast<uint32_t>(t) * 16, 16),
                                       layers[0], &rows, nullptr)
                         .ok());
       }
+      hot_running.fetch_sub(1);
     });
   }
 
   // Let the hot traffic establish, then file a 3-input request on a quiet
-  // layer: it can only be dispatched via the linger flush. (The sleep is
-  // kept well below the hot threads' total running time so they cannot
-  // drain their iteration budget before the small request even arrives.)
+  // layer: it can only be dispatched via the linger flush.
   std::this_thread::sleep_for(std::chrono::milliseconds(1));
   std::vector<std::vector<float>> rows;
   InferenceReceipt receipt;
   ASSERT_TRUE(
       scheduler.ComputeLayer(Ids(0, 3), layers[1], &rows, &receipt).ok());
+  const int still_running = hot_running.load();
   small_done.store(true);
   for (std::thread& thread : hot) thread.join();
 
   EXPECT_EQ(receipt.inputs_run, 3);
-  // The hot threads must have exited because the small request finished,
-  // not because they exhausted their iteration budget (which is what
-  // happens when full batches always preempt expired partials).
-  for (int t = 0; t < 3; ++t) {
-    EXPECT_LT(iters[static_cast<size_t>(t)], kMaxIters)
-        << "hot thread " << t << " drained completely: starvation";
-  }
+  // The partial finished while all hot traffic was still running: no hot
+  // thread had stopped on its wall-clock cap.
+  EXPECT_EQ(still_running, 3) << "the partial waited out the hot traffic";
 }
 
 // QoS: an interactive request with a zero linger window does not wait out
@@ -356,10 +354,121 @@ TEST(BatchSchedulerTest, BatchRequestLingersFullWindowWithoutSealing) {
   EXPECT_EQ(stats.per_class[QosIndex(QosClass::kBatch)].requests, 1);
 }
 
-// One turn on a full-ready layer takes its even share of the full batches,
-// ceil(5 / 4) = 2 device batches in one engine call here, yet counters and
-// receipt shares are split per logical batch: the scheduler reports the
-// same batches, fills and cost as a direct engine call of the same inputs.
+// Once a layer has run a batch, a request on it lingers at most the
+// layer's measured engine time per batch — far below a 200 ms window for
+// TinyMlp — so a lone partial leaves without waiting out the window.
+TEST(BatchSchedulerTest, MeasuredBatchTimeCapsLinger) {
+  TinySystem sys(40, 912, /*batch_size=*/16);
+  const int layer = sys.model->activation_layers()[0];
+  BatchSchedulerOptions options;
+  options.linger_seconds = 0.2;
+  BatchingInferenceScheduler scheduler(sys.engine.get(), options);
+
+  // A full batch is ready at once and measures the layer.
+  std::vector<std::vector<float>> rows;
+  ASSERT_TRUE(scheduler.ComputeLayer(Ids(0, 16), layer, &rows, nullptr).ok());
+
+  Stopwatch watch;
+  InferenceReceipt receipt;
+  ASSERT_TRUE(scheduler
+                  .ComputeLayer(Ids(20, 3), layer, &rows, &receipt,
+                                QosClass::kBatch)
+                  .ok());
+  EXPECT_LT(watch.ElapsedSeconds(), 0.1)
+      << "a measured layer's partial waited out the class window";
+  EXPECT_EQ(receipt.inputs_run, 3);
+  const BatchSchedulerStats stats = scheduler.stats();
+  EXPECT_EQ(stats.batches_dispatched, 2);
+  EXPECT_EQ(stats.linger_flushes, 1);
+  EXPECT_EQ(stats.sealed_by_interactive, 0);
+}
+
+// A released stream goes to the most urgent class: while the only stream
+// runs a long (simulated-device) batch, a batch-class request is queued on
+// one layer and then an interactive one on another; both are ready, and
+// the interactive request's rows run first.
+TEST(BatchSchedulerTest, ReleasedStreamServesInteractiveFirst) {
+  TinySystem sys(40, 913, /*batch_size=*/16);
+  const std::vector<int>& layers = sys.model->activation_layers();
+  ASSERT_GE(layers.size(), 2u);
+  sys.engine->mutable_cost_model()->launch_overhead_seconds = 0.3;
+  sys.engine->set_simulate_device_latency(true);
+  BatchSchedulerOptions options;
+  options.linger_seconds = 0.0;  // the batch-class partial is ready at once
+  options.num_dispatchers = 1;
+  BatchingInferenceScheduler scheduler(sys.engine.get(), options);
+
+  std::atomic<int> finished{0};
+  int batch_rank = -1, interactive_rank = -1;
+  auto call = [&](uint32_t count, int layer, QosClass qos, int* rank) {
+    std::vector<std::vector<float>> rows;
+    ASSERT_TRUE(
+        scheduler.ComputeLayer(Ids(0, count), layer, &rows, nullptr, qos)
+            .ok());
+    if (rank != nullptr) *rank = finished.fetch_add(1);
+  };
+  std::thread holder(call, 16, layers[0], QosClass::kBatch, nullptr);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  std::thread batch(call, 3, layers[1], QosClass::kBatch, &batch_rank);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  std::thread interactive(call, 3, layers[0], QosClass::kInteractive,
+                          &interactive_rank);
+  holder.join();
+  batch.join();
+  interactive.join();
+
+  EXPECT_EQ(interactive_rank, 0);
+  EXPECT_EQ(batch_rank, 1);
+  EXPECT_EQ(scheduler.stats().batches_dispatched, 3);
+}
+
+// A caller runs only work at least as urgent as its own class. Here the
+// interactive caller's second batch runs on a batch-class caller's stream;
+// when its own batch ends first, a batch-class full batch is ready and a
+// stream is free, but the interactive caller leaves that batch to its owner
+// and returns as soon as its rows land, instead of after a bulk batch.
+TEST(BatchSchedulerTest, InteractiveCallerDoesNotStartBulkBatch) {
+  TinySystem sys(40, 914, /*batch_size=*/16);
+  const std::vector<int>& layers = sys.model->activation_layers();
+  ASSERT_GE(layers.size(), 3u);
+  sys.engine->mutable_cost_model()->launch_overhead_seconds = 0.2;
+  sys.engine->set_simulate_device_latency(true);
+  BatchSchedulerOptions options;
+  options.linger_seconds = 0.5;
+  options.num_dispatchers = 2;
+  BatchingInferenceScheduler scheduler(sys.engine.get(), options);
+
+  auto call = [&](uint32_t count, int layer, QosClass qos, double* seconds) {
+    Stopwatch watch;
+    std::vector<std::vector<float>> rows;
+    ASSERT_TRUE(
+        scheduler.ComputeLayer(Ids(0, count), layer, &rows, nullptr, qos)
+            .ok());
+    if (seconds != nullptr) *seconds = watch.ElapsedSeconds();
+  };
+  // A lingering batch-class caller: the helper the interactive caller's
+  // second batch wakes.
+  std::thread helper(call, 3, layers[0], QosClass::kBatch, nullptr);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  double interactive_seconds = 0.0;
+  std::thread interactive(call, 32, layers[1], QosClass::kInteractive,
+                          &interactive_seconds);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  std::thread bulk(call, 16, layers[2], QosClass::kBatch, nullptr);
+  helper.join();
+  interactive.join();
+  bulk.join();
+
+  // Two 0.2 s batches side by side; running the bulk batch too would take
+  // the interactive call past 0.4 s.
+  EXPECT_LT(interactive_seconds, 0.35);
+  EXPECT_EQ(scheduler.stats().batches_dispatched, 4);
+}
+
+// One engine call on a full-ready layer takes its even share of the full
+// batches, ceil(5 / 4) = 2 device batches here, yet counters and receipt
+// shares are split per logical batch: the scheduler reports the same
+// batches, fills and cost as a direct engine call of the same inputs.
 TEST(BatchSchedulerTest, DeepQueueRunsInEvenSharesMeteredPerBatch) {
   constexpr int kBatch = 16;
   TinySystem sys(5 * kBatch + 3, 911, kBatch);
@@ -394,12 +503,15 @@ TEST(BatchSchedulerTest, DeepQueueRunsInEvenSharesMeteredPerBatch) {
   EXPECT_EQ(stats.per_class[QosIndex(QosClass::kBatch)].batches_joined, 6);
 }
 
-// Lost-wake and conservation stress over 1, 2 and 4 dispatchers: callers
-// of every QoS class file requests of 1 to 3 batches on rotating layers.
-// Every row must equal a direct engine call's, every receipt must charge
-// exactly its own inputs, and the receipts' batch shares must sum to the
-// batches dispatched. A lost wake-up leaves a caller (and the test)
-// blocked, which ctest reports as a timeout.
+// Lost-wake and conservation stress: 8 callers over 1, 2 and 4 streams,
+// with the engine running at CPU speed and with a simulated device that
+// holds each stream for at least 200 µs a batch, so callers keep queueing
+// behind busy streams and every release hands one on. Callers of every
+// QoS class file requests of 1 to 3 batches on rotating layers. Every row
+// must equal a direct engine call's, every receipt must charge exactly its
+// own inputs, and the receipts' batch shares must sum to the batches
+// dispatched. A lost wake-up leaves a caller (and the test) blocked, which
+// ctest reports as a timeout.
 TEST(BatchSchedulerTest, ManyThreadsManyLayersStress) {
   constexpr int kBatch = 16;
   constexpr uint32_t kInputs = 3 * kBatch;
@@ -415,12 +527,16 @@ TEST(BatchSchedulerTest, ManyThreadsManyLayersStress) {
   const QosClass kClasses[] = {QosClass::kInteractive, QosClass::kBatch,
                                QosClass::kBestEffort};
 
-  for (const int dispatchers : {1, 2, 4}) {
-    SCOPED_TRACE("num_dispatchers = " + std::to_string(dispatchers));
+  for (int config = 0; config < 6; ++config) {
+    const int streams = 1 << (config % 3);
+    const bool simulate_device = config >= 3;
+    SCOPED_TRACE("streams = " + std::to_string(streams) +
+                 ", simulated device = " + std::to_string(simulate_device));
+    sys.engine->set_simulate_device_latency(simulate_device);
     BatchSchedulerOptions options;
     options.linger_seconds = 0.0005;
     options.best_effort_linger_seconds = 0.001;
-    options.num_dispatchers = dispatchers;
+    options.num_dispatchers = streams;
     BatchingInferenceScheduler scheduler(sys.engine.get(), options);
 
     constexpr int kThreads = 8;

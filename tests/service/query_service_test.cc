@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -110,6 +112,29 @@ TEST(QueryServiceTest, CreateValidatesOptions) {
   bad.max_queue_depth = 0;
   EXPECT_FALSE(QueryService::Create(fix.engine.get(), bad).ok());
   EXPECT_FALSE(QueryService::Create(nullptr, QueryServiceOptions()).ok());
+}
+
+// A linger window must be a finite, non-negative number of seconds: NaN
+// slips past a plain `< 0` check, and the scheduler would otherwise cast
+// an infinite window to an integer nanosecond count.
+TEST(QueryServiceTest, CreateRejectsNonFiniteLinger) {
+  ServiceFixture fix(30, 72, EngineOptions());
+  for (const double linger :
+       {std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(), -1e-3}) {
+    QueryServiceOptions options;
+    options.num_workers = 2;
+    options.batch_linger_seconds = linger;
+    Result<std::unique_ptr<QueryService>> service =
+        QueryService::Create(fix.engine.get(), options);
+    ASSERT_FALSE(service.ok()) << "linger " << linger;
+    EXPECT_TRUE(service.status().IsInvalidArgument()) << "linger " << linger;
+  }
+  QueryServiceOptions options;
+  options.num_workers = 2;
+  options.batch_linger_seconds = 0.0;
+  EXPECT_TRUE(QueryService::Create(fix.engine.get(), options).ok());
 }
 
 TEST(QueryServiceTest, SubmitValidatesQueries) {
