@@ -13,8 +13,12 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <cstdlib>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,6 +29,7 @@
 #include "core/query_spec_json.h"
 #include "net/http.h"
 #include "net/http_client.h"
+#include "service/ingest_sink.h"
 #include "service/metrics_registry.h"
 
 namespace deepeverest {
@@ -1068,6 +1073,630 @@ TEST(QueryServerTest, DeleteCancelsLiveQueryById) {
   // Other methods on the route are rejected.
   EXPECT_EQ(canceller->Get("/v1/query/" + std::to_string(query_id))->status,
             405);
+}
+
+// Every route answers 405 to a method it does not serve, and the body says
+// so; an unknown path stays a 404 whatever the method.
+TEST(QueryServerTest, EveryRouteRejectsMethodsItDoesNotServe) {
+  ServerFixture fix;
+  auto client = fix.Connect();
+  ASSERT_TRUE(client.ok());
+  const std::pair<const char*, const char*> wrong[] = {
+      {"POST", "/healthz"},          {"PUT", "/healthz"},
+      {"POST", "/v1/metrics"},       {"DELETE", "/v1/metrics"},
+      {"GET", "/v1/query/7"},        {"POST", "/v1/query/7"},
+      {"POST", "/v1/trace/7"},       {"DELETE", "/v1/trace/7"},
+      {"POST", "/v1/models"},        {"DELETE", "/v1/models"},
+      {"GET", "/v1/ingest"},         {"DELETE", "/v1/ingest"},
+      {"POST", "/v1/snapshot"},      {"DELETE", "/v1/snapshot"},
+      {"GET", "/v1/snapshot/save"},  {"DELETE", "/v1/snapshot/save"},
+      {"POST", "/v1/stats"},         {"PUT", "/v1/stats"},
+      {"DELETE", "/v1/query"},       {"PUT", "/v1/query"},
+      {"DELETE", "/v1/ql"},          {"PATCH", "/v1/ql"},
+  };
+  for (const auto& [method, target] : wrong) {
+    auto response = client->Request(method, target);
+    ASSERT_TRUE(response.ok()) << method << " " << target;
+    EXPECT_EQ(response->status, 405) << method << " " << target;
+    EXPECT_EQ(response->body, "method not allowed\n")
+        << method << " " << target;
+  }
+  for (const char* method : {"GET", "POST", "DELETE"}) {
+    auto response = client->Request(method, "/v1/nope");
+    ASSERT_TRUE(response.ok()) << method;
+    EXPECT_EQ(response->status, 404) << method;
+    auto body = ParseJson(response->body);
+    ASSERT_TRUE(body.ok()) << response->body;
+    EXPECT_EQ(body->Find("error")->Find("code")->string_value(), "NotFound");
+  }
+}
+
+/// An ingest pipeline whose counters never move: it puts the ingest
+/// sections of the served surfaces on display without a persist stack.
+class FixedIngestSink : public service::IngestSink {
+ public:
+  FixedIngestSink() {
+    stats_.dataset_size = 200;
+    stats_.ingested_total = 24;
+    stats_.rejected_total = 3;
+    stats_.applies_total = 5;
+    stats_.min_watermark = 192;
+    stats_.layers = {{1, 192}, {3, 200}};
+    stats_.snapshots_written = 2;
+    stats_.snapshot_bytes = 4096;
+    stats_.snapshot_age_seconds = 12.5;
+    stats_.snapshot_dataset_size = 176;
+  }
+  Result<service::IngestAck> Ingest(
+      const std::vector<service::IngestInput>&) override {
+    return Status::FailedPrecondition("fixed ingest stub");
+  }
+  service::IngestStats Stats() const override { return stats_; }
+  Status SaveSnapshot() override { return Status::OK(); }
+
+ private:
+  service::IngestStats stats_;
+};
+
+/// Two models behind one server: "iqa-batch" runs an IQA engine on a
+/// four-worker service (cross-query batching on); "ingest-stub" runs the
+/// plain demo engine on one worker (batching off) with a FixedIngestSink.
+struct SurfaceFixture {
+  SurfaceFixture() {
+    DemoSystemOptions iqa_demo;
+    iqa_demo.preprocess = false;
+    iqa_system = std::move(DemoSystem::Make(iqa_demo).value());
+    core::DeepEverestOptions engine_options;
+    engine_options.batch_size = 8;
+    engine_options.enable_iqa = true;
+    engine_options.iqa_capacity_bytes = 1 << 20;
+    auto engine = core::DeepEverest::Create(
+        iqa_system->model(), iqa_system->dataset(), iqa_system->store(),
+        engine_options);
+    EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+    iqa_engine = std::move(engine.value());
+    service::QueryServiceOptions batching;
+    batching.num_workers = 4;
+    iqa_service =
+        std::move(service::QueryService::Create(iqa_engine.get(), batching)
+                      .value());
+
+    DemoSystemOptions plain_demo;
+    plain_demo.seed = 9;
+    plain_system = std::move(DemoSystem::Make(plain_demo).value());
+    service::QueryServiceOptions single;
+    single.num_workers = 1;
+    plain_service = std::move(
+        service::QueryService::Create(plain_system->engine(), single).value());
+
+    EXPECT_TRUE(registry.Register("iqa-batch", iqa_service.get()).ok());
+    EXPECT_TRUE(registry.Register("ingest-stub", plain_service.get()).ok());
+    EXPECT_TRUE(registry.AttachIngest("ingest-stub", &sink).ok());
+    auto started = QueryServer::Start(&registry, QueryServerOptions());
+    EXPECT_TRUE(started.ok()) << started.status().ToString();
+    server = std::move(started.value());
+  }
+
+  ~SurfaceFixture() {
+    if (server != nullptr) server->Shutdown();
+    iqa_service->Shutdown();
+    plain_service->Shutdown();
+  }
+
+  /// A fixed mixed workload on both models, then both services drained.
+  void RunQueriesAndDrain() {
+    auto client = HttpClient::Connect("127.0.0.1", server->port());
+    ASSERT_TRUE(client.ok());
+    for (const char* model : {"iqa-batch", "ingest-stub"}) {
+      for (core::QuerySpec spec :
+           bench_util::MakeMixedWorkload(*iqa_system->model(), 8)) {
+        std::string body = core::QuerySpecJson(spec);
+        body.insert(1, std::string(R"("model":")") + model + "\",");
+        auto response = client->Post("/v1/query", body);
+        ASSERT_TRUE(response.ok());
+        ASSERT_EQ(response->status, 200) << response->body;
+      }
+    }
+    iqa_service->Drain();
+    plain_service->Drain();
+  }
+
+  Result<JsonValue> GetJson(const std::string& target) {
+    auto client = HttpClient::Connect("127.0.0.1", server->port());
+    DE_RETURN_NOT_OK(client.status());
+    DE_ASSIGN_OR_RETURN(HttpResponse response, client->Get(target));
+    if (response.status != 200) {
+      return Status::Internal(target + " answered " +
+                              std::to_string(response.status));
+    }
+    return ParseJson(response.body);
+  }
+
+  std::unique_ptr<DemoSystem> iqa_system;
+  std::unique_ptr<core::DeepEverest> iqa_engine;
+  std::unique_ptr<service::QueryService> iqa_service;
+  std::unique_ptr<DemoSystem> plain_system;
+  std::unique_ptr<service::QueryService> plain_service;
+  FixedIngestSink sink;
+  service::EngineRegistry registry;
+  std::unique_ptr<QueryServer> server;
+};
+
+const char* JsonKindName(const JsonValue& value) {
+  switch (value.kind()) {
+    case JsonValue::Kind::kNull: return "null";
+    case JsonValue::Kind::kBool: return "bool";
+    case JsonValue::Kind::kNumber: return "number";
+    case JsonValue::Kind::kString: return "string";
+    case JsonValue::Kind::kArray: return "array";
+    case JsonValue::Kind::kObject: return "object";
+  }
+  return "?";
+}
+
+/// Inserts "path:kind" for `value` and everything under it. Array items
+/// share the path "[]", except objects naming a model, which get
+/// "[<model>]" so each model's section is pinned on its own.
+void CollectKeyPaths(const JsonValue& value, const std::string& path,
+                     std::set<std::string>* out) {
+  out->insert(path + ":" + JsonKindName(value));
+  if (value.is_object()) {
+    for (const auto& [key, member] : value.object_members()) {
+      CollectKeyPaths(member, path + "." + key, out);
+    }
+  } else if (value.is_array()) {
+    for (const JsonValue& item : value.array_items()) {
+      const JsonValue* model = item.Find("model");
+      CollectKeyPaths(item,
+                      path + "[" +
+                          (model != nullptr && model->is_string()
+                               ? model->string_value()
+                               : "") +
+                          "]",
+                      out);
+    }
+  }
+}
+
+/// One Prometheus family as scraped: TYPE, HELP, the union of its
+/// samples' label keys, and the `model` label values it carries.
+struct ScrapedFamily {
+  std::string type;
+  std::string help;
+  std::set<std::string> label_keys;
+  std::set<std::string> models;
+};
+
+/// Parses an exposition into families plus every sample's value by its
+/// full series text (name and label set as rendered).
+std::map<std::string, ScrapedFamily> ScrapeFamilies(
+    const std::string& text, std::map<std::string, double>* values) {
+  std::map<std::string, ScrapedFamily> families;
+  std::istringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.rfind("# HELP ", 0) == 0 || line.rfind("# TYPE ", 0) == 0) {
+      const size_t name_end = line.find(' ', 7);
+      ScrapedFamily& family = families[line.substr(7, name_end - 7)];
+      (line[2] == 'H' ? family.help : family.type) =
+          line.substr(name_end + 1);
+      continue;
+    }
+    if (line.empty() || line[0] == '#') continue;
+    const size_t space = line.rfind(' ');
+    const std::string series = line.substr(0, space);
+    (*values)[series] = std::strtod(line.c_str() + space + 1, nullptr);
+    std::string name = series.substr(0, series.find('{'));
+    if (families.count(name) == 0) {
+      for (const char* suffix : {"_bucket", "_sum", "_count"}) {
+        const std::string s(suffix);
+        if (name.size() > s.size() &&
+            name.compare(name.size() - s.size(), s.size(), s) == 0 &&
+            families.count(name.substr(0, name.size() - s.size())) != 0) {
+          name = name.substr(0, name.size() - s.size());
+          break;
+        }
+      }
+    }
+    ScrapedFamily& family = families[name];
+    const size_t open = series.find('{');
+    if (open == std::string::npos) continue;
+    // Label values here never contain '"' or ','; split naively.
+    std::string labels = series.substr(open + 1, series.size() - open - 2);
+    size_t at = 0;
+    while (at < labels.size()) {
+      const size_t eq = labels.find('=', at);
+      const size_t close = labels.find('"', eq + 2);
+      const std::string key = labels.substr(at, eq - at);
+      family.label_keys.insert(key);
+      if (key == "model") {
+        family.models.insert(labels.substr(eq + 2, close - eq - 2));
+      }
+      at = close + 2;
+    }
+  }
+  return families;
+}
+
+std::string Join(const std::set<std::string>& items) {
+  std::string out;
+  for (const std::string& item : items) {
+    if (!out.empty()) out += ",";
+    out += item;
+  }
+  return out;
+}
+
+// The serving surface, pinned: every key path (with its JSON kind) of
+// /v1/stats, /healthz and /v1/snapshot, and every /v1/metrics family with
+// its TYPE, HELP, label keys and the models it reports, for one model with
+// IQA and cross-query batching and one with an ingest pipeline.
+TEST(QueryServerTest, ServingSurfaceMatchesRecordedSchema) {
+  SurfaceFixture fix;
+  ASSERT_NO_FATAL_FAILURE(fix.RunQueriesAndDrain());
+  std::set<std::string> actual;
+  for (const char* target :
+       {"/v1/stats", "/healthz", "/v1/snapshot?model=ingest-stub"}) {
+    auto json = fix.GetJson(target);
+    ASSERT_TRUE(json.ok()) << json.status().ToString();
+    const std::string path(target);
+    CollectKeyPaths(*json, path.substr(0, path.find('?')), &actual);
+  }
+  auto client = HttpClient::Connect("127.0.0.1", fix.server->port());
+  ASSERT_TRUE(client.ok());
+  auto metrics = client->Get("/v1/metrics");
+  ASSERT_TRUE(metrics.ok());
+  std::map<std::string, double> values;
+  for (const auto& [name, family] : ScrapeFamilies(metrics->body, &values)) {
+    actual.insert("/v1/metrics " + name + " " + family.type + " {" +
+                  Join(family.label_keys) + "} [" + Join(family.models) +
+                  "] " + family.help);
+  }
+
+  const std::set<std::string> recorded = {
+      "/healthz.build.build_type:string",
+      "/healthz.build.compiler:string",
+      "/healthz.build.cxx_flags:string",
+      "/healthz.build.git:string",
+      "/healthz.build:object",
+      "/healthz.start_unix_seconds:number",
+      "/healthz.status:string",
+      "/healthz.uptime_seconds:number",
+      "/healthz:object",
+      "/v1/metrics deepeverest_active_sessions gauge {model} "
+      "[ingest-stub,iqa-batch] Sessions with queued work.",
+      "/v1/metrics deepeverest_batch_fill_fraction histogram {le,model} "
+      "[iqa-batch] Per-batch occupancy fraction at dispatch.",
+      "/v1/metrics deepeverest_batch_fill_ratio gauge {model} [iqa-batch] "
+      "Mean device-batch occupancy since start, in [0, 1].",
+      "/v1/metrics deepeverest_batch_inputs_dispatched_total counter {model} "
+      "[iqa-batch] Inputs carried by those batches.",
+      "/v1/metrics deepeverest_batch_linger_flushes_total counter {model} "
+      "[iqa-batch] Partial batches flushed by the linger window.",
+      "/v1/metrics deepeverest_batches_dispatched_total counter {model} "
+      "[iqa-batch] Device batches launched by the batching scheduler.",
+      "/v1/metrics deepeverest_batches_sealed_by_interactive_total counter "
+      "{model} [iqa-batch] Partial batches launched early for an interactive "
+      "request.",
+      "/v1/metrics deepeverest_build_info gauge {build_type,compiler,git} [] "
+      "Build metadata; the value is always 1.",
+      "/v1/metrics deepeverest_http_connections_accepted_total counter {} [] "
+      "TCP connections accepted by the HTTP front-end.",
+      "/v1/metrics deepeverest_http_requests_total counter {} [] HTTP "
+      "responses written, including parse-error replies.",
+      "/v1/metrics deepeverest_http_responses_total counter {code} [] HTTP "
+      "responses by status family.",
+      "/v1/metrics deepeverest_ingest_applies_total counter {model} "
+      "[ingest-stub] Incremental index apply passes completed.",
+      "/v1/metrics deepeverest_ingest_dataset_size gauge {model} "
+      "[ingest-stub] Inputs visible to queries (dataset size).",
+      "/v1/metrics deepeverest_ingest_rejected_total counter {model} "
+      "[ingest-stub] Ingest batches rejected because the apply backlog was "
+      "full.",
+      "/v1/metrics deepeverest_ingest_watermark gauge {model} [ingest-stub] "
+      "Minimum index high-watermark across built layers; equals the dataset "
+      "size when the index tier is caught up.",
+      "/v1/metrics deepeverest_ingested_inputs_total counter {model} "
+      "[ingest-stub] Inputs durably accepted by POST /v1/ingest.",
+      "/v1/metrics deepeverest_iqa_cache_bytes gauge {model} [iqa-batch] "
+      "Bytes of cached activations.",
+      "/v1/metrics deepeverest_iqa_cache_capacity_bytes gauge {model} "
+      "[iqa-batch] Configured IQA cache capacity.",
+      "/v1/metrics deepeverest_iqa_evictions_total counter {model} "
+      "[iqa-batch] IQA activation-cache evictions.",
+      "/v1/metrics deepeverest_iqa_hits_total counter {model} [iqa-batch] IQA "
+      "activation-cache hits.",
+      "/v1/metrics deepeverest_iqa_misses_total counter {model} [iqa-batch] "
+      "IQA activation-cache misses.",
+      "/v1/metrics deepeverest_preemptions_total counter {model} "
+      "[ingest-stub,iqa-batch] Park-and-switch events where a worker handed "
+      "itself directly to a waiting interactive query.",
+      "/v1/metrics deepeverest_queries_cancelled_total counter {model} "
+      "[ingest-stub,iqa-batch] Queries cancelled before or during execution.",
+      "/v1/metrics deepeverest_queries_completed_total counter {model} "
+      "[ingest-stub,iqa-batch] Queries executed to an OK result.",
+      "/v1/metrics deepeverest_queries_deadline_exceeded_total counter "
+      "{model} [ingest-stub,iqa-batch] Queries aborted mid-execution by their "
+      "deadline.",
+      "/v1/metrics deepeverest_queries_failed_total counter {model} "
+      "[ingest-stub,iqa-batch] Queries that executed but returned an error.",
+      "/v1/metrics deepeverest_queries_inflight gauge {model} "
+      "[ingest-stub,iqa-batch] Queries currently executing.",
+      "/v1/metrics deepeverest_queries_parked gauge {model} "
+      "[ingest-stub,iqa-batch] Queries preempted mid-flight, waiting to be "
+      "resumed.",
+      "/v1/metrics deepeverest_queries_parked_total counter {model} "
+      "[ingest-stub,iqa-batch] Park transitions: non-interactive queries "
+      "preempted between NTA rounds to free a worker for interactive work.",
+      "/v1/metrics deepeverest_queries_rejected_past_deadline_total counter "
+      "{model} [ingest-stub,iqa-batch] Queries whose deadline expired while "
+      "queued (never executed).",
+      "/v1/metrics deepeverest_queries_rejected_queue_full_total counter "
+      "{model} [ingest-stub,iqa-batch] Submissions rejected because the "
+      "admission queue was full.",
+      "/v1/metrics deepeverest_queries_rejected_session_limit_total counter "
+      "{model} [ingest-stub,iqa-batch] Submissions rejected by the "
+      "per-session queued-query bound.",
+      "/v1/metrics deepeverest_queries_resumed_total counter {model} "
+      "[ingest-stub,iqa-batch] Resume transitions: parked queries picked back "
+      "up by a worker.",
+      "/v1/metrics deepeverest_queries_submitted_total counter {model} "
+      "[ingest-stub,iqa-batch] Queries admitted to the service queue.",
+      "/v1/metrics deepeverest_query_latency_seconds histogram "
+      "{class,le,model} [ingest-stub,iqa-batch] Admission-to-completion "
+      "latency of executed queries.",
+      "/v1/metrics deepeverest_queue_depth gauge {model} "
+      "[ingest-stub,iqa-batch] Admitted queries waiting for a worker.",
+      "/v1/metrics deepeverest_server_start_time_seconds gauge {} [] Unix "
+      "time the HTTP server started.",
+      "/v1/metrics deepeverest_server_uptime_seconds gauge {} [] Seconds "
+      "since this HTTP server started.",
+      "/v1/metrics deepeverest_service_uptime_seconds gauge {model} "
+      "[ingest-stub,iqa-batch] Seconds since this model's service started.",
+      "/v1/metrics deepeverest_shared_batches_total counter {model} "
+      "[iqa-batch] Batches that served more than one query.",
+      "/v1/metrics deepeverest_snapshot_age_seconds gauge {model} "
+      "[ingest-stub] Seconds since the last committed snapshot (-1 = none).",
+      "/v1/metrics deepeverest_snapshot_bytes gauge {model} [ingest-stub] "
+      "On-disk size of the last committed snapshot.",
+      "/v1/metrics deepeverest_snapshots_written_total counter {model} "
+      "[ingest-stub] Snapshots committed since process start.",
+      "/v1/metrics deepeverest_worker_utilization gauge {model} "
+      "[ingest-stub,iqa-batch] Worker-pool busy fraction since service start, "
+      "in [0, 1].",
+      "/v1/snapshot.applies_total:number",
+      "/v1/snapshot.dataset_size:number",
+      "/v1/snapshot.ingested_total:number",
+      "/v1/snapshot.min_watermark:number",
+      "/v1/snapshot.model:string",
+      "/v1/snapshot.rejected_total:number",
+      "/v1/snapshot.snapshot_age_seconds:number",
+      "/v1/snapshot.snapshot_bytes:number",
+      "/v1/snapshot.snapshot_dataset_size:number",
+      "/v1/snapshot.snapshots_written:number",
+      "/v1/snapshot.watermarks:array",
+      "/v1/snapshot.watermarks[].layer:number",
+      "/v1/snapshot.watermarks[].watermark:number",
+      "/v1/snapshot.watermarks[]:object",
+      "/v1/snapshot:object",
+      "/v1/stats.default_model:string",
+      "/v1/stats.models:array",
+      "/v1/stats.models[ingest-stub].active_sessions:number",
+      "/v1/stats.models[ingest-stub].batch_size:number",
+      "/v1/stats.models[ingest-stub].batching_enabled:bool",
+      "/v1/stats.models[ingest-stub].cancelled:number",
+      "/v1/stats.models[ingest-stub].completed:number",
+      "/v1/stats.models[ingest-stub].deadline_exceeded:number",
+      "/v1/stats.models[ingest-stub].failed:number",
+      "/v1/stats.models[ingest-stub].inflight:number",
+      "/v1/stats.models[ingest-stub].ingest.applies_total:number",
+      "/v1/stats.models[ingest-stub].ingest.dataset_size:number",
+      "/v1/stats.models[ingest-stub].ingest.ingested_total:number",
+      "/v1/stats.models[ingest-stub].ingest.min_watermark:number",
+      "/v1/stats.models[ingest-stub].ingest.rejected_total:number",
+      "/v1/stats.models[ingest-stub].ingest.snapshot_age_seconds:number",
+      "/v1/stats.models[ingest-stub].ingest.snapshot_bytes:number",
+      "/v1/stats.models[ingest-stub].ingest.snapshot_dataset_size:number",
+      "/v1/stats.models[ingest-stub].ingest.snapshots_written:number",
+      "/v1/stats.models[ingest-stub].ingest.watermarks:array",
+      "/v1/stats.models[ingest-stub].ingest.watermarks[].layer:number",
+      "/v1/stats.models[ingest-stub].ingest.watermarks[].watermark:number",
+      "/v1/stats.models[ingest-stub].ingest.watermarks[]:object",
+      "/v1/stats.models[ingest-stub].ingest:object",
+      "/v1/stats.models[ingest-stub].model:string",
+      "/v1/stats.models[ingest-stub].num_workers:number",
+      "/v1/stats.models[ingest-stub].p50_latency_seconds:number",
+      "/v1/stats.models[ingest-stub].p90_latency_seconds:number",
+      "/v1/stats.models[ingest-stub].p99_latency_seconds:number",
+      "/v1/stats.models[ingest-stub].parked:number",
+      "/v1/stats.models[ingest-stub].parked_total:number",
+      "/v1/stats.models[ingest-stub].per_class:array",
+      "/v1/stats.models[ingest-stub].per_class[].batch_fill:number",
+      "/v1/stats.models[ingest-stub].per_class[].cancelled:number",
+      "/v1/stats.models[ingest-stub].per_class[].class:string",
+      "/v1/stats.models[ingest-stub].per_class[].completed:number",
+      "/v1/stats.models[ingest-stub].per_class[].deadline_exceeded:number",
+      "/v1/stats.models[ingest-stub].per_class[].failed:number",
+      "/v1/stats.models[ingest-stub].per_class[].p50_latency_seconds:number",
+      "/v1/stats.models[ingest-stub].per_class[].p90_latency_seconds:number",
+      "/v1/stats.models[ingest-stub].per_class[].p99_latency_seconds:number",
+      "/v1/stats.models[ingest-stub].per_class[].rejected_past_deadline:number",
+      "/v1/stats.models[ingest-stub].per_class[].submitted:number",
+      "/v1/stats.models[ingest-stub].per_class[]:object",
+      "/v1/stats.models[ingest-stub].preemptions:number",
+      "/v1/stats.models[ingest-stub].queue_depth:number",
+      "/v1/stats.models[ingest-stub].rejected_past_deadline:number",
+      "/v1/stats.models[ingest-stub].rejected_queue_full:number",
+      "/v1/stats.models[ingest-stub].rejected_session_limit:number",
+      "/v1/stats.models[ingest-stub].resumed_total:number",
+      "/v1/stats.models[ingest-stub].states.parked:number",
+      "/v1/stats.models[ingest-stub].states.queued:number",
+      "/v1/stats.models[ingest-stub].states.running:number",
+      "/v1/stats.models[ingest-stub].states:object",
+      "/v1/stats.models[ingest-stub].submitted:number",
+      "/v1/stats.models[ingest-stub].uptime_seconds:number",
+      "/v1/stats.models[ingest-stub].worker_busy_seconds:number",
+      "/v1/stats.models[ingest-stub].worker_utilization:number",
+      "/v1/stats.models[ingest-stub]:object",
+      "/v1/stats.models[iqa-batch].active_sessions:number",
+      "/v1/stats.models[iqa-batch].batch_size:number",
+      "/v1/stats.models[iqa-batch].batching_enabled:bool",
+      "/v1/stats.models[iqa-batch].cancelled:number",
+      "/v1/stats.models[iqa-batch].completed:number",
+      "/v1/stats.models[iqa-batch].deadline_exceeded:number",
+      "/v1/stats.models[iqa-batch].failed:number",
+      "/v1/stats.models[iqa-batch].inflight:number",
+      "/v1/stats.models[iqa-batch].model:string",
+      "/v1/stats.models[iqa-batch].num_workers:number",
+      "/v1/stats.models[iqa-batch].p50_latency_seconds:number",
+      "/v1/stats.models[iqa-batch].p90_latency_seconds:number",
+      "/v1/stats.models[iqa-batch].p99_latency_seconds:number",
+      "/v1/stats.models[iqa-batch].parked:number",
+      "/v1/stats.models[iqa-batch].parked_total:number",
+      "/v1/stats.models[iqa-batch].per_class:array",
+      "/v1/stats.models[iqa-batch].per_class[].batch_fill:number",
+      "/v1/stats.models[iqa-batch].per_class[].cancelled:number",
+      "/v1/stats.models[iqa-batch].per_class[].class:string",
+      "/v1/stats.models[iqa-batch].per_class[].completed:number",
+      "/v1/stats.models[iqa-batch].per_class[].deadline_exceeded:number",
+      "/v1/stats.models[iqa-batch].per_class[].failed:number",
+      "/v1/stats.models[iqa-batch].per_class[].p50_latency_seconds:number",
+      "/v1/stats.models[iqa-batch].per_class[].p90_latency_seconds:number",
+      "/v1/stats.models[iqa-batch].per_class[].p99_latency_seconds:number",
+      "/v1/stats.models[iqa-batch].per_class[].rejected_past_deadline:number",
+      "/v1/stats.models[iqa-batch].per_class[].submitted:number",
+      "/v1/stats.models[iqa-batch].per_class[]:object",
+      "/v1/stats.models[iqa-batch].preemptions:number",
+      "/v1/stats.models[iqa-batch].queue_depth:number",
+      "/v1/stats.models[iqa-batch].rejected_past_deadline:number",
+      "/v1/stats.models[iqa-batch].rejected_queue_full:number",
+      "/v1/stats.models[iqa-batch].rejected_session_limit:number",
+      "/v1/stats.models[iqa-batch].resumed_total:number",
+      "/v1/stats.models[iqa-batch].states.parked:number",
+      "/v1/stats.models[iqa-batch].states.queued:number",
+      "/v1/stats.models[iqa-batch].states.running:number",
+      "/v1/stats.models[iqa-batch].states:object",
+      "/v1/stats.models[iqa-batch].submitted:number",
+      "/v1/stats.models[iqa-batch].uptime_seconds:number",
+      "/v1/stats.models[iqa-batch].worker_busy_seconds:number",
+      "/v1/stats.models[iqa-batch].worker_utilization:number",
+      "/v1/stats.models[iqa-batch]:object",
+      "/v1/stats.server.build.build_type:string",
+      "/v1/stats.server.build.compiler:string",
+      "/v1/stats.server.build.cxx_flags:string",
+      "/v1/stats.server.build.git:string",
+      "/v1/stats.server.build:object",
+      "/v1/stats.server.start_unix_seconds:number",
+      "/v1/stats.server.uptime_seconds:number",
+      "/v1/stats.server:object",
+      "/v1/stats:object",
+  };
+  std::string diff;
+  for (const std::string& line : recorded) {
+    if (actual.count(line) == 0) diff += "  missing: " + line + "\n";
+  }
+  for (const std::string& line : actual) {
+    if (recorded.count(line) == 0) diff += "  unexpected: " + line + "\n";
+  }
+  EXPECT_TRUE(diff.empty()) << diff;
+}
+
+/// The value of `series` in `values`; NaN when the scrape lacks it.
+double SeriesValue(const std::map<std::string, double>& values,
+                   const std::string& series) {
+  auto it = values.find(series);
+  return it == values.end() ? std::nan("") : it->second;
+}
+
+// Once the services are quiet, every counter both surfaces report reads
+// the same in /v1/stats as in /v1/metrics.
+TEST(QueryServerTest, StatsAndMetricsAgreeAfterQuiesce) {
+  SurfaceFixture fix;
+  ASSERT_NO_FATAL_FAILURE(fix.RunQueriesAndDrain());
+  auto stats = fix.GetJson("/v1/stats");
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  auto client = HttpClient::Connect("127.0.0.1", fix.server->port());
+  ASSERT_TRUE(client.ok());
+  auto metrics = client->Get("/v1/metrics");
+  ASSERT_TRUE(metrics.ok());
+  std::map<std::string, double> values;
+  ScrapeFamilies(metrics->body, &values);
+
+  const std::pair<const char*, const char*> per_model[] = {
+      {"submitted", "deepeverest_queries_submitted_total"},
+      {"completed", "deepeverest_queries_completed_total"},
+      {"failed", "deepeverest_queries_failed_total"},
+      {"cancelled", "deepeverest_queries_cancelled_total"},
+      {"deadline_exceeded", "deepeverest_queries_deadline_exceeded_total"},
+      {"rejected_past_deadline",
+       "deepeverest_queries_rejected_past_deadline_total"},
+      {"rejected_queue_full", "deepeverest_queries_rejected_queue_full_total"},
+      {"rejected_session_limit",
+       "deepeverest_queries_rejected_session_limit_total"},
+      {"parked_total", "deepeverest_queries_parked_total"},
+      {"resumed_total", "deepeverest_queries_resumed_total"},
+      {"preemptions", "deepeverest_preemptions_total"},
+      {"queue_depth", "deepeverest_queue_depth"},
+      {"inflight", "deepeverest_queries_inflight"},
+      {"parked", "deepeverest_queries_parked"},
+      {"active_sessions", "deepeverest_active_sessions"},
+  };
+  const std::pair<const char*, const char*> ingest[] = {
+      {"ingested_total", "deepeverest_ingested_inputs_total"},
+      {"rejected_total", "deepeverest_ingest_rejected_total"},
+      {"applies_total", "deepeverest_ingest_applies_total"},
+      {"dataset_size", "deepeverest_ingest_dataset_size"},
+      {"min_watermark", "deepeverest_ingest_watermark"},
+      {"snapshots_written", "deepeverest_snapshots_written_total"},
+      {"snapshot_bytes", "deepeverest_snapshot_bytes"},
+      {"snapshot_age_seconds", "deepeverest_snapshot_age_seconds"},
+  };
+  int compared = 0;
+  for (const char* model : {"iqa-batch", "ingest-stub"}) {
+    const JsonValue* section = FindModelStats(*stats, model);
+    ASSERT_NE(section, nullptr) << model;
+    const std::string label = std::string("{model=\"") + model + "\"}";
+    for (const auto& [key, series] : per_model) {
+      ASSERT_NE(section->Find(key), nullptr) << key;
+      EXPECT_EQ(section->Find(key)->number_value(),
+                SeriesValue(values, series + label))
+          << model << " " << key;
+      ++compared;
+    }
+    // Every query here completes, so each class's latency histogram
+    // counts exactly that class's completions.
+    const JsonValue* per_class = section->Find("per_class");
+    ASSERT_NE(per_class, nullptr);
+    for (const JsonValue& cls : per_class->array_items()) {
+      const std::string class_label = std::string("{model=\"") + model +
+                                      "\",class=\"" +
+                                      cls.Find("class")->string_value() + "\"}";
+      EXPECT_EQ(cls.Find("completed")->number_value(),
+                SeriesValue(values, "deepeverest_query_latency_seconds_count" +
+                                        class_label))
+          << model << " " << class_label;
+      ++compared;
+    }
+    const JsonValue* ingest_section = section->Find("ingest");
+    if (std::string(model) == "iqa-batch") {
+      EXPECT_EQ(ingest_section, nullptr);
+      continue;
+    }
+    ASSERT_NE(ingest_section, nullptr);
+    for (const auto& [key, series] : ingest) {
+      ASSERT_NE(ingest_section->Find(key), nullptr) << key;
+      EXPECT_EQ(ingest_section->Find(key)->number_value(),
+                SeriesValue(values, series + label))
+          << model << " " << key;
+      ++compared;
+    }
+  }
+  EXPECT_EQ(stats->Find("server")->Find("start_unix_seconds")->number_value(),
+            SeriesValue(values, "deepeverest_server_start_time_seconds"));
+  EXPECT_EQ(compared, 2 * (15 + kNumQosClasses) + 8);
+  // The counters moved: the comparison is not between zeros.
+  EXPECT_EQ(FindModelStats(*stats, "iqa-batch")->Find("completed")->int_value(),
+            8);
 }
 
 }  // namespace
