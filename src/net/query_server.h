@@ -2,10 +2,10 @@
 #define DEEPEVEREST_NET_QUERY_SERVER_H_
 
 #include <cstdint>
+#include <ctime>
 #include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/mutex.h"
 #include "common/result.h"
@@ -13,8 +13,8 @@
 #include "core/query_context.h"
 #include "core/query_spec.h"
 #include "net/http_server.h"
+#include "net/serving_surface.h"
 #include "service/engine_registry.h"
-#include "service/metrics_registry.h"
 #include "service/query_service.h"
 
 namespace deepeverest {
@@ -74,7 +74,9 @@ struct QueryServerOptions {
 ///    uptime and build info.
 ///  - `GET /v1/metrics` — the Prometheus text exposition (format 0.0.4):
 ///    per-model query counters and latency histograms, IQA cache and batch
-///    scheduler stats, HTTP front-end counters, and build info.
+///    scheduler stats, HTTP front-end counters, and build info. Every
+///    counter served here and in /v1/stats is declared once
+///    (serving_surface.h), so the two surfaces read the same values.
 ///  - `GET /v1/trace/<id>` — a recently finished query's span tree, while
 ///    it is still in the service's trace ring. Every query is traced;
 ///    `trace=1` on /v1/query or /v1/ql (URL parameter or body member, like
@@ -108,57 +110,55 @@ class QueryServer {
   /// underlying services are not shut down (they are not owned).
   void Shutdown();
 
-  /// The server's metrics registry — /v1/metrics renders it. Additional
-  /// subsystems may AddCollector; handles registered by the server itself
-  /// are removed in Shutdown().
-  service::MetricsRegistry* metrics() { return &metrics_; }
+  /// The /v1/metrics exposition as a scrape would read it now.
+  std::string RenderPrometheusText() const;
+  /// This server, for callers that scrape through
+  /// `metrics()->RenderPrometheusText()`.
+  const QueryServer* metrics() const { return this; }
 
  private:
   explicit QueryServer(service::EngineRegistry* registry)
       : registry_(registry) {}
 
+  /// Routes by the one route table in query_server.cc: 405 for a method
+  /// the route does not serve, 404 for an unknown path.
   void Handle(const HttpRequest& request, HttpResponseWriter* writer);
-  /// Shared by /v1/query and /v1/ql (`require_ql` demands the ql field).
-  void HandleQuery(const HttpRequest& request, HttpResponseWriter* writer,
-                   bool require_ql);
-  void HandleStreamingQuery(service::QueryService* service,
-                            core::QuerySpec spec, HttpResponseWriter* writer,
-                            bool want_trace);
-  void HandleModels(HttpResponseWriter* writer);
+  /// /v1/query and /v1/ql (which demands the ql field).
+  void HandleQuery(const HttpRequest& request, HttpResponseWriter* writer);
+  /// One query's whole lifetime: submit, live registration, wait, the
+  /// `respond` and `serialize` spans, the reply and Trace::Finish. Plain
+  /// and streamed replies differ only in how the bytes are framed.
+  void RunQuery(service::QueryService* service, core::QuerySpec spec,
+                bool stream, bool want_trace, HttpResponseWriter* writer);
+  void HandleModels(const HttpRequest& request, HttpResponseWriter* writer);
   void HandleIngest(const HttpRequest& request, HttpResponseWriter* writer);
-  /// GET /v1/snapshot (`save` false) and POST /v1/snapshot/save (true).
-  void HandleSnapshot(const HttpRequest& request, HttpResponseWriter* writer,
-                      bool save);
-  void HandleStats(HttpResponseWriter* writer);
-  void HandleMetrics(HttpResponseWriter* writer);
-  void HandleTrace(const std::string& path, HttpResponseWriter* writer);
-  void HandleCancel(const std::string& path, HttpResponseWriter* writer);
-  void HandleHealthz(HttpResponseWriter* writer);
+  /// GET /v1/snapshot and POST /v1/snapshot/save.
+  void HandleSnapshot(const HttpRequest& request, HttpResponseWriter* writer);
+  /// GET /healthz, /v1/stats and /v1/metrics, from one Sources().
+  void HandleSurface(const HttpRequest& request, HttpResponseWriter* writer);
+  void HandleTrace(const HttpRequest& request, HttpResponseWriter* writer);
+  void HandleCancel(const HttpRequest& request, HttpResponseWriter* writer);
 
-  /// One live (admitted, unfinished) query's control handle, registered for
-  /// the duration of the request that submitted it. Backs
+  /// What the served surfaces read (serving_surface.h), gathered now.
+  ServingSources Sources() const;
+
+  /// One live (admitted, unfinished) query's control handle, registered by
+  /// RunQuery for the duration of the request that submitted it. Backs
   /// `DELETE /v1/query/<id>` and the per-model `states` section of
   /// /v1/stats. Weak: the service and client own the context's lifetime.
   struct LiveQuery {
     std::weak_ptr<core::QueryContext> ctx;
     service::QueryService* service = nullptr;
   };
-  void RegisterLive(uint64_t query_id,
-                    const std::shared_ptr<core::QueryContext>& ctx,
-                    service::QueryService* service);
-  void UnregisterLive(uint64_t query_id);
 
   service::EngineRegistry* registry_;
   std::unique_ptr<HttpServer> http_;
-  service::MetricsRegistry metrics_;
-  std::vector<int64_t> collector_handles_;
   Stopwatch uptime_;
-  int64_t start_unix_seconds_ = 0;
+  const int64_t start_unix_seconds_ = static_cast<int64_t>(std::time(nullptr));
 
   mutable common::Mutex live_mu_;
   /// Live queries by query id (== trace id, process-wide unique). Entries
-  /// are erased when their request finishes; expired stragglers are pruned
-  /// opportunistically by /v1/stats.
+  /// are erased when their request finishes.
   std::map<uint64_t, LiveQuery> live_ GUARDED_BY(live_mu_);
 };
 

@@ -43,6 +43,11 @@ std::string EngineRegistry::default_model() const {
   return entries_.empty() ? std::string() : entries_.front().name;
 }
 
+std::vector<EngineRegistry::Entry> EngineRegistry::Entries() const {
+  common::MutexLock lock(&mu_);
+  return entries_;
+}
+
 std::vector<std::string> EngineRegistry::ModelNames() const {
   common::MutexLock lock(&mu_);
   std::vector<std::string> names;

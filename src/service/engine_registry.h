@@ -49,6 +49,17 @@ class EngineRegistry {
   /// The default model's name; empty while the registry is.
   std::string default_model() const;
 
+  /// One registered model: its name, service, and ingest sink (null when
+  /// the model serves queries only).
+  struct Entry {
+    std::string name;
+    QueryService* service = nullptr;
+    IngestSink* ingest = nullptr;
+  };
+
+  /// Every registered model, in registration order, read in one hold.
+  std::vector<Entry> Entries() const;
+
   /// Registered model names, in registration order.
   std::vector<std::string> ModelNames() const;
 
@@ -66,12 +77,6 @@ class EngineRegistry {
   bool empty() const { return size() == 0; }
 
  private:
-  struct Entry {
-    std::string name;
-    QueryService* service = nullptr;
-    IngestSink* ingest = nullptr;  // optional
-  };
-
   mutable common::Mutex mu_;
   std::vector<Entry> entries_ GUARDED_BY(mu_);
 };

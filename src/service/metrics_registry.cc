@@ -1,15 +1,10 @@
 #include "service/metrics_registry.h"
 
-#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
-
-#include "service/engine_registry.h"
-#include "service/query_service.h"
-#include "service/service_stats.h"
 
 namespace deepeverest {
 namespace service {
@@ -75,26 +70,14 @@ MetricsEmitter::Family* MetricsEmitter::FamilyFor(const std::string& name,
 }
 
 void MetricsEmitter::AddSample(Family* family, const std::string& name,
-                               const Labels& labels, const char* extra_key,
-                               const std::string& extra_value, double value) {
+                               const Labels& labels, double value) {
   std::string line = name;
-  if (!labels.empty() || extra_key != nullptr) {
+  if (!labels.empty()) {
     line += "{";
-    bool first = true;
-    for (const auto& [key, label_value] : labels) {
-      if (!first) line += ",";
-      first = false;
-      line += key;
-      line += "=\"";
-      line += EscapeLabelValue(label_value);
-      line += "\"";
-    }
-    if (extra_key != nullptr) {
-      if (!first) line += ",";
-      line += extra_key;
-      line += "=\"";
-      line += extra_value;  // always a number or +Inf; nothing to escape
-      line += "\"";
+    for (size_t i = 0; i < labels.size(); ++i) {
+      if (i > 0) line += ",";
+      line += labels[i].first + "=\"" + EscapeLabelValue(labels[i].second) +
+              "\"";
     }
     line += "}";
   }
@@ -105,13 +88,12 @@ void MetricsEmitter::AddSample(Family* family, const std::string& name,
 
 void MetricsEmitter::Counter(const std::string& name, const std::string& help,
                              const Labels& labels, double value) {
-  AddSample(FamilyFor(name, help, "counter"), name, labels, nullptr, "",
-            value);
+  AddSample(FamilyFor(name, help, "counter"), name, labels, value);
 }
 
 void MetricsEmitter::Gauge(const std::string& name, const std::string& help,
                            const Labels& labels, double value) {
-  AddSample(FamilyFor(name, help, "gauge"), name, labels, nullptr, "", value);
+  AddSample(FamilyFor(name, help, "gauge"), name, labels, value);
 }
 
 void MetricsEmitter::Histogram(
@@ -119,15 +101,17 @@ void MetricsEmitter::Histogram(
     const std::vector<std::pair<double, int64_t>>& cumulative_buckets,
     double sum, int64_t count) {
   Family* family = FamilyFor(name, help, "histogram");
+  Labels bucket = labels;  // plus `le`, the bucket's upper bound
+  bucket.emplace_back("le", "");
   for (const auto& [upper, cumulative] : cumulative_buckets) {
-    AddSample(family, name + "_bucket", labels, "le", FormatValue(upper),
+    bucket.back().second = FormatValue(upper);
+    AddSample(family, name + "_bucket", bucket,
               static_cast<double>(cumulative));
   }
-  AddSample(family, name + "_bucket", labels, "le", "+Inf",
-            static_cast<double>(count));
-  AddSample(family, name + "_sum", labels, nullptr, "", sum);
-  AddSample(family, name + "_count", labels, nullptr, "",
-            static_cast<double>(count));
+  bucket.back().second = "+Inf";
+  AddSample(family, name + "_bucket", bucket, static_cast<double>(count));
+  AddSample(family, name + "_sum", labels, sum);
+  AddSample(family, name + "_count", labels, static_cast<double>(count));
 }
 
 std::string MetricsEmitter::Render() const {
@@ -146,228 +130,23 @@ std::string MetricsEmitter::Render() const {
   return out;
 }
 
-int64_t MetricsRegistry::AddCollector(Collector collector) {
-  common::MutexLock lock(&mu_);
-  const int64_t handle = next_handle_++;
-  collectors_.emplace_back(handle, std::move(collector));
-  return handle;
-}
-
-void MetricsRegistry::RemoveCollector(int64_t handle) {
-  common::MutexLock lock(&mu_);
-  collectors_.erase(
-      std::remove_if(collectors_.begin(), collectors_.end(),
-                     [handle](const std::pair<int64_t, Collector>& entry) {
-                       return entry.first == handle;
-                     }),
-      collectors_.end());
-}
-
-std::string MetricsRegistry::RenderPrometheusText() const {
-  MetricsEmitter emitter;
-  {
-    common::MutexLock lock(&mu_);
-    for (const auto& [handle, collector] : collectors_) {
-      collector(&emitter);
-    }
-  }
-  return emitter.Render();
-}
-
-namespace {
-
-/// Coarsens the 128-bucket LatencyHistogram to every 8th boundary (15
-/// finite `le` bounds + `+Inf`) — plenty of resolution for a dashboard at
-/// an eighth of the exposition size.
-std::vector<std::pair<double, int64_t>> CoarseLatencyBuckets(
-    const std::vector<int64_t>& buckets) {
-  std::vector<std::pair<double, int64_t>> out;
-  int64_t cumulative = 0;
-  for (size_t i = 0; i < buckets.size(); ++i) {
-    cumulative += buckets[i];
-    if ((i + 1) % 8 == 0 && i + 1 < buckets.size()) {
-      out.emplace_back(LatencyHistogram::BucketUpperSeconds(static_cast<int>(i)),
-                       cumulative);
-    }
-  }
-  return out;
-}
-
-void CollectModelMetrics(MetricsEmitter* emitter, const std::string& model,
-                         QueryService* service) {
-  const ServiceStats stats = service->Snapshot();
-  const MetricsEmitter::Labels by_model = {{"model", model}};
-
-  emitter->Counter("deepeverest_queries_submitted_total",
-                   "Queries admitted to the service queue.", by_model,
-                   static_cast<double>(stats.submitted));
-  emitter->Counter("deepeverest_queries_completed_total",
-                   "Queries executed to an OK result.", by_model,
-                   static_cast<double>(stats.completed));
-  emitter->Counter("deepeverest_queries_failed_total",
-                   "Queries that executed but returned an error.", by_model,
-                   static_cast<double>(stats.failed));
-  emitter->Counter("deepeverest_queries_cancelled_total",
-                   "Queries cancelled before or during execution.", by_model,
-                   static_cast<double>(stats.cancelled));
-  emitter->Counter("deepeverest_queries_deadline_exceeded_total",
-                   "Queries aborted mid-execution by their deadline.",
-                   by_model, static_cast<double>(stats.deadline_exceeded));
-  emitter->Counter(
-      "deepeverest_queries_rejected_past_deadline_total",
-      "Queries whose deadline expired while queued (never executed).",
-      by_model, static_cast<double>(stats.rejected_past_deadline));
-  emitter->Counter("deepeverest_queries_rejected_queue_full_total",
-                   "Submissions rejected because the admission queue was "
-                   "full.",
-                   by_model, static_cast<double>(stats.rejected_queue_full));
-  emitter->Counter(
-      "deepeverest_queries_rejected_session_limit_total",
-      "Submissions rejected by the per-session queued-query bound.", by_model,
-      static_cast<double>(stats.rejected_session_limit));
-
-  emitter->Counter("deepeverest_queries_parked_total",
-                   "Park transitions: non-interactive queries preempted "
-                   "between NTA rounds to free a worker for interactive "
-                   "work.",
-                   by_model, static_cast<double>(stats.parked_total));
-  emitter->Counter("deepeverest_queries_resumed_total",
-                   "Resume transitions: parked queries picked back up by a "
-                   "worker.",
-                   by_model, static_cast<double>(stats.resumed_total));
-  emitter->Counter("deepeverest_preemptions_total",
-                   "Park-and-switch events where a worker handed itself "
-                   "directly to a waiting interactive query.",
-                   by_model, static_cast<double>(stats.preemptions));
-
-  emitter->Gauge("deepeverest_queue_depth",
-                 "Admitted queries waiting for a worker.", by_model,
-                 static_cast<double>(stats.queue_depth));
-  emitter->Gauge("deepeverest_queries_inflight",
-                 "Queries currently executing.", by_model,
-                 static_cast<double>(stats.inflight));
-  emitter->Gauge("deepeverest_queries_parked",
-                 "Queries preempted mid-flight, waiting to be resumed.",
-                 by_model, static_cast<double>(stats.parked));
-  emitter->Gauge("deepeverest_active_sessions",
-                 "Sessions with queued work.", by_model,
-                 static_cast<double>(stats.active_sessions));
-  emitter->Gauge("deepeverest_worker_utilization",
-                 "Worker-pool busy fraction since service start, in [0, 1].",
-                 by_model, stats.worker_utilization);
-  emitter->Gauge("deepeverest_service_uptime_seconds",
-                 "Seconds since this model's service started.", by_model,
-                 stats.uptime_seconds);
-
-  for (int c = 0; c < kNumQosClasses; ++c) {
-    const QosClassStats& cls = stats.per_class[static_cast<size_t>(c)];
-    MetricsEmitter::Labels labels = by_model;
-    labels.emplace_back("class", QosClassName(static_cast<QosClass>(c)));
-    int64_t count = 0;
-    for (int64_t n : cls.latency_buckets) count += n;
-    emitter->Histogram("deepeverest_query_latency_seconds",
-                       "Admission-to-completion latency of executed queries.",
-                       labels, CoarseLatencyBuckets(cls.latency_buckets),
-                       cls.approx_latency_sum_seconds, count);
-  }
-
-  if (stats.iqa.has_value()) {
-    const core::IqaCache::Stats& iqa = *stats.iqa;
-    emitter->Counter("deepeverest_iqa_hits_total", "IQA activation-cache hits.",
-                     by_model, static_cast<double>(iqa.hits));
-    emitter->Counter("deepeverest_iqa_misses_total",
-                     "IQA activation-cache misses.", by_model,
-                     static_cast<double>(iqa.misses));
-    emitter->Counter("deepeverest_iqa_evictions_total",
-                     "IQA activation-cache evictions.", by_model,
-                     static_cast<double>(iqa.evictions));
-    emitter->Gauge("deepeverest_iqa_cache_bytes",
-                   "Bytes of cached activations.", by_model,
-                   static_cast<double>(iqa.size_bytes));
-    emitter->Gauge("deepeverest_iqa_cache_capacity_bytes",
-                   "Configured IQA cache capacity.", by_model,
-                   static_cast<double>(iqa.capacity_bytes));
-  }
-
-  if (stats.batching_enabled) {
-    const nn::BatchSchedulerStats& b = stats.batching;
-    emitter->Counter("deepeverest_batches_dispatched_total",
-                     "Device batches launched by the batching scheduler.",
-                     by_model, static_cast<double>(b.batches_dispatched));
-    emitter->Counter("deepeverest_batch_inputs_dispatched_total",
-                     "Inputs carried by those batches.", by_model,
-                     static_cast<double>(b.inputs_dispatched));
-    emitter->Counter("deepeverest_shared_batches_total",
-                     "Batches that served more than one query.", by_model,
-                     static_cast<double>(b.shared_batches));
-    emitter->Counter("deepeverest_batch_linger_flushes_total",
-                     "Partial batches flushed by the linger window.",
-                     by_model, static_cast<double>(b.linger_flushes));
-    emitter->Counter(
-        "deepeverest_batches_sealed_by_interactive_total",
-        "Partial batches launched early for an interactive request.",
-        by_model, static_cast<double>(b.sealed_by_interactive));
-    emitter->Gauge("deepeverest_batch_fill_ratio",
-                   "Mean device-batch occupancy since start, in [0, 1].",
-                   by_model, b.AverageFill(stats.batch_size));
-
-    std::vector<std::pair<double, int64_t>> fill_buckets;
-    int64_t cumulative = 0;
-    // The +Inf bucket (== count) is appended by Histogram(); the 8th
-    // bucket's bound 1.0 stays finite and explicit.
-    for (int i = 0; i < nn::BatchSchedulerStats::kFillBuckets; ++i) {
-      cumulative += b.fill_histogram[static_cast<size_t>(i)];
-      fill_buckets.emplace_back(
-          static_cast<double>(i + 1) /
-              static_cast<double>(nn::BatchSchedulerStats::kFillBuckets),
-          cumulative);
-    }
-    const double fill_sum =
-        stats.batch_size > 0 ? static_cast<double>(b.inputs_dispatched) /
-                                   static_cast<double>(stats.batch_size)
-                             : 0.0;
-    emitter->Histogram("deepeverest_batch_fill_fraction",
-                       "Per-batch occupancy fraction at dispatch.", by_model,
-                       fill_buckets, fill_sum, b.batches_dispatched);
-  }
-}
-
-}  // namespace
-
-int64_t RegisterServiceMetrics(MetricsRegistry* metrics,
-                               const EngineRegistry* models) {
-  return metrics->AddCollector([models](MetricsEmitter* emitter) {
-    for (const std::string& name : models->ModelNames()) {
-      QueryService* service = models->Find(name);
-      if (service != nullptr) CollectModelMetrics(emitter, name, service);
-    }
-  });
-}
-
 // ---------------------------------------------------------------------------
 // Exposition-format validator
 // ---------------------------------------------------------------------------
 
 namespace {
 
-bool ValidMetricName(const std::string& name) {
+/// Metric names are [a-zA-Z_:][a-zA-Z0-9_:]*; label names the same
+/// without ':'.
+bool ValidName(const std::string& name, bool colon_ok) {
   if (name.empty()) return false;
   for (size_t i = 0; i < name.size(); ++i) {
     const char c = name[i];
     const bool alpha = std::isalpha(static_cast<unsigned char>(c)) != 0;
     const bool digit = std::isdigit(static_cast<unsigned char>(c)) != 0;
-    if (!(alpha || c == '_' || c == ':' || (digit && i > 0))) return false;
-  }
-  return true;
-}
-
-bool ValidLabelName(const std::string& name) {
-  if (name.empty()) return false;
-  for (size_t i = 0; i < name.size(); ++i) {
-    const char c = name[i];
-    const bool alpha = std::isalpha(static_cast<unsigned char>(c)) != 0;
-    const bool digit = std::isdigit(static_cast<unsigned char>(c)) != 0;
-    if (!(alpha || c == '_' || (digit && i > 0))) return false;
+    if (!(alpha || c == '_' || (colon_ok && c == ':') || (digit && i > 0))) {
+      return false;
+    }
   }
   return true;
 }
@@ -405,14 +184,14 @@ Status ParseSampleLine(const std::string& line, size_t line_no,
   size_t pos = 0;
   while (pos < line.size() && line[pos] != '{' && line[pos] != ' ') ++pos;
   out->name = line.substr(0, pos);
-  if (!ValidMetricName(out->name)) return fail("bad metric name");
+  if (!ValidName(out->name, /*colon_ok=*/true)) return fail("bad metric name");
   if (pos < line.size() && line[pos] == '{') {
     ++pos;
     while (pos < line.size() && line[pos] != '}') {
       size_t eq = line.find('=', pos);
       if (eq == std::string::npos) return fail("label without '='");
       const std::string label = line.substr(pos, eq - pos);
-      if (!ValidLabelName(label)) return fail("bad label name");
+      if (!ValidName(label, /*colon_ok=*/false)) return fail("bad label name");
       if (eq + 1 >= line.size() || line[eq + 1] != '"') {
         return fail("label value not quoted");
       }
@@ -497,6 +276,10 @@ Status ValidatePrometheusText(const std::string& text) {
   std::map<std::string, double> histogram_counts;
 
   size_t line_no = 0;
+  const auto fail = [&line_no](const std::string& what) {
+    return Status::InvalidArgument("line " + std::to_string(line_no) + ": " +
+                                   what);
+  };
   size_t start = 0;
   while (start < text.size()) {
     ++line_no;
@@ -512,28 +295,22 @@ Status ValidatePrometheusText(const std::string& text) {
         const size_t name_start = 7;
         const size_t name_end = line.find(' ', name_start);
         if (name_end == std::string::npos) {
-          return Status::InvalidArgument(
-              "line " + std::to_string(line_no) + ": truncated " +
-              (is_type ? "TYPE" : "HELP") + " line: " + line);
+          return fail(std::string("truncated ") + (is_type ? "TYPE" : "HELP") +
+                      " line: " + line);
         }
         const std::string name = line.substr(name_start, name_end - name_start);
-        if (!ValidMetricName(name)) {
-          return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                         ": bad metric name in comment: " +
-                                         line);
+        if (!ValidName(name, /*colon_ok=*/true)) {
+          return fail("bad metric name in comment: " + line);
         }
         auto& seen = is_type ? family_types : family_help;
         if (seen.count(name) != 0) {
-          return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                         ": duplicate " +
-                                         (is_type ? "TYPE" : "HELP") +
-                                         " for " + name);
+          return fail(std::string("duplicate ") + (is_type ? "TYPE" : "HELP") +
+                      " for " + name);
         }
         const std::string rest = line.substr(name_end + 1);
         if (is_type && rest != "counter" && rest != "gauge" &&
             rest != "histogram" && rest != "summary" && rest != "untyped") {
-          return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                         ": unknown TYPE: " + rest);
+          return fail("unknown TYPE: " + rest);
         }
         seen[name] = rest;
       }
@@ -545,9 +322,7 @@ Status ValidatePrometheusText(const std::string& text) {
     const std::string family = FamilyOf(sample.name, family_types);
     auto type_it = family_types.find(family);
     if (type_it == family_types.end()) {
-      return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                     ": sample before # TYPE for family " +
-                                     family);
+      return fail("sample before # TYPE for family " + family);
     }
 
     if (type_it->second == "histogram" &&
@@ -559,26 +334,21 @@ Status ValidatePrometheusText(const std::string& text) {
         if (key == "le") {
           have_le = true;
           if (!ParseSampleValue(value, &bound)) {
-            return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                           ": bad le bound: " + value);
+            return fail("bad le bound: " + value);
           }
         } else {
           series_key += "|" + key + "=" + value;
         }
       }
       if (!have_le) {
-        return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                       ": histogram bucket without le");
+        return fail("histogram bucket without le");
       }
       BucketSeries& series = buckets[series_key];
       if (bound <= series.last_bound) {
-        return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                       ": le bounds not increasing");
+        return fail("le bounds not increasing");
       }
       if (sample.value < series.last_value) {
-        return Status::InvalidArgument(
-            "line " + std::to_string(line_no) +
-            ": histogram buckets not cumulative");
+        return fail("histogram buckets not cumulative");
       }
       series.last_bound = bound;
       series.last_value = sample.value;

@@ -2,24 +2,21 @@
 #define DEEPEVEREST_SERVICE_METRICS_REGISTRY_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/mutex.h"
 #include "common/status.h"
 
 namespace deepeverest {
 namespace service {
 
-class EngineRegistry;
-
 /// \brief Builder for one Prometheus text-format scrape.
 ///
-/// Collectors receive an emitter and publish their current values into it;
-/// the emitter groups samples into metric families (one `# HELP`/`# TYPE`
+/// The served surface (net/serving_surface.h) renders /v1/metrics by
+/// publishing every declared series into one emitter per scrape; the
+/// emitter groups samples into metric families (one `# HELP`/`# TYPE`
 /// header per family even when several models emit the same metric with
 /// different labels) and renders the Prometheus text exposition format,
 /// version 0.0.4.
@@ -53,49 +50,11 @@ class MetricsEmitter {
   Family* FamilyFor(const std::string& name, const std::string& help,
                     const char* type);
   void AddSample(Family* family, const std::string& name, const Labels& labels,
-                 const char* extra_key, const std::string& extra_value,
                  double value);
 
   std::vector<std::string> order_;  // family names in first-seen order
   std::map<std::string, Family> families_;
 };
-
-/// \brief The process's scrape surface: a registry of metric collectors,
-/// rendered on demand by `GET /v1/metrics`.
-///
-/// Collection is pull-based: nothing is stored between scrapes. Subsystems
-/// register a collector callback that reads their live counters
-/// (ServiceStats snapshots, scheduler fill histograms, HTTP server stats)
-/// and publishes them into the emitter; RenderPrometheusText runs every
-/// collector under the registry lock. Collectors capture raw pointers into
-/// their subsystems, so whoever registers one must remove it (handle from
-/// AddCollector) before the subsystem dies — QueryServer does this in
-/// Shutdown.
-class MetricsRegistry {
- public:
-  using Collector = std::function<void(MetricsEmitter*)>;
-
-  /// Registers `collector`; returns a handle for RemoveCollector.
-  int64_t AddCollector(Collector collector);
-  void RemoveCollector(int64_t handle);
-
-  /// Runs every collector and renders the combined scrape.
-  std::string RenderPrometheusText() const;
-
- private:
-  mutable common::Mutex mu_;
-  int64_t next_handle_ GUARDED_BY(mu_) = 1;
-  std::vector<std::pair<int64_t, Collector>> collectors_ GUARDED_BY(mu_);
-};
-
-/// Registers the standard per-model collector: every model in `models` gets
-/// its ServiceStats published as `deepeverest_*` families with a
-/// `model` label — query outcome counters, queue/inflight gauges, per-class
-/// latency histograms, IQA cache hit rates, and the batch scheduler's fill
-/// histogram. Returns the AddCollector handle. Both registries must outlive
-/// the collector.
-int64_t RegisterServiceMetrics(MetricsRegistry* metrics,
-                               const EngineRegistry* models);
 
 /// Validates `text` against the Prometheus text exposition format: sample
 /// syntax and name/label charsets, a preceding `# TYPE` for every sample's

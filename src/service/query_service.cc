@@ -52,6 +52,23 @@ void EmitSlowQueryLog(const PendingQuery& pending, const Status& status,
   DE_LOG_WARNING << line.str();
 }
 
+/// Reads one set of completion counters into `out`: the service totals
+/// (ServiceStats) or one QoS class's slice (QosClassStats), which name
+/// these fields alike.
+template <typename Counters, typename Out>
+void ReadCompletions(const Counters& in, Out* out) {
+  out->submitted = in.submitted.load(std::memory_order_relaxed);
+  out->completed = in.completed.load(std::memory_order_relaxed);
+  out->failed = in.failed.load(std::memory_order_relaxed);
+  out->cancelled = in.cancelled.load(std::memory_order_relaxed);
+  out->deadline_exceeded = in.deadline_exceeded.load(std::memory_order_relaxed);
+  out->rejected_past_deadline =
+      in.rejected_past_deadline.load(std::memory_order_relaxed);
+  out->p50_latency_seconds = in.latency.PercentileSeconds(0.50);
+  out->p90_latency_seconds = in.latency.PercentileSeconds(0.90);
+  out->p99_latency_seconds = in.latency.PercentileSeconds(0.99);
+}
+
 }  // namespace
 
 void QosQueue::Enqueue(PendingQuery pending) {
@@ -433,7 +450,6 @@ bool QueryService::TryParkAndSwitch(PendingQuery* pending,
   pending->ctx->set_lifecycle(core::QueryContext::Lifecycle::kParked);
   ++parked_;
   parked_total_.fetch_add(1, std::memory_order_relaxed);
-  preemptions_.fetch_add(1, std::memory_order_relaxed);
   queue_.Enqueue(std::move(*pending));
   // Enqueue + pop under the same hold: the queue's net size is unchanged
   // (no wakeup needed, none lost), and because the interactive counter is
@@ -523,18 +539,11 @@ void QueryService::Shutdown() {
 
 ServiceStats QueryService::Snapshot() const {
   ServiceStats stats;
-  stats.submitted = totals_.submitted.load(std::memory_order_relaxed);
+  ReadCompletions(totals_, &stats);
   stats.rejected_queue_full =
       rejected_queue_full_.load(std::memory_order_relaxed);
   stats.rejected_session_limit =
       rejected_session_limit_.load(std::memory_order_relaxed);
-  stats.completed = totals_.completed.load(std::memory_order_relaxed);
-  stats.failed = totals_.failed.load(std::memory_order_relaxed);
-  stats.cancelled = totals_.cancelled.load(std::memory_order_relaxed);
-  stats.deadline_exceeded =
-      totals_.deadline_exceeded.load(std::memory_order_relaxed);
-  stats.rejected_past_deadline =
-      totals_.rejected_past_deadline.load(std::memory_order_relaxed);
   {
     common::MutexLock lock(&mu_);
     // Parked queries occupy dispatch-queue slots (max_queue_depth counts
@@ -547,17 +556,7 @@ ServiceStats QueryService::Snapshot() const {
   }
   stats.parked_total = parked_total_.load(std::memory_order_relaxed);
   stats.resumed_total = resumed_total_.load(std::memory_order_relaxed);
-  stats.preemptions = preemptions_.load(std::memory_order_relaxed);
-  stats.p50_latency_seconds = totals_.latency.PercentileSeconds(0.50);
-  stats.p90_latency_seconds = totals_.latency.PercentileSeconds(0.90);
-  stats.p99_latency_seconds = totals_.latency.PercentileSeconds(0.99);
-  stats.latency_buckets.resize(
-      static_cast<size_t>(LatencyHistogram::num_buckets()));
-  for (int i = 0; i < LatencyHistogram::num_buckets(); ++i) {
-    stats.latency_buckets[static_cast<size_t>(i)] =
-        totals_.latency.BucketCount(i);
-  }
-  stats.approx_latency_sum_seconds = totals_.latency.ApproxSumSeconds();
+  stats.preemptions = stats.parked_total;
   stats.num_workers = options_.num_workers;
   stats.uptime_seconds = uptime_.ElapsedSeconds();
   stats.worker_busy_seconds =
@@ -579,21 +578,9 @@ ServiceStats QueryService::Snapshot() const {
   for (int c = 0; c < kNumQosClasses; ++c) {
     QosClassStats& out = stats.per_class[static_cast<size_t>(c)];
     const CompletionCounters& in = per_class_[static_cast<size_t>(c)];
-    out.submitted = in.submitted.load(std::memory_order_relaxed);
-    out.completed = in.completed.load(std::memory_order_relaxed);
-    out.failed = in.failed.load(std::memory_order_relaxed);
-    out.cancelled = in.cancelled.load(std::memory_order_relaxed);
-    out.deadline_exceeded =
-        in.deadline_exceeded.load(std::memory_order_relaxed);
-    out.rejected_past_deadline =
-        in.rejected_past_deadline.load(std::memory_order_relaxed);
-    out.p50_latency_seconds = in.latency.PercentileSeconds(0.50);
-    out.p90_latency_seconds = in.latency.PercentileSeconds(0.90);
-    out.p99_latency_seconds = in.latency.PercentileSeconds(0.99);
-    out.latency_buckets.resize(
-        static_cast<size_t>(LatencyHistogram::num_buckets()));
+    ReadCompletions(in, &out);
     for (int i = 0; i < LatencyHistogram::num_buckets(); ++i) {
-      out.latency_buckets[static_cast<size_t>(i)] = in.latency.BucketCount(i);
+      out.latency_buckets.push_back(in.latency.BucketCount(i));
     }
     out.approx_latency_sum_seconds = in.latency.ApproxSumSeconds();
     if (stats.batching_enabled) {

@@ -348,7 +348,6 @@ class QueryService {
   std::atomic<int64_t> busy_nanos_{0};
   std::atomic<int64_t> parked_total_{0};
   std::atomic<int64_t> resumed_total_{0};
-  std::atomic<int64_t> preemptions_{0};
   CompletionCounters totals_;
   std::array<CompletionCounters, kNumQosClasses> per_class_;
 

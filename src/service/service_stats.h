@@ -42,18 +42,6 @@ class LatencyHistogram {
     return BucketMidSeconds(kBuckets - 1);
   }
 
-  /// Folds `other` into this histogram (relaxed adds, safe against
-  /// concurrent Record on either side). Used to aggregate per-worker or
-  /// per-model histograms into one exposition series.
-  void Merge(const LatencyHistogram& other) {
-    for (int i = 0; i < kBuckets; ++i) {
-      const int64_t n = other.buckets_[i].load(std::memory_order_relaxed);
-      if (n != 0) buckets_[i].fetch_add(n, std::memory_order_relaxed);
-    }
-    count_.fetch_add(other.count_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-  }
-
   static constexpr int num_buckets() { return kBuckets; }
   int64_t BucketCount(int idx) const {
     return buckets_[idx].load(std::memory_order_relaxed);
@@ -172,17 +160,15 @@ struct ServiceStats {
   int64_t parked_total = 0;   // park transitions since startup
   int64_t resumed_total = 0;  // resume transitions since startup
   /// Park-and-switch events where a worker handed itself directly to an
-  /// interactive query (currently always equal to parked_total; kept
-  /// separate so future park reasons don't overload the meaning).
+  /// interactive query. Every park is one today, so this reads the same
+  /// counter as parked_total; the field keeps its own name so a future
+  /// park reason does not overload the meaning.
   int64_t preemptions = 0;
 
   // Latency (admission-to-completion), approximate percentiles.
   double p50_latency_seconds = 0.0;
   double p90_latency_seconds = 0.0;
   double p99_latency_seconds = 0.0;
-  /// Raw overall histogram buckets (see QosClassStats::latency_buckets).
-  std::vector<int64_t> latency_buckets;
-  double approx_latency_sum_seconds = 0.0;
 
   /// Per-QoS-class counter slices: every query records under its declared
   /// class.

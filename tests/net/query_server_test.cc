@@ -1699,6 +1699,29 @@ TEST(QueryServerTest, StatsAndMetricsAgreeAfterQuiesce) {
             8);
 }
 
+// Rendering is pull-based: a scrape reports exactly the models of the
+// registry it reads, and keeps nothing from an earlier scrape.
+TEST(QueryServerTest, ScrapeReportsOnlyTheModelsItReads) {
+  ServerFixture fix({}, {}, /*second_model=*/true);
+  const std::string kept = "deepeverest_queries_submitted_total{model=\"" +
+                           fix.system->model_name() + "\"} 0";
+  const std::string removed =
+      "deepeverest_queries_submitted_total{model=\"twin\"} 0";
+  ServingSources sources;
+  sources.registry = &fix.registry;
+  std::string text = RenderPrometheusText(sources);
+  EXPECT_NE(text.find(kept), std::string::npos);
+  EXPECT_NE(text.find(removed), std::string::npos);
+
+  service::EngineRegistry kept_only;
+  ASSERT_TRUE(
+      kept_only.Register(fix.system->model_name(), fix.service.get()).ok());
+  sources.registry = &kept_only;
+  text = RenderPrometheusText(sources);
+  EXPECT_NE(text.find(kept), std::string::npos);
+  EXPECT_EQ(text.find("{model=\"twin\"}"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace net
 }  // namespace deepeverest

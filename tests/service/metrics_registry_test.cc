@@ -1,7 +1,7 @@
-// MetricsEmitter/MetricsRegistry: family grouping (one HELP/TYPE per family
-// across many labelled series), histogram rendering (+Inf bucket, _sum,
-// _count), label escaping, collector add/remove, and the exposition-format
-// validator both accepting our output and rejecting malformed text.
+// MetricsEmitter: family grouping (one HELP/TYPE per family across many
+// labelled series), histogram rendering (+Inf bucket, _sum, _count), label
+// escaping, and the exposition-format validator both accepting our output
+// and rejecting malformed text.
 #include "service/metrics_registry.h"
 
 #include <gtest/gtest.h>
@@ -73,25 +73,6 @@ TEST(MetricsEmitterTest, LabelValuesAreEscaped) {
   EXPECT_NE(text.find("build_info{flags=\"a\\\\b \\\"q\\\"\\nend\"} 1\n"),
             std::string::npos);
   EXPECT_TRUE(ValidatePrometheusText(text).ok());
-}
-
-TEST(MetricsRegistryTest, CollectorsRunAndRemove) {
-  MetricsRegistry registry;
-  const int64_t keep = registry.AddCollector([](MetricsEmitter* emitter) {
-    emitter->Counter("kept_total", "Kept.", {}, 1.0);
-  });
-  const int64_t removed = registry.AddCollector([](MetricsEmitter* emitter) {
-    emitter->Counter("removed_total", "Removed.", {}, 1.0);
-  });
-  std::string text = registry.RenderPrometheusText();
-  EXPECT_NE(text.find("kept_total 1"), std::string::npos);
-  EXPECT_NE(text.find("removed_total 1"), std::string::npos);
-
-  registry.RemoveCollector(removed);
-  text = registry.RenderPrometheusText();
-  EXPECT_NE(text.find("kept_total 1"), std::string::npos);
-  EXPECT_EQ(text.find("removed_total"), std::string::npos);
-  registry.RemoveCollector(keep);
 }
 
 TEST(ValidatePrometheusTextTest, RejectsMalformedExpositions) {

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/deepeverest.h"
+#include "net/serving_surface.h"
 #include "service/engine_registry.h"
 #include "service/metrics_registry.h"
 #include "testing/test_util.h"
@@ -385,9 +386,9 @@ TEST(QueryServiceTest, IqaMetricsFollowTheCacheOrAreAbsent) {
   EngineRegistry models;
   ASSERT_TRUE(models.Register("cached", cached->get()).ok());
   ASSERT_TRUE(models.Register("plain", plain->get()).ok());
-  MetricsRegistry metrics;
-  RegisterServiceMetrics(&metrics, &models);
-  const std::string text = metrics.RenderPrometheusText();
+  net::ServingSources sources;
+  sources.registry = &models;
+  const std::string text = net::RenderPrometheusText(sources);
   ASSERT_TRUE(ValidatePrometheusText(text).ok());
 
   const core::IqaCache::Stats iqa = with_iqa.engine->iqa_cache()->stats();

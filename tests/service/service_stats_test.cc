@@ -162,38 +162,6 @@ TEST(LatencyHistogramTest, BucketCountsMatchRecordedValues) {
   EXPECT_EQ(total, histogram.count());
 }
 
-TEST(LatencyHistogramTest, MergeAddsBucketsAndCounts) {
-  LatencyHistogram a;
-  LatencyHistogram b;
-  for (int i = 0; i < 5; ++i) a.Record(1e-3);
-  for (int i = 0; i < 3; ++i) b.Record(1.0);
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 8);
-  int64_t total = 0;
-  for (int i = 0; i < LatencyHistogram::num_buckets(); ++i) {
-    total += a.BucketCount(i);
-  }
-  EXPECT_EQ(total, 8);
-  // The merged histogram's p99 now reflects b's slow tail.
-  EXPECT_GT(a.PercentileSeconds(0.99), 0.5);
-  // b itself is untouched.
-  EXPECT_EQ(b.count(), 3);
-}
-
-TEST(LatencyHistogramTest, MergeWithEmptyIsIdentity) {
-  LatencyHistogram a;
-  LatencyHistogram empty;
-  a.Record(2e-3);
-  const double before = a.PercentileSeconds(0.5);
-  a.Merge(empty);
-  EXPECT_EQ(a.count(), 1);
-  EXPECT_EQ(a.PercentileSeconds(0.5), before);
-
-  empty.Merge(a);
-  EXPECT_EQ(empty.count(), 1);
-  EXPECT_EQ(empty.PercentileSeconds(0.5), before);
-}
-
 TEST(LatencyHistogramTest, MaxBucketOverflowStaysInLastBucket) {
   LatencyHistogram histogram;
   for (int i = 0; i < 100; ++i) histogram.Record(1e300);
