@@ -35,6 +35,11 @@
 #                 write-temp/fsync/rename primitives so crash-safety is
 #                 provable in one place. A stray ::write elsewhere is an
 #                 unaudited commit point.
+#   metric-names  No "deepeverest_ string literal in src/ outside
+#                 src/net/serving_surface.cc, where every served field
+#                 (/v1/stats key and /v1/metrics series) is declared once:
+#                 a series named anywhere else is a second, hand-written
+#                 copy that the two surfaces can disagree on.
 #
 # Usage:
 #   scripts/lint.sh              lint the repository
@@ -198,6 +203,23 @@ check_raw_io() {
   return 0
 }
 
+# --- rule: metric-names ------------------------------------------------------
+check_metric_names() {
+  local root="$1"
+  [ -d "${root}/src" ] || return 0
+  local out
+  out="$(grep -rn '"deepeverest_' "${root}/src" --include='*.h' --include='*.cc' 2>/dev/null |
+    grep -v "^${root}/src/net/serving_surface\.cc:" |
+    grep -v 'lint:allow(metric-names)' || true)"
+  if [ -n "${out}" ]; then
+    while IFS= read -r hit; do
+      note "metric-names: metric name outside src/net/serving_surface.cc (declare the field there): ${hit}"
+    done <<<"${out}"
+    FAIL=1
+  fi
+  return 0
+}
+
 run_all() {
   local root="$1"
   FAIL=0
@@ -208,6 +230,7 @@ run_all() {
   check_raw_mutex "${root}"
   check_simd_intrinsics "${root}"
   check_raw_io "${root}"
+  check_metric_names "${root}"
   return "${FAIL}"
 }
 
@@ -256,6 +279,10 @@ self_test() {
   printf '#include <fcntl.h>\nint f(const char* p) { return ::open(p, O_WRONLY | O_CREAT, 0644); }\n' \
       > "${scratch}/src/core/seeded.cc"
   expect_fire raw-io
+
+  printf 'void f(E* e) { e->Counter("deepeverest_stray_total", "", {}, 1); }\n' \
+      > "${scratch}/src/core/seeded.cc"
+  expect_fire metric-names
 
   # And a clean tree must pass.
   if ! run_all "${scratch}"; then
