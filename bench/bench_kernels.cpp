@@ -9,6 +9,13 @@
 // DE_BENCH_KERNEL_COUNT values. The conv2d_hwc rows run each MiniVgg
 // convolution shape (3x3 kernel) over a batch of 64 images.
 //
+// The compute_layer rows time whole forward passes through the engine:
+// one InferenceEngine::ComputeLayer call of n inputs on a model's late
+// activation layer (TinyMlp at n = 8, MiniVgg at n = 16), in the active
+// dispatch mode only, reported as ns per input. Their forward_mismatches
+// counter is the number of the call's rows whose bits differ from the same
+// input run alone (n = 1).
+//
 // Scale knobs (the default block is L2-cache-resident on purpose: NTA rounds
 // feed the aggregation kernels blocks bounded by the inference batch size,
 // not whole-dataset sweeps, so ~1k rows x 256 neurons is the representative
@@ -21,14 +28,19 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "common/bit_pack.h"
+#include "common/rng.h"
 #include "common/stopwatch.h"
+#include "data/dataset.h"
 #include "kernels/kernels.h"
+#include "nn/inference.h"
+#include "nn/model_zoo.h"
 
 namespace deepeverest {
 namespace {
@@ -70,6 +82,39 @@ void Measure(const std::string& kernel, size_t reps, double items,
       cell.counters["mismatches"] += 1;
     }
   }
+}
+
+/// Adds the cell of one engine call: ComputeLayer over `n` spread inputs of
+/// `dataset` on `model`'s late activation layer, best of `reps`.
+void MeasureForward(const std::string& name, const nn::Model& model,
+                    const data::Dataset& dataset, size_t n, size_t reps) {
+  nn::InferenceEngine engine(&model, &dataset, /*batch_size=*/64);
+  const int layer = model.activation_layers().back();
+  std::vector<uint32_t> ids(n);
+  for (size_t i = 0; i < n; ++i) {
+    ids[i] = static_cast<uint32_t>(i * 7919 % dataset.size());
+  }
+  std::vector<std::vector<float>> rows;
+  double best = 1e300;
+  for (size_t r = 0; r < reps; ++r) {
+    Stopwatch watch;
+    DE_CHECK(engine.ComputeLayer(ids, layer, &rows).ok());
+    best = std::min(best, watch.ElapsedSeconds());
+  }
+  double mismatches = 0;
+  std::vector<std::vector<float>> single;
+  for (size_t i = 0; i < n; ++i) {
+    DE_CHECK(engine.ComputeLayer({ids[i]}, layer, &single).ok());
+    if (single[0].size() != rows[i].size() ||
+        std::memcmp(single[0].data(), rows[i].data(),
+                    rows[i].size() * sizeof(float)) != 0) {
+      mismatches += 1;
+    }
+  }
+  bench::Cell& cell = bench::AddCell("kernels", "InferenceEngine", name, "");
+  cell.counters = {{"items", 1.0 * n}, {"forward_mismatches", mismatches}};
+  cell.wall_s[std::string(kernels::Active().name) + "_ns_per_input"] =
+      best / static_cast<double>(n) * 1e9;
 }
 
 const char* AggName(AggKind kind) {
@@ -236,6 +281,24 @@ void Run(int argc, char** argv) {
               }
             },
             [&] { return Bytes(conv_out, conv_out.size()); });
+  }
+
+  // ---- engine forward passes: ComputeLayer on a late layer ----
+  {
+    Rng vec_rng(7);
+    data::Dataset vectors("vectors", Shape({8}));
+    for (int i = 0; i < 256; ++i) {
+      Tensor input(Shape({8}));
+      for (float& v : input.vec()) v = static_cast<float>(vec_rng.NextGaussian());
+      vectors.Add(std::move(input), i % 4);
+    }
+    MeasureForward("compute_layer_tinymlp_n8", *nn::MakeTinyMlp(8, 7), vectors,
+                   8, reps);
+    data::SyntheticImageConfig config;
+    config.num_inputs = 64;
+    config.seed = 11;
+    MeasureForward("compute_layer_minivgg_n16", *nn::MakeMiniVgg(3),
+                   data::MakeSyntheticImages(config), 16, reps);
   }
 
   bench::PrintCells();

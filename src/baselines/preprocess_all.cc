@@ -11,7 +11,8 @@ Status PreprocessAll::Preprocess() {
   if (preprocessed_) return Status::OK();
   const nn::Model& model = inference_->model();
 
-  // Single pass: one ForwardAll per input filling every layer's matrix.
+  // Single pass: every input runs through every layer once, filling every
+  // layer's matrix.
   Stopwatch watch;
   std::vector<int> layers(static_cast<size_t>(model.num_layers()));
   std::iota(layers.begin(), layers.end(), 0);

@@ -1,6 +1,7 @@
 #ifndef DEEPEVEREST_NN_LAYER_H_
 #define DEEPEVEREST_NN_LAYER_H_
 
+#include <cstddef>
 #include <memory>
 #include <string>
 
@@ -30,8 +31,12 @@ const char* LayerKindToString(LayerKind kind);
 /// \brief One layer of a sequential model.
 ///
 /// Layers are immutable after construction (weights are fixed at build time —
-/// DeepEverest only ever queries trained, frozen models). Forward operates on
-/// a single input; batching is the engine's job.
+/// DeepEverest only ever queries trained, frozen models). Every layer kind has
+/// one forward body, ForwardRows, over a block of n inputs stored as n
+/// contiguous rows. Each output row depends only on its own input row and is
+/// computed by the same ops in the same order whatever n is, so a block's
+/// rows are bit-identical to n single-input runs. Forward is the n = 1
+/// wrapper over that body.
 class Layer {
  public:
   virtual ~Layer() = default;
@@ -42,8 +47,20 @@ class Layer {
   /// Computes the output shape for `input` or errors if incompatible.
   virtual Result<Shape> OutputShape(const Shape& input) const = 0;
 
-  /// Runs the layer. `out` is resized/overwritten.
-  virtual Status Forward(const Tensor& input, Tensor* out) const = 0;
+  /// Runs the layer over `n` inputs of shape `input`, which OutputShape must
+  /// accept: `in` holds n contiguous rows of input.NumElements() floats and
+  /// `out` receives n contiguous rows of OutputShape(input).NumElements()
+  /// floats. `scratch` holds n * ScratchFloats(input) floats the body may
+  /// overwrite. `in`, `out` and `scratch` must not overlap. Allocates
+  /// nothing; n = 0 touches nothing.
+  virtual void ForwardRows(const Shape& input, size_t n, const float* in,
+                           float* out, float* scratch) const = 0;
+
+  /// Floats of scratch per input row that ForwardRows needs.
+  virtual int64_t ScratchFloats(const Shape& /*input*/) const { return 0; }
+
+  /// Runs the layer on one input. `out` is resized/overwritten.
+  Status Forward(const Tensor& input, Tensor* out) const;
 
   /// Multiply-accumulate count for one input of shape `input`; drives the
   /// simulated-GPU cost model.

@@ -53,6 +53,16 @@ Status ExpectRank(const Shape& shape, int rank, const std::string& layer) {
 
 }  // namespace
 
+Status Layer::Forward(const Tensor& input, Tensor* out) const {
+  DE_ASSIGN_OR_RETURN(Shape out_shape, OutputShape(input.shape()));
+  Tensor result(std::move(out_shape));
+  std::vector<float> scratch(
+      static_cast<size_t>(ScratchFloats(input.shape())));
+  ForwardRows(input.shape(), 1, input.data(), result.data(), scratch.data());
+  *out = std::move(result);
+  return Status::OK();
+}
+
 // ---------------------------------------------------------------------------
 // Conv2D
 // ---------------------------------------------------------------------------
@@ -81,16 +91,26 @@ Result<Shape> Conv2D::OutputShape(const Shape& input) const {
   return Shape({input.dim(0), input.dim(1), out_channels_});
 }
 
-Status Conv2D::Forward(const Tensor& input, Tensor* out) const {
-  DE_ASSIGN_OR_RETURN(Shape out_shape, OutputShape(input.shape()));
-  *out = Tensor(out_shape);
-  kernels::Active().conv2d_hwc(
-      input.data(), static_cast<size_t>(input.shape().dim(0)),
-      static_cast<size_t>(input.shape().dim(1)),
-      static_cast<size_t>(in_channels_), weights_.data(), bias_.data(),
-      static_cast<size_t>(out_channels_), static_cast<size_t>(kernel_),
-      out->data());
-  return Status::OK();
+void Conv2D::ForwardRows(const Shape& input, size_t n, const float* in,
+                         float* out, float*) const {
+  ForwardImages(n, input.dim(0), input.dim(1), in, out);
+}
+
+void Conv2D::ForwardImages(size_t n, int64_t height, int64_t width,
+                           const float* in, float* out) const {
+  // "Same" padding: each image is convolved on its own, so no tap reads a
+  // neighbouring image of the block.
+  const auto h = static_cast<size_t>(height);
+  const auto w = static_cast<size_t>(width);
+  const size_t in_row = h * w * static_cast<size_t>(in_channels_);
+  const size_t out_row = h * w * static_cast<size_t>(out_channels_);
+  const kernels::KernelTable& table = kernels::Active();
+  for (size_t i = 0; i < n; ++i) {
+    table.conv2d_hwc(in + i * in_row, h, w, static_cast<size_t>(in_channels_),
+                     weights_.data(), bias_.data(),
+                     static_cast<size_t>(out_channels_),
+                     static_cast<size_t>(kernel_), out + i * out_row);
+  }
 }
 
 int64_t Conv2D::MacsFor(const Shape& input) const {
@@ -121,15 +141,14 @@ Result<Shape> Dense::OutputShape(const Shape& input) const {
   return Shape({out_units_});
 }
 
-Status Dense::Forward(const Tensor& input, Tensor* out) const {
-  DE_ASSIGN_OR_RETURN(Shape out_shape, OutputShape(input.shape()));
-  *out = Tensor(out_shape);
-  // A dense layer is a 1x1 convolution over a 1x1 image.
-  kernels::Active().conv2d_hwc(input.data(), 1, 1,
-                               static_cast<size_t>(in_units_), weights_.data(),
-                               bias_.data(), static_cast<size_t>(out_units_), 1,
-                               out->data());
-  return Status::OK();
+void Dense::ForwardRows(const Shape&, size_t n, const float* in, float* out,
+                        float*) const {
+  // The block is an n x 1 image and the layer a 1x1 convolution over it:
+  // each output row starts from the bias and adds its input units in
+  // ascending order.
+  kernels::Active().conv2d_hwc(in, n, 1, static_cast<size_t>(in_units_),
+                               weights_.data(), bias_.data(),
+                               static_cast<size_t>(out_units_), 1, out);
 }
 
 int64_t Dense::MacsFor(const Shape&) const {
@@ -142,10 +161,10 @@ int64_t Dense::MacsFor(const Shape&) const {
 
 Result<Shape> Relu::OutputShape(const Shape& input) const { return input; }
 
-Status Relu::Forward(const Tensor& input, Tensor* out) const {
-  *out = input;
-  for (float& v : out->vec()) v = std::max(v, 0.0f);
-  return Status::OK();
+void Relu::ForwardRows(const Shape& input, size_t n, const float* in,
+                       float* out, float*) const {
+  const size_t count = n * static_cast<size_t>(input.NumElements());
+  for (size_t i = 0; i < count; ++i) out[i] = std::max(in[i], 0.0f);
 }
 
 int64_t Relu::MacsFor(const Shape& input) const { return input.NumElements(); }
@@ -163,28 +182,28 @@ Result<Shape> MaxPool2D::OutputShape(const Shape& input) const {
   return Shape({input.dim(0) / 2, input.dim(1) / 2, input.dim(2)});
 }
 
-Status MaxPool2D::Forward(const Tensor& input, Tensor* out) const {
-  DE_ASSIGN_OR_RETURN(Shape out_shape, OutputShape(input.shape()));
-  *out = Tensor(out_shape);
-  const int64_t oh = out_shape.dim(0);
-  const int64_t ow = out_shape.dim(1);
-  const int64_t c = out_shape.dim(2);
+void MaxPool2D::ForwardRows(const Shape& input, size_t n, const float* in,
+                            float* out, float*) const {
+  const int64_t oh = input.dim(0) / 2;
+  const int64_t ow = input.dim(1) / 2;
+  const int64_t c = input.dim(2);
   // OutputShape checked the rank and the even spatial dims, so every index
   // below is in bounds.
-  const int64_t in_row = 2 * ow * c;  // floats per input row
-  const float* in = input.data();
-  float* o = out->data();
-  for (int64_t h = 0; h < oh; ++h) {
-    for (int64_t w = 0; w < ow; ++w) {
-      const float* top = in + 2 * h * in_row + 2 * w * c;
-      const float* bottom = top + in_row;
-      for (int64_t ch = 0; ch < c; ++ch) {
-        *o++ = std::max(std::max(top[ch], top[c + ch]),
-                        std::max(bottom[ch], bottom[c + ch]));
+  const int64_t in_row = 2 * ow * c;  // floats per input image row
+  float* o = out;
+  for (size_t i = 0; i < n; ++i) {
+    const float* image = in + static_cast<int64_t>(i) * 2 * oh * in_row;
+    for (int64_t h = 0; h < oh; ++h) {
+      for (int64_t w = 0; w < ow; ++w) {
+        const float* top = image + 2 * h * in_row + 2 * w * c;
+        const float* bottom = top + in_row;
+        for (int64_t ch = 0; ch < c; ++ch) {
+          *o++ = std::max(std::max(top[ch], top[c + ch]),
+                          std::max(bottom[ch], bottom[c + ch]));
+        }
       }
     }
   }
-  return Status::OK();
 }
 
 int64_t MaxPool2D::MacsFor(const Shape& input) const {
@@ -200,19 +219,20 @@ Result<Shape> GlobalAvgPool::OutputShape(const Shape& input) const {
   return Shape({input.dim(2)});
 }
 
-Status GlobalAvgPool::Forward(const Tensor& input, Tensor* out) const {
-  DE_ASSIGN_OR_RETURN(Shape out_shape, OutputShape(input.shape()));
-  *out = Tensor(out_shape);
-  const int64_t hw = input.shape().dim(0) * input.shape().dim(1);
-  const int64_t c = input.shape().dim(2);
-  const float* in = input.data();
-  float* o = out->data();
-  for (int64_t i = 0; i < hw; ++i) {
-    for (int64_t ch = 0; ch < c; ++ch) o[ch] += in[i * c + ch];
-  }
+void GlobalAvgPool::ForwardRows(const Shape& input, size_t n, const float* in,
+                                float* out, float*) const {
+  const int64_t hw = input.dim(0) * input.dim(1);
+  const int64_t c = input.dim(2);
   const float inv = 1.0f / static_cast<float>(hw);
-  for (int64_t ch = 0; ch < c; ++ch) o[ch] *= inv;
-  return Status::OK();
+  for (size_t r = 0; r < n; ++r) {
+    const float* image = in + static_cast<int64_t>(r) * hw * c;
+    float* o = out + static_cast<int64_t>(r) * c;
+    std::fill(o, o + c, 0.0f);
+    for (int64_t i = 0; i < hw; ++i) {
+      for (int64_t ch = 0; ch < c; ++ch) o[ch] += image[i * c + ch];
+    }
+    for (int64_t ch = 0; ch < c; ++ch) o[ch] *= inv;
+  }
 }
 
 int64_t GlobalAvgPool::MacsFor(const Shape& input) const {
@@ -248,18 +268,19 @@ Result<Shape> BatchNorm::OutputShape(const Shape& input) const {
   return input;
 }
 
-Status BatchNorm::Forward(const Tensor& input, Tensor* out) const {
-  DE_RETURN_NOT_OK(OutputShape(input.shape()).status());
-  *out = input;
-  const int64_t hw = input.shape().dim(0) * input.shape().dim(1);
-  float* o = out->data();
-  for (int64_t i = 0; i < hw; ++i) {
-    for (int c = 0; c < channels_; ++c) {
-      float& v = o[i * channels_ + c];
-      v = v * scale_[static_cast<size_t>(c)] + shift_[static_cast<size_t>(c)];
+void BatchNorm::ForwardRows(const Shape& input, size_t n, const float* in,
+                            float* out, float*) const {
+  ForwardPixels(n * static_cast<size_t>(input.dim(0) * input.dim(1)), in, out);
+}
+
+void BatchNorm::ForwardPixels(size_t pixels, const float* in,
+                              float* out) const {
+  const auto c = static_cast<size_t>(channels_);
+  for (size_t i = 0; i < pixels; ++i) {
+    for (size_t ch = 0; ch < c; ++ch) {
+      out[i * c + ch] = in[i * c + ch] * scale_[ch] + shift_[ch];
     }
   }
-  return Status::OK();
 }
 
 int64_t BatchNorm::MacsFor(const Shape& input) const {
@@ -274,9 +295,9 @@ Result<Shape> Flatten::OutputShape(const Shape& input) const {
   return Shape({input.NumElements()});
 }
 
-Status Flatten::Forward(const Tensor& input, Tensor* out) const {
-  *out = Tensor(Shape({input.NumElements()}), input.vec());
-  return Status::OK();
+void Flatten::ForwardRows(const Shape& input, size_t n, const float* in,
+                          float* out, float*) const {
+  std::copy(in, in + n * static_cast<size_t>(input.NumElements()), out);
 }
 
 int64_t Flatten::MacsFor(const Shape&) const { return 0; }
@@ -310,29 +331,32 @@ Result<Shape> ResidualBlock::OutputShape(const Shape& input) const {
   return Shape({input.dim(0), input.dim(1), out_channels_});
 }
 
-Status ResidualBlock::Forward(const Tensor& input, Tensor* out) const {
-  DE_RETURN_NOT_OK(OutputShape(input.shape()).status());
-  Tensor t1, t2;
-  DE_RETURN_NOT_OK(conv1_.Forward(input, &t1));
-  DE_RETURN_NOT_OK(bn1_.Forward(t1, &t2));
-  for (float& v : t2.vec()) v = std::max(v, 0.0f);
-  DE_RETURN_NOT_OK(conv2_.Forward(t2, &t1));
-  DE_RETURN_NOT_OK(bn2_.Forward(t1, &t2));
+void ResidualBlock::ForwardRows(const Shape& input, size_t n, const float* in,
+                                float* out, float* scratch) const {
+  const int64_t h = input.dim(0);
+  const int64_t w = input.dim(1);
+  const size_t pixels = n * static_cast<size_t>(h * w);
+  const size_t count = pixels * static_cast<size_t>(out_channels_);
+  float* t1 = scratch;
+  float* t2 = scratch + count;
+  conv1_.ForwardImages(n, h, w, in, t1);
+  bn1_.ForwardPixels(pixels, t1, t2);
+  for (size_t i = 0; i < count; ++i) t2[i] = std::max(t2[i], 0.0f);
+  conv2_.ForwardImages(n, h, w, t2, t1);
+  bn2_.ForwardPixels(pixels, t1, out);
 
-  Tensor skip;
-  const Tensor* skip_ptr = &input;
+  const float* skip = in;
   if (projection_ != nullptr) {
-    DE_RETURN_NOT_OK(projection_->Forward(input, &skip));
-    skip_ptr = &skip;
+    projection_->ForwardImages(n, h, w, in, t1);
+    skip = t1;
   }
-  float* o = t2.data();
-  const float* s = skip_ptr->data();
-  const int64_t n = t2.NumElements();
-  for (int64_t i = 0; i < n; ++i) {
-    o[i] = std::max(o[i] + s[i], 0.0f);  // add skip, then relu
+  for (size_t i = 0; i < count; ++i) {
+    out[i] = std::max(out[i] + skip[i], 0.0f);  // add skip, then relu
   }
-  *out = std::move(t2);
-  return Status::OK();
+}
+
+int64_t ResidualBlock::ScratchFloats(const Shape& input) const {
+  return 2 * input.dim(0) * input.dim(1) * out_channels_;
 }
 
 int64_t ResidualBlock::MacsFor(const Shape& input) const {
@@ -352,19 +376,22 @@ Result<Shape> Softmax::OutputShape(const Shape& input) const {
   return input;
 }
 
-Status Softmax::Forward(const Tensor& input, Tensor* out) const {
-  DE_RETURN_NOT_OK(OutputShape(input.shape()).status());
-  *out = input;
-  float max_v = out->vec()[0];
-  for (float v : out->vec()) max_v = std::max(max_v, v);
-  double sum = 0.0;
-  for (float& v : out->vec()) {
-    v = std::exp(v - max_v);
-    sum += v;
+void Softmax::ForwardRows(const Shape& input, size_t n, const float* in,
+                          float* out, float*) const {
+  const auto d = static_cast<size_t>(input.dim(0));
+  for (size_t r = 0; r < n; ++r) {
+    const float* x = in + r * d;
+    float* y = out + r * d;
+    float max_v = x[0];
+    for (size_t i = 0; i < d; ++i) max_v = std::max(max_v, x[i]);
+    double sum = 0.0;
+    for (size_t i = 0; i < d; ++i) {
+      y[i] = std::exp(x[i] - max_v);
+      sum += y[i];
+    }
+    const float inv = static_cast<float>(1.0 / sum);
+    for (size_t i = 0; i < d; ++i) y[i] *= inv;
   }
-  const float inv = static_cast<float>(1.0 / sum);
-  for (float& v : out->vec()) v *= inv;
-  return Status::OK();
 }
 
 int64_t Softmax::MacsFor(const Shape& input) const {

@@ -21,11 +21,17 @@ class Conv2D : public Layer {
          Rng* rng);
 
   Result<Shape> OutputShape(const Shape& input) const override;
-  Status Forward(const Tensor& input, Tensor* out) const override;
+  void ForwardRows(const Shape& input, size_t n, const float* in, float* out,
+                   float* scratch) const override;
   int64_t MacsFor(const Shape& input) const override;
 
   int in_channels() const { return in_channels_; }
   int out_channels() const { return out_channels_; }
+
+  /// The body of ForwardRows: `n` images of height x width x in_channels,
+  /// one after another.
+  void ForwardImages(size_t n, int64_t height, int64_t width, const float* in,
+                     float* out) const;
 
  private:
   int in_channels_;
@@ -41,7 +47,8 @@ class Dense : public Layer {
   Dense(std::string name, int in_units, int out_units, Rng* rng);
 
   Result<Shape> OutputShape(const Shape& input) const override;
-  Status Forward(const Tensor& input, Tensor* out) const override;
+  void ForwardRows(const Shape& input, size_t n, const float* in, float* out,
+                   float* scratch) const override;
   int64_t MacsFor(const Shape& input) const override;
 
  private:
@@ -58,7 +65,8 @@ class Relu : public Layer {
   explicit Relu(std::string name) : Layer(LayerKind::kRelu, std::move(name)) {}
 
   Result<Shape> OutputShape(const Shape& input) const override;
-  Status Forward(const Tensor& input, Tensor* out) const override;
+  void ForwardRows(const Shape& input, size_t n, const float* in, float* out,
+                   float* scratch) const override;
   int64_t MacsFor(const Shape& input) const override;
 };
 
@@ -69,7 +77,8 @@ class MaxPool2D : public Layer {
       : Layer(LayerKind::kMaxPool, std::move(name)) {}
 
   Result<Shape> OutputShape(const Shape& input) const override;
-  Status Forward(const Tensor& input, Tensor* out) const override;
+  void ForwardRows(const Shape& input, size_t n, const float* in, float* out,
+                   float* scratch) const override;
   int64_t MacsFor(const Shape& input) const override;
 };
 
@@ -80,7 +89,8 @@ class GlobalAvgPool : public Layer {
       : Layer(LayerKind::kGlobalAvgPool, std::move(name)) {}
 
   Result<Shape> OutputShape(const Shape& input) const override;
-  Status Forward(const Tensor& input, Tensor* out) const override;
+  void ForwardRows(const Shape& input, size_t n, const float* in, float* out,
+                   float* scratch) const override;
   int64_t MacsFor(const Shape& input) const override;
 };
 
@@ -91,8 +101,12 @@ class BatchNorm : public Layer {
   BatchNorm(std::string name, int channels, Rng* rng);
 
   Result<Shape> OutputShape(const Shape& input) const override;
-  Status Forward(const Tensor& input, Tensor* out) const override;
+  void ForwardRows(const Shape& input, size_t n, const float* in, float* out,
+                   float* scratch) const override;
   int64_t MacsFor(const Shape& input) const override;
+
+  /// The body of ForwardRows over `pixels` pixels of `channels` values.
+  void ForwardPixels(size_t pixels, const float* in, float* out) const;
 
  private:
   int channels_;
@@ -107,7 +121,8 @@ class Flatten : public Layer {
       : Layer(LayerKind::kFlatten, std::move(name)) {}
 
   Result<Shape> OutputShape(const Shape& input) const override;
-  Status Forward(const Tensor& input, Tensor* out) const override;
+  void ForwardRows(const Shape& input, size_t n, const float* in, float* out,
+                   float* scratch) const override;
   int64_t MacsFor(const Shape& input) const override;
 };
 
@@ -121,7 +136,11 @@ class ResidualBlock : public Layer {
   ResidualBlock(std::string name, int in_channels, int out_channels, Rng* rng);
 
   Result<Shape> OutputShape(const Shape& input) const override;
-  Status Forward(const Tensor& input, Tensor* out) const override;
+  /// Runs conv1 -> bn1 -> relu -> conv2 -> bn2 over two blocks of scratch,
+  /// then adds the skip path and clamps in `out`.
+  void ForwardRows(const Shape& input, size_t n, const float* in, float* out,
+                   float* scratch) const override;
+  int64_t ScratchFloats(const Shape& input) const override;
   int64_t MacsFor(const Shape& input) const override;
 
  private:
@@ -141,7 +160,8 @@ class Softmax : public Layer {
       : Layer(LayerKind::kSoftmax, std::move(name)) {}
 
   Result<Shape> OutputShape(const Shape& input) const override;
-  Status Forward(const Tensor& input, Tensor* out) const override;
+  void ForwardRows(const Shape& input, size_t n, const float* in, float* out,
+                   float* scratch) const override;
   int64_t MacsFor(const Shape& input) const override;
 };
 

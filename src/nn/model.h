@@ -1,6 +1,7 @@
 #ifndef DEEPEVEREST_NN_MODEL_H_
 #define DEEPEVEREST_NN_MODEL_H_
 
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <vector>
@@ -57,21 +58,50 @@ class Model {
     return activation_layers_;
   }
 
+  /// OK when `shape` is the model's input shape; otherwise the
+  /// InvalidArgument that ForwardTo returns for such an input.
+  Status CheckInputShape(const Shape& shape) const;
+
+  /// Runs `n` inputs through layers [0, upto_layer] as one block: `in`
+  /// holds n contiguous rows of input_shape() (the caller vouches for the
+  /// shape, see CheckInputShape). outs[i], for i in [0, upto_layer], is
+  /// either null or a block of n contiguous rows of NeuronCount(i) floats
+  /// that receives layer i's output; the layers with a null block run in
+  /// `scratch`. `scratch` grows to RowScratchFloats(upto_layer) * n floats
+  /// and is never shrunk, so a caller that keeps it allocates nothing once
+  /// it is large enough. n = 0 touches nothing.
+  Status ForwardRows(const float* in, size_t n, int upto_layer,
+                     float* const* outs, std::vector<float>* scratch) const;
+
+  /// Floats of `scratch` per input row that ForwardRows(.., upto_layer, ..)
+  /// uses (Finalize() required).
+  int64_t RowScratchFloats(int upto_layer) const;
+
   /// Runs the model through layer `upto_layer` (inclusive) and returns that
-  /// layer's output.
+  /// layer's output: ForwardRows over one input.
   Status ForwardTo(const Tensor& input, int upto_layer, Tensor* out) const;
 
   /// Runs the full model once and captures every layer's output (used by
-  /// preprocessing, which materialises all layers in a single pass).
+  /// preprocessing, which materialises all layers in a single pass):
+  /// ForwardRows over one input with every layer's block given.
   Status ForwardAll(const Tensor& input, std::vector<Tensor>* outputs) const;
 
  private:
+  /// FailedPrecondition before Finalize(), OutOfRange unless `upto_layer`
+  /// is one of the layers.
+  Status CheckUpto(int upto_layer) const;
+  const Shape& LayerInputShape(size_t i) const;
+
   std::string name_;
   Shape input_shape_;
   bool finalized_ = false;
   std::vector<LayerPtr> layers_;
   std::vector<Shape> output_shapes_;
   std::vector<int64_t> cumulative_macs_;
+  // Per layer i: the largest output of layers [0, i) and the largest layer
+  // scratch of layers [0, i], in floats per input row.
+  std::vector<int64_t> max_floats_before_;
+  std::vector<int64_t> max_layer_scratch_;
   std::vector<int> activation_layers_;
 };
 

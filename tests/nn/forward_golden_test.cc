@@ -6,8 +6,10 @@
 // fails this test. The value does not depend on the kernel table, so it
 // holds in both dispatch modes (CI runs the suite once with
 // DEEPEVEREST_KERNELS=scalar).
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -49,6 +51,49 @@ void HashForwardAll(const Model& model, const data::Dataset& dataset,
   }
 }
 
+// HashForwardAll through Model::ForwardRows with every layer's block
+// given: the dataset runs in consecutive blocks whose sizes cycle through
+// `block_sizes`, and the rows are hashed in the same order (per input,
+// every layer in layer order).
+void HashForwardAllRows(const Model& model, const data::Dataset& dataset,
+                        const std::vector<size_t>& block_sizes,
+                        uint64_t* hash) {
+  const auto input_floats =
+      static_cast<size_t>(model.input_shape().NumElements());
+  const auto num_layers = static_cast<size_t>(model.num_layers());
+  std::vector<float> scratch;
+  size_t next = 0;
+  for (uint32_t begin = 0; begin < dataset.size(); ++next) {
+    const uint32_t count = std::min<uint32_t>(
+        static_cast<uint32_t>(block_sizes[next % block_sizes.size()]),
+        dataset.size() - begin);
+    std::vector<float> in(count * input_floats);
+    for (uint32_t i = 0; i < count; ++i) {
+      const Tensor& input = dataset.input(begin + i);
+      std::copy(input.data(), input.data() + input_floats,
+                in.data() + i * input_floats);
+    }
+    std::vector<std::vector<float>> outs(num_layers);
+    std::vector<float*> out_ptrs;
+    for (size_t l = 0; l < num_layers; ++l) {
+      outs[l].resize(count * static_cast<size_t>(
+                                 model.NeuronCount(static_cast<int>(l))));
+      out_ptrs.push_back(outs[l].data());
+    }
+    ASSERT_TRUE(model
+                    .ForwardRows(in.data(), count, model.num_layers() - 1,
+                                 out_ptrs.data(), &scratch)
+                    .ok());
+    for (uint32_t i = 0; i < count; ++i) {
+      for (size_t l = 0; l < num_layers; ++l) {
+        const int64_t neurons = model.NeuronCount(static_cast<int>(l));
+        HashFloats(outs[l].data() + i * neurons, neurons, hash);
+      }
+    }
+    begin += count;
+  }
+}
+
 data::Dataset SeededImages(uint32_t num_inputs, uint64_t seed) {
   data::SyntheticImageConfig config;
   config.num_inputs = num_inputs;
@@ -64,6 +109,22 @@ TEST(ForwardGoldenTest, MiniVggMiniResNetTinyMlpOutputBitsArePinned) {
   HashForwardAll(*MakeTinyMlp(8, 7),
                  testing_util::MakeVectorDataset(64, 8, 13), &hash);
   EXPECT_EQ(hash, 0x241830acb9f3e09bull) << std::hex << "got 0x" << hash;
+}
+
+// The same hash through the row-block API: each model's whole dataset in
+// one block, then in uneven blocks of 1, 7 and 64 rows.
+TEST(ForwardGoldenTest, RowBlocksReproduceThePinnedBits) {
+  const data::Dataset images = SeededImages(48, 11);
+  const data::Dataset vectors = testing_util::MakeVectorDataset(64, 8, 13);
+  const std::vector<std::vector<size_t>> blockings = {{1u << 20}, {1, 7, 64}};
+  for (const std::vector<size_t>& blocks : blockings) {
+    SCOPED_TRACE("first block " + std::to_string(blocks[0]));
+    uint64_t hash = kFnvOffset;
+    HashForwardAllRows(*MakeMiniVgg(3), images, blocks, &hash);
+    HashForwardAllRows(*MakeMiniResNet(5), images, blocks, &hash);
+    HashForwardAllRows(*MakeTinyMlp(8, 7), vectors, blocks, &hash);
+    EXPECT_EQ(hash, 0x241830acb9f3e09bull) << std::hex << "got 0x" << hash;
+  }
 }
 
 }  // namespace

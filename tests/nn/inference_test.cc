@@ -171,6 +171,22 @@ TEST(InferenceEngineTest, ParallelComputeLayerIsBitwiseSerialTinyMlp) {
   }
 }
 
+// MiniResNet: its residual blocks, batch norms, global average pool and
+// softmax head run through the row-block path too. The softmax layer is
+// checked on top of the activation layers, so every layer kind is covered.
+TEST(InferenceEngineTest, ParallelComputeLayerIsBitwiseSerialMiniResNet) {
+  ModelPtr model = MakeMiniResNet(5);
+  data::SyntheticImageConfig config;
+  config.num_inputs = 200;
+  config.seed = 6;
+  const data::Dataset dataset = data::MakeSyntheticImages(config);
+  InferenceEngine engine(model.get(), &dataset, /*batch_size=*/16);
+  for (const int layer : model->activation_layers()) {
+    ExpectBitwiseSerial(&engine, layer);
+  }
+  ExpectBitwiseSerial(&engine, model->num_layers() - 1);
+}
+
 TEST(InferenceEngineTest, ComputeAllLayersIsBitwiseSerial) {
   VggSystem sys;
   std::vector<int> layers(static_cast<size_t>(sys.model->num_layers()));

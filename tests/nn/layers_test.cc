@@ -1,6 +1,10 @@
 #include "nn/layers.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -212,6 +216,66 @@ TEST(ResidualBlockTest, IdentitySkipWhenChannelsMatch) {
   // 2 convs (3x3) + 2 bn + add.
   const int64_t conv_macs = 4 * 4 * 9 * 3 * 3;
   EXPECT_EQ(block.MacsFor(in), 2 * conv_macs + 2 * (4 * 4 * 3) + 4 * 4 * 3);
+}
+
+// Every layer kind's row-block body against its n = 1 wrapper, row by
+// row, bit for bit; the body writes nothing past its n output rows, and an
+// empty block writes nothing at all.
+TEST(ForwardRowsTest, BlockRowsAreSingleRowsBitForBit) {
+  Rng rng(11);
+  struct Case {
+    LayerPtr layer;
+    Shape input;
+  };
+  std::vector<Case> cases;
+  cases.push_back({std::make_unique<Conv2D>("conv", 3, 5, 3, &rng),
+                   Shape({6, 4, 3})});
+  cases.push_back({std::make_unique<Dense>("fc", 7, 5, &rng), Shape({7})});
+  cases.push_back({std::make_unique<Relu>("relu"), Shape({4, 4, 2})});
+  cases.push_back({std::make_unique<MaxPool2D>("pool"), Shape({6, 4, 3})});
+  cases.push_back({std::make_unique<GlobalAvgPool>("gap"), Shape({3, 5, 4})});
+  cases.push_back({std::make_unique<BatchNorm>("bn", 3, &rng),
+                   Shape({4, 2, 3})});
+  cases.push_back({std::make_unique<Flatten>("flatten"), Shape({2, 3, 4})});
+  cases.push_back({std::make_unique<ResidualBlock>("block", 2, 4, &rng),
+                   Shape({4, 6, 2})});
+  cases.push_back({std::make_unique<ResidualBlock>("same", 3, 3, &rng),
+                   Shape({4, 4, 3})});
+  cases.push_back({std::make_unique<Softmax>("softmax"), Shape({9})});
+  constexpr size_t kRows = 5;
+  constexpr float kSentinel = -123.0f;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.layer->name());
+    auto out_shape = c.layer->OutputShape(c.input);
+    ASSERT_TRUE(out_shape.ok());
+    const auto in_floats = static_cast<size_t>(c.input.NumElements());
+    const auto out_floats = static_cast<size_t>(out_shape->NumElements());
+    std::vector<float> in(kRows * in_floats);
+    for (float& v : in) v = static_cast<float>(rng.NextGaussian());
+    std::vector<float> scratch(
+        kRows * static_cast<size_t>(c.layer->ScratchFloats(c.input)));
+    std::vector<float> out(kRows * out_floats + 1, kSentinel);
+
+    c.layer->ForwardRows(c.input, 0, in.data(), out.data(), scratch.data());
+    EXPECT_TRUE(std::all_of(out.begin(), out.end(),
+                            [](float v) { return v == kSentinel; }));
+
+    c.layer->ForwardRows(c.input, kRows, in.data(), out.data(),
+                         scratch.data());
+    EXPECT_EQ(out.back(), kSentinel);
+    for (size_t r = 0; r < kRows; ++r) {
+      Tensor single(c.input,
+                    std::vector<float>(in.begin() + r * in_floats,
+                                       in.begin() + (r + 1) * in_floats));
+      Tensor expected;
+      ASSERT_TRUE(c.layer->Forward(single, &expected).ok());
+      ASSERT_EQ(expected.vec().size(), out_floats);
+      EXPECT_EQ(std::memcmp(out.data() + r * out_floats, expected.data(),
+                            out_floats * sizeof(float)),
+                0)
+          << "row " << r;
+    }
+  }
 }
 
 TEST(MacsTest, ConvAndDenseFormulas) {

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include "common/rng.h"
 #include "nn/layers.h"
 #include "nn/model_zoo.h"
+#include "testing/test_util.h"
 
 namespace deepeverest {
 namespace nn {
@@ -90,6 +95,58 @@ TEST(ModelTest, RejectsWrongInputShape) {
   Tensor input(Shape({9}));
   Tensor out;
   EXPECT_TRUE(model->ForwardTo(input, 0, &out).IsInvalidArgument());
+}
+
+TEST(ModelTest, ForwardRowsOfNoInputsIsANoOp) {
+  ModelPtr model = MakeMiniResNet(1);
+  std::vector<float> scratch;
+  std::vector<float*> outs(static_cast<size_t>(model->num_layers()), nullptr);
+  DE_ASSERT_OK(model->ForwardRows(nullptr, 0, model->num_layers() - 1,
+                                  outs.data(), &scratch));
+  EXPECT_TRUE(scratch.empty());
+  // The layer checks still apply to an empty block.
+  EXPECT_TRUE(model->ForwardRows(nullptr, 0, 99, outs.data(), &scratch)
+                  .IsOutOfRange());
+}
+
+TEST(ModelTest, ForwardRowsMatchesForwardToPerRow) {
+  ModelPtr model = MakeMiniResNet(2);
+  Rng rng(5);
+  constexpr size_t kRows = 3;
+  const auto width = static_cast<size_t>(model->input_shape().NumElements());
+  std::vector<Tensor> inputs;
+  std::vector<float> block;
+  for (size_t r = 0; r < kRows; ++r) {
+    Tensor input(model->input_shape());
+    for (int64_t i = 0; i < input.NumElements(); ++i) {
+      input[i] = static_cast<float>(rng.NextGaussian());
+    }
+    block.insert(block.end(), input.vec().begin(), input.vec().end());
+    inputs.push_back(std::move(input));
+  }
+  ASSERT_EQ(block.size(), kRows * width);
+  std::vector<float> scratch;
+  for (int layer = 0; layer < model->num_layers(); ++layer) {
+    SCOPED_TRACE("layer " + std::to_string(layer));
+    const auto neurons = static_cast<size_t>(model->NeuronCount(layer));
+    // One sentinel float past the block: the body must not write it.
+    std::vector<float> out(kRows * neurons + 1, -7.0f);
+    std::vector<float*> outs(static_cast<size_t>(layer) + 1, nullptr);
+    outs.back() = out.data();
+    DE_ASSERT_OK(
+        model->ForwardRows(block.data(), kRows, layer, outs.data(), &scratch));
+    EXPECT_EQ(out.back(), -7.0f);
+    EXPECT_GE(scratch.size(),
+              kRows * static_cast<size_t>(model->RowScratchFloats(layer)));
+    for (size_t r = 0; r < kRows; ++r) {
+      Tensor single;
+      DE_ASSERT_OK(model->ForwardTo(inputs[r], layer, &single));
+      EXPECT_EQ(std::memcmp(out.data() + r * neurons, single.data(),
+                            neurons * sizeof(float)),
+                0)
+          << "row " << r;
+    }
+  }
 }
 
 TEST(ModelTest, FinalizeRejectsIncompatibleLayers) {
